@@ -15,8 +15,9 @@ shape asserted here is the one that justifies the subsystem:
   sequential stdin path over the same index — concurrency is an
   optimization, not an approximation.
 
-Per-request p50/p99 latency under concurrency and both throughputs are
-recorded in ``benchmarks/perf/BENCH_concurrent_serve.json``.  Set
+Per-request p50/p99 latency under concurrency, both throughputs and the
+idle/deadline flush counts are recorded in
+``benchmarks/perf/BENCH_concurrent_serve.json``.  Set
 ``REPRO_BENCH_SMOKE=1`` for the reduced-size CI run (same gates).
 """
 
@@ -161,8 +162,8 @@ def _run():
             _closed_loop(server.address, _requests(binaries, 2, "w"), [], [])
 
             # Phase 1: one closed-loop client, every request in sequence —
-            # each request waits out its own deadline flush and pays its
-            # own IPC round-trip.
+            # each request meets an idle worker (flushed at once, no
+            # deadline wait) but pays its own IPC round-trip.
             single_lat, single_resp = [], []
             t0 = time.perf_counter()
             _closed_loop(server.address, single_requests, single_lat, single_resp)
@@ -241,6 +242,7 @@ def _run():
         "stdin_responses": stdin_resp,
         "client_responses": [out for _, out in per_client],
         "shed": snap["shed"],
+        "batch_idle_flushes": snap["flushed_on_idle"],
         "batch_deadline_flushes": snap["flushed_on_deadline"],
     }
 
@@ -277,15 +279,8 @@ def test_concurrent_serve_throughput(benchmark):
     assert r["socket_responses"] == r["stdin_responses"]
     # Nothing was shed at this load, and batching really engaged.
     assert r["shed"] == 0
-    # The multiplexed path must clearly beat one client at a time.  The
-    # gain is amortizing per-request overhead (deadline flush + IPC) that
-    # batching cannot touch in the irreducible per-query graph/scoring
-    # work, so the floor is conservative at full scale where that
-    # irreducible share is larger.
-    speedup = r["concurrent_qps"] / r["single_qps"]
-    floor = 3.0 if SMOKE else 2.0
-    assert speedup >= floor, f"concurrent path only {speedup:.1f}x one client"
-
+    # Correct runs are recorded before the speed floor is checked, so a
+    # run that misses the floor still leaves its numbers behind.
     write_perf_record(
         "concurrent_serve",
         {
@@ -299,5 +294,15 @@ def test_concurrent_serve_throughput(benchmark):
             "concurrent_speedup": r["concurrent_qps"] / r["single_qps"],
             "p50_ms": r["p50_ms"],
             "p99_ms": r["p99_ms"],
+            "batch_idle_flushes": r["batch_idle_flushes"],
+            "batch_deadline_flushes": r["batch_deadline_flushes"],
         },
     )
+
+    # The multiplexed path must clearly beat one client at a time.  The
+    # gain is amortizing per-request overhead (IPC) that batching cannot
+    # touch in the irreducible per-query graph/scoring work, so the floor
+    # is conservative at full scale where that irreducible share is larger.
+    speedup = r["concurrent_qps"] / r["single_qps"]
+    floor = 3.0 if SMOKE else 2.0
+    assert speedup >= floor, f"concurrent path only {speedup:.1f}x one client"

@@ -107,6 +107,18 @@ assert all(len(l["hits"]) == 3 for l in lines[:2]), lines
 # ingested all three lines by then, but query responses may be in flight.
 assert lines[2]["stats"]["requests"] == 3, lines
 assert lines[2]["stats"]["workers"] == 1, lines
+# With both answers back every batch has been formed: each one flushed
+# for exactly one reason, and the first request met an idle worker.
+s.sendall(b'{"control": "stats", "id": "st2"}\n')
+buf = b""
+while b"\n" not in buf:
+    chunk = s.recv(65536)
+    assert chunk, "server hung up early"
+    buf += chunk
+stats = json.loads(buf)["stats"]
+assert stats["flushed_on_idle"] >= 1, stats
+flushes = sum(stats[f"flushed_on_{r}"] for r in ("idle", "size", "deadline"))
+assert flushes == stats["batches"], stats
 s.close()
 print("socket serve smoke: OK")
 EOF

@@ -13,12 +13,13 @@ and load bench directly::
 
 Request path: reader thread → :func:`parse_request` → admission
 (:class:`MicroBatchScheduler`; full ⇒ immediate ``overloaded`` shed
-response with ``retry_after_ms``) → micro-batch → least-loaded worker
-process → ordered per-connection delivery.  Control requests
-(``{"control": "reload" | "stats"}``) bypass the scheduler: ``reload``
-flushes buffered queries (they are served on the old index), hot-swaps
-every worker onto the re-read manifest, and acks with worker counts;
-``stats`` reports the live counters.
+response with ``retry_after_ms``) → micro-batch (at once while a worker
+is idle) → least-loaded worker process → ordered per-connection
+delivery.  Control requests (``{"control": "reload" | "stats"}``)
+bypass the scheduler: ``reload`` flushes buffered queries (they are
+served on the old index), hot-swaps every worker onto the re-read
+manifest, and acks with worker counts; ``stats`` reports the live
+counters.
 """
 
 from __future__ import annotations
@@ -123,6 +124,7 @@ class ConcurrentServer:
             max_batch=config.max_batch,
             max_delay_ms=config.max_delay_ms,
             max_pending=config.queue_depth,
+            idle=self.pool.has_idle_worker,
         )
         address = config.unix_socket or (config.host, config.port)
         self.frontend = SocketFrontend(
@@ -314,6 +316,7 @@ class ConcurrentServer:
             worker_crashes=self.pool.crashes,
             deadline_timeouts=self.pool.timeouts,
             pending=self.scheduler.pending,
+            flushed_on_idle=sched.flushed_on_idle,
             flushed_on_size=sched.flushed_on_size,
             flushed_on_deadline=sched.flushed_on_deadline,
         )

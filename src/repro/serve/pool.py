@@ -9,8 +9,10 @@ The dispatcher owns the process-level concurrency of the service:
 * one FIFO task queue **per worker**, so batch → swap ordering is exact
   (everything dispatched before a swap runs on the old index), plus one
   shared result queue drained by a pump thread;
-* least-loaded dispatch: a batch goes to the worker with the fewest
-  unfinished batches;
+* least-loaded dispatch: a batch goes to the ready worker with the
+  fewest unfinished batches (a slot that is still respawning only gets
+  work when no ready slot exists), and :meth:`WorkerPool.has_idle_worker`
+  tells the scheduler when a batch would start at once;
 * crash containment: each worker claims the batch it is running by
   writing the batch id into a shared-memory slot (a queue message could
   be lost in the feeder thread when the process dies hard), so when a
@@ -181,16 +183,29 @@ class WorkerPool:
         return len(self._workers)
 
     # ------------------------------------------------------------ dispatch
-    def submit(self, batch_id: int, requests: Sequence[dict]) -> None:
-        """Queue one batch on the least-loaded worker (FIFO per worker)."""
+    def has_idle_worker(self) -> bool:
+        """True while some ready worker has no batch assigned."""
         with self._lock:
-            if self._stop:
-                self._on_batch_failed(batch_id, "server shutting down")
-                return
-            worker = min(self._workers, key=lambda w: len(w.assigned))
-            worker.assigned.add(batch_id)
-            if self.batch_timeout_s is not None:
-                self._deadlines[batch_id] = time.monotonic() + self.batch_timeout_s
+            return any(w.ready and not w.assigned for w in self._workers)
+
+    def submit(self, batch_id: int, requests: Sequence[dict]) -> None:
+        """Queue one batch on the least-loaded ready worker (FIFO per worker)."""
+        with self._lock:
+            stopped = self._stop
+            if not stopped:
+                worker = min(
+                    self._workers, key=lambda w: (not w.ready, len(w.assigned))
+                )
+                worker.assigned.add(batch_id)
+                if self.batch_timeout_s is not None:
+                    self._deadlines[batch_id] = (
+                        time.monotonic() + self.batch_timeout_s
+                    )
+        # Callbacks run off the pool lock: they reach the scheduler, which
+        # calls back into the pool (has_idle_worker) under its own lock.
+        if stopped:
+            self._on_batch_failed(batch_id, "server shutting down")
+            return
         worker.task_queue.put(("batch", batch_id, list(requests)))
 
     def swap(self, index_path: str, timeout: float = 60.0) -> Dict[str, object]:

@@ -1,16 +1,23 @@
-"""Micro-batching scheduler: admission-bounded, flush on size **or** deadline.
+"""Micro-batching scheduler: admission-bounded and work-conserving.
 
 The stdin loop batches opportunistically — it flushes whenever the input
 runs dry (:func:`repro.serve.core._lines_with_pending`), which works for
 one pipe but has no notion of latency across many concurrent clients.
 :class:`MicroBatchScheduler` generalizes that heuristic into explicit
-knobs:
+rules:
 
-* a batch flushes as soon as it holds ``max_batch`` entries (throughput
-  bound), **or** when the oldest buffered entry has waited
-  ``max_delay_ms`` (latency bound) — whichever comes first, so a lone
-  request is answered within one deadline instead of waiting for a batch
-  that will never fill;
+* while a worker is **idle** (the ``idle`` predicate — in the concurrent
+  server, the pool has a ready worker with nothing assigned), whatever is
+  buffered flushes at once, up to ``max_batch`` entries: there is nothing
+  to gain by holding a request back from a worker that would otherwise
+  sit unused;
+* while **every worker is busy**, a batch flushes as soon as it holds
+  ``max_batch`` entries (throughput bound), **or** when the oldest
+  buffered entry has waited ``max_delay_ms`` (latency bound) — whichever
+  comes first, so a request waits at most one deadline for companions;
+* :meth:`release` (a batch's responses were delivered, so a worker just
+  freed up) wakes the batch former, so a buffered entry goes out as soon
+  as the ``idle`` predicate turns true rather than at its deadline;
 * admission is bounded end-to-end: at most ``max_pending`` entries may be
   admitted-but-unanswered at once.  :meth:`offer` returns False beyond
   that — the caller sheds the request immediately (an ``overloaded``
@@ -20,7 +27,9 @@ knobs:
 The scheduler is transport-agnostic: entries are opaque objects, and the
 ``flush`` callback (called off-lock, on the scheduler thread or the
 :meth:`flush_now` caller's thread) hands each formed batch downstream —
-in the concurrent server, to the worker pool dispatcher.
+in the concurrent server, to the worker pool dispatcher.  ``idle`` is
+called *under* the scheduler lock, so it must never call back into the
+scheduler (the lock order is scheduler → pool, one way).
 """
 
 from __future__ import annotations
@@ -28,8 +37,8 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Callable, List, Sequence
+from dataclasses import dataclass
+from typing import Callable, List, Optional, Sequence
 
 
 @dataclass
@@ -39,9 +48,9 @@ class SchedulerStats:
     admitted: int = 0
     shed: int = 0
     batches: int = 0
+    flushed_on_idle: int = 0
     flushed_on_size: int = 0
     flushed_on_deadline: int = 0
-    batch_sizes: List[int] = field(default_factory=list)
 
 
 class MicroBatchScheduler:
@@ -54,6 +63,7 @@ class MicroBatchScheduler:
         max_batch: int = 8,
         max_delay_ms: float = 10.0,
         max_pending: int = 64,
+        idle: Optional[Callable[[], bool]] = None,
     ):  # noqa: D107
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
@@ -65,6 +75,8 @@ class MicroBatchScheduler:
         self.max_delay = max_delay_ms / 1000.0
         self.max_pending = max_pending
         self._flush_cb = flush
+        # Without a predicate no worker is ever known idle: size-or-deadline.
+        self._idle = idle or (lambda: False)
         self._buf: deque = deque()  # (arrival_monotonic, entry)
         self._pending = 0
         self._closed = False
@@ -106,6 +118,8 @@ class MicroBatchScheduler:
         """Return capacity for ``n`` entries whose responses were delivered."""
         with self._cond:
             self._pending = max(0, self._pending - n)
+            if self._buf:
+                self._cond.notify_all()  # a worker may have just gone idle
 
     @property
     def pending(self) -> int:
@@ -120,7 +134,6 @@ class MicroBatchScheduler:
             batch.append(self._buf.popleft()[1])
         if batch:
             self.stats.batches += 1
-            self.stats.batch_sizes.append(len(batch))
         return batch
 
     def flush_now(self) -> int:
@@ -143,22 +156,23 @@ class MicroBatchScheduler:
     def _loop(self) -> None:
         while True:
             with self._cond:
-                while not self._buf and not self._closed:
-                    self._cond.wait()
-                if self._closed:
-                    return  # close() drains what is left
-                deadline = self._buf[0][0] + self.max_delay
-                while len(self._buf) < self.max_batch and not self._closed:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0 or not self._buf:
+                while True:
+                    if self._closed:
+                        return  # close() drains what is left
+                    if not self._buf:
+                        self._cond.wait()
+                        continue
+                    if len(self._buf) >= self.max_batch:
+                        self.stats.flushed_on_size += 1
                         break
+                    if self._idle():
+                        self.stats.flushed_on_idle += 1
+                        break
+                    remaining = self._buf[0][0] + self.max_delay - time.monotonic()
+                    if remaining <= 0:
+                        self.stats.flushed_on_deadline += 1
+                        break
+                    # Woken early by offer() (size), release() (idle) or close().
                     self._cond.wait(remaining)
-                if not self._buf:
-                    continue
-                if len(self._buf) >= self.max_batch:
-                    self.stats.flushed_on_size += 1
-                else:
-                    self.stats.flushed_on_deadline += 1
                 batch = self._pop_batch_locked()
-            if batch:
-                self._flush_cb(batch)
+            self._flush_cb(batch)

@@ -138,6 +138,13 @@ class Client:
         self.close()
 
 
+def _wait_until(predicate, timeout=TIMEOUT):
+    end = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < end, "condition not reached in time"
+        time.sleep(0.005)
+
+
 def _binary_request(sample, **extra):
     req = {"binary_b64": base64.b64encode(sample.binary_bytes).decode()}
     req.update(extra)
@@ -242,7 +249,8 @@ class TestConcurrency:
         assert resp["id"] == "st"
         stats = resp["stats"]
         assert stats["responses"] >= 1 and stats["workers"] == 2
-        for key in ("requests", "shed", "batches", "flushed_on_deadline"):
+        for key in ("requests", "shed", "batches", "flushed_on_idle",
+                    "flushed_on_size", "flushed_on_deadline"):
             assert key in stats
 
     def test_unknown_control_is_an_error(self, server):
@@ -390,17 +398,34 @@ class TestBackpressure:
             assert "hits" in client.recv()
 
     def test_lone_request_flushes_on_deadline(self, bp_server, corpus):
-        """A request that never fills a batch is still answered promptly via
-        the deadline flush, not stuck waiting for more traffic."""
+        """With the only worker busy, a request that never fills a batch is
+        still dispatched via the deadline flush, not stuck waiting for more
+        traffic."""
         c, _ = corpus
-        before = bp_server.scheduler.stats.flushed_on_deadline
-        start = time.monotonic()
+        stats = bp_server.scheduler.stats
+        with Client(bp_server.address) as client:
+            client.send(_binary_request(c[0], id="held", test_sleep_ms=600))
+            _wait_until(lambda: not bp_server.pool.has_idle_worker())
+            before = stats.flushed_on_deadline
+            client.send(_binary_request(c[1], id="lone"))
+            _wait_until(lambda: stats.flushed_on_deadline > before)
+            held, lone = client.recv_all(2)
+        assert held["id"] == "held" and "hits" in held
+        assert lone["id"] == "lone" and "hits" in lone
+
+    def test_lone_request_to_idle_pool_flushes_at_once(self, bp_server, corpus):
+        """With the worker idle, a lone request goes out immediately (an
+        idle flush) instead of waiting out the deadline."""
+        c, _ = corpus
+        stats = bp_server.scheduler.stats
+        idle_before = stats.flushed_on_idle
+        deadline_before = stats.flushed_on_deadline
         with Client(bp_server.address) as client:
             client.send(_binary_request(c[0], id="lone"))
             resp = client.recv()
-        assert "hits" in resp
-        assert time.monotonic() - start < TIMEOUT
-        assert bp_server.scheduler.stats.flushed_on_deadline > before
+        assert resp["id"] == "lone" and "hits" in resp
+        assert stats.flushed_on_idle == idle_before + 1
+        assert stats.flushed_on_deadline == deadline_before
 
 
 class TestHotSwap:
