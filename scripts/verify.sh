@@ -107,8 +107,9 @@ assert all(len(l["hits"]) == 3 for l in lines[:2]), lines
 # ingested all three lines by then, but query responses may be in flight.
 assert lines[2]["stats"]["requests"] == 3, lines
 assert lines[2]["stats"]["workers"] == 1, lines
-# With both answers back every batch has been formed: each one flushed
-# for exactly one reason, and the first request met an idle worker.
+# With both answers back every batch has been formed: each one is
+# counted under exactly one flush reason (no reload or drain barrier
+# has run yet), and the first request met an idle worker.
 s.sendall(b'{"control": "stats", "id": "st2"}\n')
 buf = b""
 while b"\n" not in buf:
@@ -117,6 +118,7 @@ while b"\n" not in buf:
     buf += chunk
 stats = json.loads(buf)["stats"]
 assert stats["flushed_on_idle"] >= 1, stats
+assert stats["flushed_on_barrier"] == 0, stats
 flushes = sum(stats[f"flushed_on_{r}"] for r in ("idle", "size", "deadline"))
 assert flushes == stats["batches"], stats
 s.close()
@@ -187,17 +189,6 @@ if [ ! -f benchmarks/perf/BENCH_robustness.json ]; then
   exit 1
 fi
 
-echo "== bench: concurrent serving gates (smoke scale) =="
-# Gates: 8 pipelined socket clients ≥3x one closed-loop client, hit lists
-# bit-identical to the sequential stdin path, p50/p99 recorded.  Timeout
-# so a wedged server/worker fails the gate rather than hanging it.
-REPRO_BENCH_SMOKE=1 timeout --signal=INT 900 \
-  python -m pytest benchmarks/bench_concurrent_serve.py -x -q
-if [ ! -f benchmarks/perf/BENCH_concurrent_serve.json ]; then
-  echo "verify: FAIL — bench_concurrent_serve did not write benchmarks/perf/BENCH_concurrent_serve.json" >&2
-  exit 1
-fi
-
 echo "== bench: fault-tolerance gates (smoke scale) =="
 # Gates: every injected fault kind ends in a clean descriptive error, an
 # observable miss, or a bit-identical result (never wrong, never hung);
@@ -244,5 +235,19 @@ done
 
 echo "== docs: link check (no dangling files or anchors) =="
 python scripts/check_doc_links.py
+
+echo "== bench: concurrent serving gates (smoke scale) =="
+# Gates: 8 pipelined socket clients at max_batch=8 ≥3x the same load at
+# max_batch=1, hit lists bit-identical to the sequential stdin path and
+# to the unbatched server, p50/p99 recorded.  Runs last: its
+# speed floor currently fails on 2-core hosts (see ROADMAP.md), and every
+# check above must still run.  Timeout so a wedged server/worker
+# fails the gate rather than hanging it.
+REPRO_BENCH_SMOKE=1 timeout --signal=INT 900 \
+  python -m pytest benchmarks/bench_concurrent_serve.py -x -q
+if [ ! -f benchmarks/perf/BENCH_concurrent_serve.json ]; then
+  echo "verify: FAIL — bench_concurrent_serve did not write benchmarks/perf/BENCH_concurrent_serve.json" >&2
+  exit 1
+fi
 
 echo "verify: OK"

@@ -118,6 +118,7 @@ class ConcurrentServer:
             batch_timeout_s=config.batch_timeout_s,
             on_batch_done=self._on_batch_done,
             on_batch_failed=self._on_batch_failed,
+            on_worker_ready=self._on_worker_ready,
         )
         self.scheduler = MicroBatchScheduler(
             self._dispatch,
@@ -295,6 +296,11 @@ class ConcurrentServer:
                 response["retryable"] = True
             self._finish(entry, response)
 
+    def _on_worker_ready(self) -> None:
+        # A worker came up (first start or respawn): buffered work may now
+        # go straight to it instead of waiting out its deadline.
+        self.scheduler.wake()
+
     def _finish(self, entry: _Entry, response: dict) -> None:
         entry.conn.deliver(entry.seq, response)
         self.scheduler.release(1)
@@ -319,6 +325,7 @@ class ConcurrentServer:
             flushed_on_idle=sched.flushed_on_idle,
             flushed_on_size=sched.flushed_on_size,
             flushed_on_deadline=sched.flushed_on_deadline,
+            flushed_on_barrier=sched.flushed_on_barrier,
         )
         return snap
 

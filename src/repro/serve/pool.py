@@ -11,8 +11,10 @@ The dispatcher owns the process-level concurrency of the service:
   shared result queue drained by a pump thread;
 * least-loaded dispatch: a batch goes to the ready worker with the
   fewest unfinished batches (a slot that is still respawning only gets
-  work when no ready slot exists), and :meth:`WorkerPool.has_idle_worker`
-  tells the scheduler when a batch would start at once;
+  work when no ready slot exists), :meth:`WorkerPool.has_idle_worker`
+  tells the scheduler when a batch would start at once, and
+  ``on_worker_ready`` announces each worker that comes up (first start
+  or respawn) so buffered work can go to it;
 * crash containment: each worker claims the batch it is running by
   writing the batch id into a shared-memory slot (a queue message could
   be lost in the feeder thread when the process dies hard), so when a
@@ -75,6 +77,7 @@ class WorkerPool:
         batch_timeout_s: Optional[float] = None,
         on_batch_done: Callable[[int, List[dict]], None],
         on_batch_failed: Callable[..., None],
+        on_worker_ready: Callable[[], None],
     ):  # noqa: D107
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
@@ -95,6 +98,7 @@ class WorkerPool:
         self.timeouts = 0
         self._on_batch_done = on_batch_done
         self._on_batch_failed = on_batch_failed
+        self._on_worker_ready = on_worker_ready
         self._ctx = multiprocessing.get_context("spawn")
         self._result_queue = self._ctx.Queue()
         self._lock = threading.RLock()
@@ -251,6 +255,9 @@ class WorkerPool:
                     worker.start_failures = 0
                     if all(w.ready for w in self._workers):
                         self._ready_event.set()
+                # Off the pool lock, like every callback: the scheduler
+                # calls back into has_idle_worker under its own lock.
+                self._on_worker_ready()
             elif kind == "fatal":
                 with self._lock:
                     self._fatal = msg[2]

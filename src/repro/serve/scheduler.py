@@ -16,8 +16,12 @@ rules:
   buffered entry has waited ``max_delay_ms`` (latency bound) — whichever
   comes first, so a request waits at most one deadline for companions;
 * :meth:`release` (a batch's responses were delivered, so a worker just
-  freed up) wakes the batch former, so a buffered entry goes out as soon
-  as the ``idle`` predicate turns true rather than at its deadline;
+  freed up) and :meth:`wake` (a respawned worker came up) wake the batch
+  former, so a buffered entry goes out as soon as the ``idle`` predicate
+  turns true rather than at its deadline;
+* :meth:`flush_now` (index reload, close drain) flushes everything at
+  once as a barrier, so every batch is counted under exactly one reason:
+  idle, size, deadline or barrier;
 * admission is bounded end-to-end: at most ``max_pending`` entries may be
   admitted-but-unanswered at once.  :meth:`offer` returns False beyond
   that — the caller sheds the request immediately (an ``overloaded``
@@ -38,7 +42,7 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Sequence
 
 
 @dataclass
@@ -51,6 +55,7 @@ class SchedulerStats:
     flushed_on_idle: int = 0
     flushed_on_size: int = 0
     flushed_on_deadline: int = 0
+    flushed_on_barrier: int = 0
 
 
 class MicroBatchScheduler:
@@ -63,7 +68,7 @@ class MicroBatchScheduler:
         max_batch: int = 8,
         max_delay_ms: float = 10.0,
         max_pending: int = 64,
-        idle: Optional[Callable[[], bool]] = None,
+        idle: Callable[[], bool],
     ):  # noqa: D107
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
@@ -75,8 +80,7 @@ class MicroBatchScheduler:
         self.max_delay = max_delay_ms / 1000.0
         self.max_pending = max_pending
         self._flush_cb = flush
-        # Without a predicate no worker is ever known idle: size-or-deadline.
-        self._idle = idle or (lambda: False)
+        self._idle = idle
         self._buf: deque = deque()  # (arrival_monotonic, entry)
         self._pending = 0
         self._closed = False
@@ -118,8 +122,13 @@ class MicroBatchScheduler:
         """Return capacity for ``n`` entries whose responses were delivered."""
         with self._cond:
             self._pending = max(0, self._pending - n)
+        self.wake()  # a worker may have just gone idle
+
+    def wake(self) -> None:
+        """Re-check the flush rule now (a worker may have just come up)."""
+        with self._cond:
             if self._buf:
-                self._cond.notify_all()  # a worker may have just gone idle
+                self._cond.notify_all()
 
     @property
     def pending(self) -> int:
@@ -150,6 +159,7 @@ class MicroBatchScheduler:
                 if not self._buf:
                     return flushed
                 batch = self._pop_batch_locked()
+                self.stats.flushed_on_barrier += 1
             flushed += len(batch)
             self._flush_cb(batch)
 
@@ -172,7 +182,8 @@ class MicroBatchScheduler:
                     if remaining <= 0:
                         self.stats.flushed_on_deadline += 1
                         break
-                    # Woken early by offer() (size), release() (idle) or close().
+                    # Woken early by offer() (size), release()/wake() (idle)
+                    # or close().
                     self._cond.wait(remaining)
                 batch = self._pop_batch_locked()
             self._flush_cb(batch)

@@ -2,10 +2,11 @@
 
 :class:`MicroBatchScheduler` is work-conserving: while its ``idle``
 predicate holds, buffered entries flush at once; only while every worker
-is busy does the size-or-deadline rule apply, and :meth:`release` wakes
-the batch former so a freed worker picks up buffered work before its
-deadline.  :class:`WorkerPool` dispatch prefers ready workers over a
-slot that is still respawning.
+is busy does the size-or-deadline rule apply, and :meth:`release` /
+:meth:`wake` wake the batch former so a freed or respawned worker picks
+up buffered work before its deadline.  :class:`WorkerPool` dispatch
+prefers ready workers over a slot that is still respawning, and a worker
+coming up is announced to the scheduler off the pool lock.
 """
 
 import threading
@@ -87,11 +88,9 @@ class TestWorkConservingScheduler:
         assert sched.stats.flushed_on_size == 1
         assert sched.stats.flushed_on_idle == 0
 
-    @pytest.mark.parametrize("idle", [_Flag(False), None], ids=["busy", "default"])
-    def test_busy_workers_flush_on_deadline(self, make_scheduler, idle):
-        """All workers busy, or no predicate at all: size-or-deadline only."""
+    def test_busy_workers_flush_on_deadline(self, make_scheduler):
         delay_ms = 50.0
-        sched, sink = make_scheduler(idle, max_batch=8, max_delay_ms=delay_ms)
+        sched, sink = make_scheduler(_Flag(False), max_batch=8, max_delay_ms=delay_ms)
         start = time.monotonic()
         assert sched.offer("a")
         assert sink.wait_for(1)
@@ -120,6 +119,36 @@ class TestWorkConservingScheduler:
         assert sched.stats.flushed_on_deadline == 0
         assert sched.pending == 1
 
+    def test_wake_dispatches_buffered_entry_when_worker_comes_up(
+        self, make_scheduler
+    ):
+        idle = _Flag(False)  # the only worker is still respawning
+        sched, sink = make_scheduler(idle, max_batch=8, max_delay_ms=LONG_DELAY_MS)
+        assert sched.offer("a")
+        assert not sink.wait_for(1, timeout=0.2)
+        idle.value = True
+        sched.wake()
+        assert sink.wait_for(1)
+        assert sink.batches == [["a"]]
+        assert sched.stats.flushed_on_idle == 1
+
+    def test_every_batch_has_exactly_one_flush_reason(self, make_scheduler):
+        sched, sink = make_scheduler(
+            _Flag(False), max_batch=2, max_delay_ms=LONG_DELAY_MS
+        )
+        for entry in "abc":
+            assert sched.offer(entry)
+        assert sink.wait_for(1)  # "a", "b" flush on size; "c" stays buffered
+        assert sched.flush_now() == 1  # reload / close-drain barrier
+        assert sink.batches == [["a", "b"], ["c"]]
+        stats = sched.stats
+        assert (stats.flushed_on_size, stats.flushed_on_barrier) == (1, 1)
+        reasons = (
+            stats.flushed_on_idle + stats.flushed_on_size
+            + stats.flushed_on_deadline + stats.flushed_on_barrier
+        )
+        assert reasons == stats.batches == 2
+
 
 class _FakeQueue:
     def __init__(self):
@@ -131,13 +160,22 @@ class _FakeQueue:
 
 class TestPoolDispatch:
     @pytest.fixture
-    def pool(self):
+    def ready_calls(self):
+        return []
+
+    @pytest.fixture
+    def pool(self, ready_calls):
+        def on_ready():
+            # Callbacks must run off the pool lock (lock order is one-way).
+            ready_calls.append(pool._lock._is_owned())
+
         pool = WorkerPool(
             "unused-checkpoint.npz",
             "unused-index",
             workers=2,
             on_batch_done=lambda *a: None,
             on_batch_failed=lambda *a, **k: None,
+            on_worker_ready=on_ready,
         )
         for worker in pool._workers:
             worker.task_queue = _FakeQueue()
@@ -166,3 +204,16 @@ class TestPoolDispatch:
         pool.submit(3, [{}])
         assert not pool.has_idle_worker()
         assert sum(len(w.task_queue.items) for w in pool._workers) == 1
+
+    def test_worker_coming_up_is_announced_off_lock(self, pool, ready_calls):
+        pool._pump.start()  # result pump only; no worker processes
+        try:
+            pool._result_queue.put(("ready", 1))
+            deadline = time.monotonic() + WAIT_S
+            while not ready_calls and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert ready_calls == [False]
+            assert pool._workers[1].ready
+            assert pool.has_idle_worker()
+        finally:
+            pool.close()
