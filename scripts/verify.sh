@@ -130,6 +130,15 @@ if ! wait "$serve_pid"; then
   cat "$tmp/serve-socket.log" >&2
   exit 1
 fi
+# An exception in a server thread only prints to stderr while later
+# requests hang, so the log itself is checked: no traceback anywhere, and
+# the shutdown line reports a crash-free run.
+if grep -q "Traceback" "$tmp/serve-socket.log" \
+    || ! grep -q ", 0 worker crashes)" "$tmp/serve-socket.log"; then
+  echo "verify: FAIL — socket server logged a traceback or worker crashes" >&2
+  cat "$tmp/serve-socket.log" >&2
+  exit 1
+fi
 
 echo "== smoke: corpus build cold -> warm artifact cache =="
 python -m repro corpus build --num-tasks 4 --variants 1 --languages c,java --store "$tmp/artifacts"

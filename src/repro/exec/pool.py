@@ -1,30 +1,32 @@
-"""A persistent warm worker pool for grid training and corpus builds.
+"""The worker runtime (:class:`Supervisor`) and the warm pool built on it.
 
-``multiprocessing.Pool`` answers a different question than a training
-grid asks.  A grid submits a handful of long jobs over and over (one
-batch per table), and the throwaway pool charges the full warmup —
-process start, interpreter + NumPy + ``repro`` import under spawn, and a
-pickled copy of the shared dataset *per job* — to every batch.  This
-module keeps the workers.
+:class:`Supervisor` is the one place in ``repro`` that starts and watches
+worker processes: one duplex pipe per worker, one job in flight per pipe,
+replies matched by token, and deaths seen on process sentinels, so
+nothing polls.  Results never ride an ``mp.Queue``, whose feeder thread
+can lose a message when a process dies hard.  Two policies run on it:
+:class:`WarmPool` here, and the serve :class:`~repro.serve.pool.WorkerPool`.
 
-* **Warm workers** — processes start once, import once, and stay resident
-  across :meth:`WarmPool.run` batches; :func:`get_pool` keeps one pool
-  per (size, start method) for the life of the parent process.
+:class:`WarmPool` runs grid training and corpus builds, which submit a
+handful of long jobs over and over.  A throwaway ``multiprocessing.Pool``
+would charge the full warmup (process start, imports under spawn, a
+pickled copy of the shared dataset *per job*) to every batch; the warm
+pool keeps the workers.
+
+* **Warm workers** — processes start once and stay resident across
+  :meth:`WarmPool.run` batches; :func:`get_pool` keeps one pool per
+  (size, start method) for the life of the parent process.
 * **Shared read-only data** — :meth:`WarmPool.share` publishes an object
-  under a key; job payloads reference it with :class:`SharedRef` instead
-  of carrying it.  Fork workers resolve the key through inherited memory
-  (copy-on-write: zero copies, zero serialization); spawn workers attach
-  a shared-memory segment holding one pickle of the object and
-  deserialize it once, caching it for every later job.
-* **Fault tolerance** — each worker runs ``faults.hit("pool.worker.job")``
-  before a job, so the PR 9 fault grammar reaches inside real workers
+  under a key and payloads carry a :class:`SharedRef` instead.  Fork
+  workers resolve it through inherited memory (copy-on-write, zero
+  serialization); spawn workers attach a shared-memory segment holding
+  one pickle of it and deserialize it once.
+* **Fault tolerance** — each warm-pool worker fires
+  ``faults.hit("pool.worker.job")`` before a job
   (``crash:pool.worker.job@0.5~7``).  A worker that dies or hangs is
-  respawned and its job retried up to ``max_job_retries`` times; a job
-  that keeps failing raises :class:`JobFailed` with the worker's story.
-  Results flow back over per-worker pipes — never ``mp.Queue``, whose
-  feeder thread can lose a message when a process dies hard (the PR 6
-  serve-pool lesson) — and workers never touch any store: the parent
-  commits results, so a killed worker cannot corrupt anything.
+  respawned and its job retried up to ``max_job_retries`` times, then
+  :class:`JobFailed`.  Workers never touch any store: the parent commits
+  results, so a killed worker cannot corrupt anything.
 
 Scheduling cannot change results: pool users (``run_grid``,
 ``build_parallel``) only use workers to *fill caches*, and materialize
@@ -36,7 +38,6 @@ from __future__ import annotations
 import atexit
 import itertools
 import multiprocessing
-import os
 import pickle
 import time
 from collections import deque
@@ -46,7 +47,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro import faults
 from repro.utils.shm import SharedBlock
 
-#: Fault-injection site fired by a worker before every job it runs.
+#: Fault-injection site a warm-pool worker fires before every job it runs.
 WORKER_JOB_SITE = "pool.worker.job"
 
 #: Seconds to wait for a worker to exit after a "stop" message.
@@ -114,12 +115,12 @@ def _lookup_shared(key: str, shares: Dict[str, Tuple[str, int]]):
     return obj
 
 
-def _worker_main(conn) -> None:
+def _worker_main(conn, job_site: Optional[str]) -> None:
     """Worker loop: resolve shares, run jobs, report over the pipe.
 
     Job exceptions are *reported*, not fatal — the worker stays warm for
-    the next job.  Only parent death (EOF on the pipe) or an injected
-    crash/kill ends the process.
+    the next job.  Only parent death (EOF on the pipe), a "stop" message
+    or a hard exit (injected crash, kill) ends the process.
     """
     while True:
         try:
@@ -136,7 +137,8 @@ def _worker_main(conn) -> None:
             continue
         token, func, args, shares = msg[1], msg[2], msg[3], msg[4]
         try:
-            faults.hit(WORKER_JOB_SITE)
+            if job_site:
+                faults.hit(job_site)
             result = func(*_resolve_shares(args, shares))
         except Exception as exc:  # boundary: report to the parent, stay warm
             conn.send(("err", token, f"{type(exc).__name__}: {exc}"))
@@ -144,15 +146,131 @@ def _worker_main(conn) -> None:
             conn.send(("ok", token, result))
 
 
-class _Worker:
-    """Parent-side handle: process + duplex pipe + the in-flight token."""
+class Worker:
+    """Parent-side handle: process, pipe, and the job in flight on it.
 
-    __slots__ = ("proc", "conn", "token")
+    A respawn replaces ``proc`` and ``conn`` in place; ``job`` is the
+    caller's record of the job on the pipe (None while idle).  Policies
+    subclass it to keep their own per-worker state.
+    """
 
-    def __init__(self, proc, conn):  # noqa: D107
-        self.proc = proc
-        self.conn = conn
-        self.token: Optional[int] = None  # the job it is running, if any
+    __slots__ = ("proc", "conn", "token", "job")
+
+    def __init__(self):  # noqa: D107
+        self.proc = self.conn = self.token = self.job = None
+
+
+class Supervisor:
+    """Supervised worker processes, one job in flight each.
+
+    :meth:`send` puts a job on an idle worker's pipe and :meth:`wait`
+    blocks until a watched worker replies or dies; what a reply or a
+    death *means* — retry, fail a batch, retire a slot — is the caller's
+    policy.  ``job_site`` is a fault site fired before every job.
+    """
+
+    def __init__(
+        self, start_method: Optional[str] = None, job_site: Optional[str] = None
+    ):  # noqa: D107
+        self.start_method = start_method or multiprocessing.get_start_method()
+        self._ctx = multiprocessing.get_context(self.start_method)
+        self._job_site = job_site
+        self._tokens = itertools.count(1)
+        self.workers: List[Worker] = []
+        self.respawns = 0
+
+    def _start(self, worker: Worker) -> None:
+        parent_conn, child_conn = self._ctx.Pipe(duplex=True)
+        worker.proc = self._ctx.Process(
+            target=_worker_main, args=(child_conn, self._job_site), daemon=True
+        )
+        worker.proc.start()
+        child_conn.close()
+        worker.conn = parent_conn
+        worker.token = worker.job = None
+
+    def spawn(self, worker: Optional[Worker] = None) -> Worker:
+        """Start one more worker (into ``worker``, if given); return it."""
+        worker = worker or Worker()
+        self._start(worker)
+        self.workers.append(worker)
+        return worker
+
+    def respawn(self, worker: Worker) -> None:
+        """Replace a dead (or hung) worker with a fresh one, in place."""
+        self.retire(worker)
+        self._start(worker)
+        self.respawns += 1
+
+    def retire(self, worker: Worker) -> None:
+        """Terminate ``worker`` if it still runs and release its pipe."""
+        if worker.proc.is_alive():
+            worker.proc.terminate()
+        worker.proc.join(STOP_GRACE_SECONDS)
+        worker.conn.close()
+        worker.token = worker.job = None
+
+    def send(self, worker: Worker, func: Callable, args: Tuple = (),
+             shares: Optional[Dict[str, Tuple[str, int]]] = None,
+             job: object = None) -> bool:
+        """Put ``func(*args)`` on an idle ``worker``'s pipe.
+
+        ``job`` is the caller's record of it, handed back by :meth:`wait`
+        with the reply — or with the death, when the job dies with the
+        worker.  Returns False (nothing in flight) if the worker is gone.
+        """
+        # Set before the send: another thread may read the reply before
+        # send() returns.
+        worker.token, worker.job = next(self._tokens), job
+        try:
+            worker.conn.send(("job", worker.token, func, tuple(args), shares or {}))
+        except (BrokenPipeError, OSError):
+            worker.token = worker.job = None
+            return False
+        return True
+
+    def wait(
+        self, workers: Sequence[Worker], timeout: Optional[float] = None
+    ) -> List[Tuple[Worker, object, Optional[Tuple[str, object]]]]:
+        """Block until one of ``workers`` replies or dies (or ``timeout``).
+
+        Returns ``(worker, job, reply)`` events; either kind leaves the
+        worker idle.  ``reply`` is ``("ok", result)`` or ``("err",
+        message)`` for the job in flight, or None when the worker died —
+        ``job`` is then exactly the job that died with it (None if it was
+        idle).  Respawn or retire a dead worker before waiting on it again.
+        """
+        waitables = [w.conn for w in workers] + [w.proc.sentinel for w in workers]
+        ready = set(connection.wait(waitables, timeout))
+        events = []
+        for worker in workers:
+            reply = None  # stays None when the worker died
+            if worker.conn in ready:
+                try:
+                    kind, token, payload = worker.conn.recv()
+                except (EOFError, OSError):
+                    pass
+                else:
+                    if token != worker.token:
+                        continue  # stale: answers a job already given up on
+                    reply = (kind, payload)
+            elif worker.proc.sentinel not in ready:
+                continue
+            events.append((worker, worker.job, reply))
+            worker.token = worker.job = None
+        return events
+
+    def close(self) -> None:
+        """Stop every worker: "stop" message, grace period, then terminate."""
+        for worker in self.workers:
+            try:
+                worker.conn.send(("stop",))
+            except (BrokenPipeError, OSError):
+                pass  # boundary: worker already died; retire() cleans up
+        for worker in self.workers:
+            worker.proc.join(STOP_GRACE_SECONDS)
+            self.retire(worker)
+        self.workers.clear()
 
 
 class WarmPool:
@@ -174,63 +292,28 @@ class WarmPool:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         self.workers = int(workers)
-        self.start_method = start_method or multiprocessing.get_start_method()
+        self._sup = Supervisor(start_method, job_site=WORKER_JOB_SITE)
+        self.start_method = self._sup.start_method
         self.job_timeout = job_timeout
         self.max_job_retries = int(max_job_retries)
-        self._ctx = multiprocessing.get_context(self.start_method)
-        self._pool: List[_Worker] = []
         self._shares: Dict[str, SharedBlock] = {}
-        self._tokens = itertools.count(1)
         self._closed = False
-        self.respawns = 0
         self.jobs_done = 0
 
+    @property
+    def respawns(self) -> int:
+        """Workers replaced after dying, hanging or an aborted batch."""
+        return self._sup.respawns
+
     # ------------------------------------------------------------ lifecycle
-    def _spawn_worker(self) -> _Worker:
-        parent_conn, child_conn = self._ctx.Pipe(duplex=True)
-        proc = self._ctx.Process(
-            target=_worker_main, args=(child_conn,), daemon=True
-        )
-        proc.start()
-        child_conn.close()
-        return _Worker(proc, parent_conn)
-
-    def _ensure_workers(self, need: int) -> None:
-        while len(self._pool) < min(self.workers, max(need, 1)):
-            self._pool.append(self._spawn_worker())
-
-    def _respawn(self, worker: _Worker) -> None:
-        """Replace a dead (or killed) worker with a fresh one, in place."""
-        if worker.proc.is_alive():
-            worker.proc.terminate()
-        worker.proc.join(STOP_GRACE_SECONDS)
-        worker.conn.close()
-        fresh = self._spawn_worker()
-        worker.proc, worker.conn, worker.token = fresh.proc, fresh.conn, None
-        self.respawns += 1
-
     def close(self) -> None:
         """Stop every worker and release every shared segment (idempotent)."""
         if self._closed:
             return
         self._closed = True
-        for worker in self._pool:
-            try:
-                worker.conn.send(("stop",))
-            except (BrokenPipeError, OSError):
-                pass  # boundary: worker already died; join below cleans up
-        for worker in self._pool:
-            worker.proc.join(STOP_GRACE_SECONDS)
-            if worker.proc.is_alive():
-                worker.proc.terminate()
-                worker.proc.join(STOP_GRACE_SECONDS)
-            worker.conn.close()
-        self._pool.clear()
+        self._sup.close()
         for key in list(self._shares):
-            block = self._shares.pop(key)
-            block.close()
-            block.unlink()
-            _COW_REGISTRY.pop(key, None)
+            self.unshare(key)
 
     def __enter__(self) -> "WarmPool":
         return self
@@ -262,8 +345,8 @@ class WarmPool:
         block.close()
         block.unlink()
         _COW_REGISTRY.pop(key, None)
-        for worker in self._pool:
-            if worker.proc.is_alive() and worker.token is None:
+        for worker in self._sup.workers:
+            if worker.proc.is_alive() and worker.job is None:
                 try:
                     worker.conn.send(("drop", key))
                 except (BrokenPipeError, OSError):
@@ -288,102 +371,77 @@ class WarmPool:
         payloads = [tuple(p) for p in payloads]
         if not payloads:
             return []
-        self._ensure_workers(len(payloads))
+        while len(self._sup.workers) < min(self.workers, len(payloads)):
+            self._sup.spawn()
         results: List[object] = [None] * len(payloads)
+        # Each worker's job record is (payload index, attempts, deadline).
         queue = deque((i, 0) for i in range(len(payloads)))
-        # token → (worker, payload index, attempts, deadline)
-        pending: Dict[int, Tuple[_Worker, int, int, Optional[float]]] = {}
         shares = self._share_descriptors()
         try:
-            while queue or pending:
-                self._assign(func, payloads, queue, pending, shares)
-                self._collect(results, queue, pending)
+            while queue or self._busy():
+                self._assign(func, payloads, queue, shares)
+                self._collect(results, queue)
         except BaseException:
-            self._abort_inflight(pending)
+            for worker in self._busy():  # recycle the aborted batch's workers
+                self._sup.respawn(worker)
             raise
         return results
 
-    def _assign(self, func, payloads, queue, pending, shares) -> None:
-        for worker in self._pool:
+    def _busy(self) -> List[Worker]:
+        return [w for w in self._sup.workers if w.job is not None]
+
+    def _assign(self, func, payloads, queue, shares) -> None:
+        for worker in self._sup.workers:
             if not queue:
                 return
-            if worker.token is not None:
+            if worker.job is not None:
                 continue
             if not worker.proc.is_alive():
-                self._respawn(worker)
+                self._sup.respawn(worker)
             index, attempts = queue.popleft()
-            token = next(self._tokens)
             deadline = (
                 time.monotonic() + self.job_timeout if self.job_timeout else None
             )
-            try:
-                worker.conn.send(("job", token, func, payloads[index], shares))
-            except (BrokenPipeError, OSError):
+            job = (index, attempts, deadline)
+            if not self._sup.send(worker, func, payloads[index], shares, job):
                 # The worker died between the liveness check and the send:
                 # recycle it and put the job back for the next pass.
-                self._requeue(queue, pending, index, attempts, "died on dispatch")
-                self._respawn(worker)
-                continue
-            worker.token = token
-            pending[token] = (worker, index, attempts, deadline)
+                self._sup.respawn(worker)
+                self._requeue(queue, index, attempts, "died on dispatch")
 
-    def _collect(self, results, queue, pending) -> None:
-        if not pending:
+    def _collect(self, results, queue) -> None:
+        busy = self._busy()
+        if not busy:
             return
-        waitables = []
-        for worker, _, _, _ in pending.values():
-            waitables.append(worker.conn)
-            waitables.append(worker.proc.sentinel)
-        timeout = None
-        now = time.monotonic()
-        deadlines = [d for _, _, _, d in pending.values() if d is not None]
-        if deadlines:
-            timeout = max(0.0, min(deadlines) - now)
-        ready = connection.wait(waitables, timeout)
-        ready_set = set(ready)
-        for token in list(pending):
-            worker, index, attempts, deadline = pending[token]
-            if worker.conn in ready_set:
-                try:
-                    msg = worker.conn.recv()
-                except (EOFError, OSError):
-                    self._on_death(queue, pending, token, "died mid-job")
-                    continue
-                if msg[1] != token:
-                    continue  # stale result from an aborted batch: drop it
-                del pending[token]
-                worker.token = None
-                if msg[0] == "err":
-                    raise JobFailed(f"pool job {index} failed cleanly: {msg[2]}")
-                results[index] = msg[2]
+        deadlines = [w.job[2] for w in busy if w.job[2] is not None]
+        timeout = max(0.0, min(deadlines) - time.monotonic()) if deadlines else None
+        for worker, (index, attempts, _), reply in self._sup.wait(busy, timeout):
+            if reply is None:
+                self._sup.respawn(worker)
+                self._requeue(queue, index, attempts, "died mid-job")
+            elif reply[0] == "err":
+                raise JobFailed(f"pool job {index} failed cleanly: {reply[1]}")
+            else:
+                results[index] = reply[1]
                 self.jobs_done += 1
-            elif worker.proc.sentinel in ready_set and not worker.proc.is_alive():
-                self._on_death(queue, pending, token, "was killed")
-            elif deadline is not None and time.monotonic() >= deadline:
-                self._on_death(
-                    queue, pending, token,
-                    f"hung past the {self.job_timeout:.1f}s job timeout",
-                )
+        now = time.monotonic()
+        for worker in busy:
+            if worker.job is None or worker.job[2] is None or now < worker.job[2]:
+                continue
+            index, attempts, _ = worker.job
+            self._sup.respawn(worker)
+            self._requeue(
+                queue, index, attempts,
+                f"hung past the {self.job_timeout:.1f}s job timeout",
+            )
 
-    def _on_death(self, queue, pending, token, why: str) -> None:
-        worker, index, attempts, _ = pending.pop(token)
-        self._respawn(worker)
-        self._requeue(queue, pending, index, attempts, why)
-
-    def _requeue(self, queue, pending, index, attempts, why: str) -> None:
+    def _requeue(self, queue, index, attempts, why: str) -> None:
         if attempts >= self.max_job_retries:
-            self._abort_inflight(pending)
             raise JobFailed(
                 f"pool job {index} {why} and exhausted its "
                 f"{self.max_job_retries} retries"
             )
         queue.append((index, attempts + 1))
-
-    def _abort_inflight(self, pending) -> None:
-        """Recycle every worker still running a job of an aborted batch."""
-        for worker, _, _, _ in pending.values():
-            self._respawn(worker)
-        pending.clear()
 
 
 # ------------------------------------------------------- process-wide pool

@@ -58,7 +58,7 @@ class ServerConfig:
     enable_test_hooks: bool = False  # fault-injection requests, tests only
     # Per-request deadline, measured from dispatch: a batch not answered in
     # time gets a retryable error and a hung worker is respawned.  None
-    # disables the watchdog (the pre-deadline behavior).
+    # disables the watchdog.
     batch_timeout_s: Optional[float] = None
     # How long close() waits for in-flight batches to finish before the
     # stragglers are answered with a shutdown error.
@@ -106,16 +106,7 @@ class ConcurrentServer:
         self._inflight_lock = threading.Lock()
         self._swap_lock = threading.Lock()
         self.pool = WorkerPool(
-            config.checkpoint,
-            config.index_path,
-            workers=config.workers,
-            default_k=config.default_k,
-            max_batch=config.max_batch,
-            mode=config.mode,
-            nprobe=config.nprobe,
-            store_root=config.store_root,
-            enable_test_hooks=config.enable_test_hooks,
-            batch_timeout_s=config.batch_timeout_s,
+            config,
             on_batch_done=self._on_batch_done,
             on_batch_failed=self._on_batch_failed,
             on_worker_ready=self._on_worker_ready,
@@ -221,9 +212,8 @@ class ConcurrentServer:
         elif command == "reload":
             try:
                 result = self.reload_index(obj.get("index"))
-            except (RuntimeError, OSError, ValueError) as exc:
-                # Everything a swap can raise here: barrier timeout
-                # (RuntimeError), queue plumbing (OSError/ValueError).
+            except RuntimeError as exc:
+                # What a swap can raise here: the barrier timeout.
                 # Per-worker open failures travel back as strings inside
                 # the ack, not as exceptions.
                 self._count_error()

@@ -1,368 +1,344 @@
-"""Worker pool dispatcher: N processes, per-worker FIFO queues, crash recovery.
+"""Worker pool dispatcher: the serve policy over the worker runtime.
 
-The dispatcher owns the process-level concurrency of the service:
+A thin layer over :class:`repro.exec.pool.Supervisor`, the runtime the
+training grid runs on (a pipe per worker, sentinel death detection):
 
-* N worker processes (``spawn`` context — no inherited locks or fds, safe
-  alongside the front end's threads), each running
-  :func:`repro.serve.worker.worker_main` over the same checkpoint and the
-  same on-disk sharded index;
-* one FIFO task queue **per worker**, so batch → swap ordering is exact
-  (everything dispatched before a swap runs on the old index), plus one
-  shared result queue drained by a pump thread;
-* least-loaded dispatch: a batch goes to the ready worker with the
-  fewest unfinished batches (a slot that is still respawning only gets
-  work when no ready slot exists), :meth:`WorkerPool.has_idle_worker`
+* N ``spawn`` workers (no inherited locks or fds) run the jobs of
+  :mod:`repro.serve.worker`.  A fresh worker's first job loads the
+  checkpoint and opens the shared on-disk index; its reply makes the slot
+  ready, an error reply is a failed start;
+* each slot keeps a FIFO in the parent and feeds one job at a time into
+  its pipe, so a send never blocks on a busy worker and batch → swap
+  ordering is exact (a hot-swap is one more FIFO entry);
+* least-loaded dispatch to ready slots (a slot still starting gets work
+  only when no ready slot exists); :meth:`WorkerPool.has_idle_worker`
   tells the scheduler when a batch would start at once, and
-  ``on_worker_ready`` announces each worker that comes up (first start
-  or respawn) so buffered work can go to it;
-* crash containment: each worker claims the batch it is running by
-  writing the batch id into a shared-memory slot (a queue message could
-  be lost in the feeder thread when the process dies hard), so when a
-  process dies the pump fails exactly the claimed-but-unfinished batch
-  (error responses, not silence), respawns the slot on the *same* task
-  queue — batches still queued behind the dead worker survive — and the
-  service keeps running.
+  ``on_worker_ready`` announces each worker that comes up;
+* crash containment: the job in flight on a dead worker's pipe is exactly
+  the batch that died — it gets error responses, not silence — and the
+  jobs still queued in the parent go to the respawn;
+* a start budget: a slot that fails to start :data:`START_ATTEMPTS`
+  times in a row is retired — its queued batches fail with the start
+  error, dispatch skips it, and once no live slot remains every new
+  batch fails at submit.
 """
 
 from __future__ import annotations
 
 import itertools
-import multiprocessing
-import queue as queue_mod
 import threading
 import time
-from typing import Callable, Dict, List, Optional, Sequence, Set
+from collections import deque
+from functools import partial
+from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.serve.worker import NO_CLAIM, worker_main
+from repro.exec.pool import STOP_GRACE_SECONDS, Supervisor, Worker
+from repro.serve.worker import open_server, run_batch, swap_index
 
-_POLL_S = 0.1
+#: Consecutive failed starts (death or open error) that retire a slot.
+START_ATTEMPTS = 3
 
 
-class _Worker:
-    """One worker slot: process + its FIFO task queue + dispatch accounting."""
+class _Slot(Worker):
+    """One supervised worker plus its parent-side FIFO and start state."""
 
-    __slots__ = (
-        "slot",
-        "process",
-        "task_queue",
-        "assigned",
-        "ready",
-        "start_failures",
-    )
+    __slots__ = ("index", "queue", "ready", "start_failures", "error")
 
-    def __init__(self, slot: int, task_queue):
-        self.slot = slot
-        self.process = None
-        self.task_queue = task_queue
-        self.assigned: Set[int] = set()  # submitted, response not yet seen
+    def __init__(self, index: int):
+        super().__init__()
+        self.index = index
+        self.queue = deque()  # (job, func, args) waiting for the pipe
         self.ready = False
-        self.start_failures = 0  # consecutive deaths before reporting ready
+        self.start_failures = 0
+        self.error: Optional[str] = None  # why the slot was retired
+
+    def load(self) -> int:
+        """Unfinished jobs on this slot: queued plus the one in flight."""
+        return len(self.queue) + (self.job is not None)
 
 
 class WorkerPool:
-    """Dispatcher over N spawned retrieval workers sharing one index."""
+    """Dispatcher over N spawned retrieval workers sharing one index.
+
+    ``config`` is the server's :class:`~repro.serve.app.ServerConfig`;
+    ``self.index_path`` starts as its index and follows every swap.
+    """
 
     def __init__(
         self,
-        checkpoint: str,
-        index_path: str,
+        config,
         *,
-        workers: int = 2,
-        default_k: Optional[int] = 5,
-        max_batch: int = 8,
-        mode: str = "exact",
-        nprobe: int = 8,
-        store_root: Optional[str] = None,
-        enable_test_hooks: bool = False,
-        batch_timeout_s: Optional[float] = None,
         on_batch_done: Callable[[int, List[dict]], None],
         on_batch_failed: Callable[..., None],
         on_worker_ready: Callable[[], None],
     ):  # noqa: D107
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        if batch_timeout_s is not None and batch_timeout_s <= 0:
-            raise ValueError(f"batch_timeout_s must be > 0, got {batch_timeout_s}")
-        self.checkpoint = checkpoint
-        self.index_path = index_path
-        self.default_k = default_k
-        self.max_batch = max_batch
-        self.mode = mode
-        self.nprobe = nprobe
-        self.store_root = store_root
-        self.enable_test_hooks = enable_test_hooks
-        self.batch_timeout_s = batch_timeout_s
-        # batch id → monotonic deadline, ticking from submission (covers
-        # queue wait + execution — a per-request deadline, not a CPU one).
-        self._deadlines: Dict[int, float] = {}
+        if config.workers < 1:
+            raise ValueError(f"workers must be >= 1, got {config.workers}")
+        self.batch_timeout_s = config.batch_timeout_s
+        if self.batch_timeout_s is not None and self.batch_timeout_s <= 0:
+            raise ValueError(f"batch_timeout_s must be > 0, got {self.batch_timeout_s}")
+        self.config = config
+        self.index_path = config.index_path
+        # Unanswered batch id → monotonic deadline (None without a
+        # watchdog), ticking from submission: queue wait + execution.
+        self._open: Dict[int, Optional[float]] = {}
         self.timeouts = 0
+        self.crashes = 0
         self._on_batch_done = on_batch_done
         self._on_batch_failed = on_batch_failed
         self._on_worker_ready = on_worker_ready
-        self._ctx = multiprocessing.get_context("spawn")
-        self._result_queue = self._ctx.Queue()
+        self._sup = Supervisor("spawn")
         self._lock = threading.RLock()
-        # Shared-memory claim slots: claims[slot] is the batch id the worker
-        # is running right now (NO_CLAIM when idle).  Written directly by the
-        # worker — unlike a queue put, the write cannot be lost when the
-        # process dies hard mid-batch.
-        self._claims = self._ctx.Array("q", [NO_CLAIM] * workers, lock=False)
-        self._workers: List[_Worker] = [
-            _Worker(slot, self._ctx.Queue()) for slot in range(workers)
-        ]
+        self._slots = [_Slot(i) for i in range(config.workers)]
         self._swap_tokens = itertools.count(1)
         self._swap_waiters: Dict[int, dict] = {}
-        self._ready_event = threading.Event()
+        self._started = threading.Event()
         self._stop = False
-        self._fatal: Optional[str] = None
-        self.crashes = 0
-        self._pump = threading.Thread(
-            target=self._pump_loop, name="serve-pool-pump", daemon=True
+        self._results = threading.Thread(
+            target=self._result_loop, name="serve-pool-results", daemon=True
         )
 
     # ----------------------------------------------------------- lifecycle
     def start(self, timeout: float = 120.0) -> None:
-        """Spawn every worker and block until all report ready."""
-        for worker in self._workers:
-            self._spawn(worker)
-        self._pump.start()
-        if not self._ready_event.wait(timeout):
+        """Spawn every worker and block until each is ready or retired."""
+        with self._lock:
+            for slot in self._slots:
+                self._sup.spawn(slot)
+                self._open_worker(slot)
+        self._results.start()
+        if not self._started.wait(timeout):
             self.close()
             raise RuntimeError(
                 f"worker pool did not become ready within {timeout:.0f}s"
             )
-        if self._fatal:
+        errors = [s.error for s in self._slots if s.error]
+        if errors:
             self.close()
-            raise RuntimeError(f"worker failed to start: {self._fatal}")
+            raise RuntimeError(f"worker failed to start: {errors[0]}")
 
-    def _spawn(self, worker: _Worker) -> None:
-        worker.ready = False
-        worker.process = self._ctx.Process(
-            target=worker_main,
-            args=(
-                worker.slot,
-                worker.task_queue,
-                self._result_queue,
-                self._claims,
-                self.checkpoint,
-                self.index_path,
-                self.default_k,
-                self.max_batch,
-                self.mode,
-                self.nprobe,
-                self.store_root,
-                self.enable_test_hooks,
-            ),
-            daemon=True,
-            name=f"serve-worker-{worker.slot}",
-        )
-        worker.process.start()
+    def _open_worker(self, slot: _Slot) -> None:
+        """Send a fresh worker its first job: load the model, open the index."""
+        slot.ready = False
+        # If the worker is already dead the send fails, and its death event
+        # counts as the failed start.
+        args = (self.config, self.index_path)
+        self._sup.send(slot, open_server, args, job=("open", None))
 
     def close(self) -> None:
-        """Stop the pump, shut every worker down, terminate stragglers."""
+        """Stop every worker (terminating stragglers) and the result thread."""
         with self._lock:
             if self._stop:
                 return
             self._stop = True
-        for worker in self._workers:
-            try:
-                worker.task_queue.put(None)
-            except (OSError, ValueError):
-                pass
-        if self._pump.is_alive():
-            self._pump.join(timeout=5)
-        for worker in self._workers:
-            proc = worker.process
-            if proc is None:
-                continue
-            proc.join(timeout=5)
-            if proc.is_alive():
-                proc.terminate()
-                proc.join(timeout=5)
-        self._result_queue.close()
+        self._sup.close()
+        if self._results.is_alive():
+            self._results.join(timeout=STOP_GRACE_SECONDS)
 
     @property
     def num_workers(self) -> int:
         """How many worker slots the pool runs."""
-        return len(self._workers)
+        return len(self._slots)
 
     # ------------------------------------------------------------ dispatch
     def has_idle_worker(self) -> bool:
-        """True while some ready worker has no batch assigned."""
+        """True while some ready worker has nothing queued or in flight."""
         with self._lock:
-            return any(w.ready and not w.assigned for w in self._workers)
+            return any(s.ready and not s.load() for s in self._slots)
 
     def submit(self, batch_id: int, requests: Sequence[dict]) -> None:
         """Queue one batch on the least-loaded ready worker (FIFO per worker)."""
         with self._lock:
-            stopped = self._stop
-            if not stopped:
-                worker = min(
-                    self._workers, key=lambda w: (not w.ready, len(w.assigned))
+            live = [s for s in self._slots if not s.error]
+            if self._stop:
+                reason = "server shutting down"
+            elif not live:
+                reason = f"no worker available: {self._slots[0].error}"
+            else:
+                reason = None
+                slot = min(live, key=lambda s: (not s.ready, s.load()))
+                timeout = self.batch_timeout_s
+                self._open[batch_id] = (
+                    None if timeout is None else time.monotonic() + timeout
                 )
-                worker.assigned.add(batch_id)
-                if self.batch_timeout_s is not None:
-                    self._deadlines[batch_id] = (
-                        time.monotonic() + self.batch_timeout_s
-                    )
+                self._enqueue(slot, ("batch", batch_id), run_batch, (list(requests),))
         # Callbacks run off the pool lock: they reach the scheduler, which
         # calls back into the pool (has_idle_worker) under its own lock.
-        if stopped:
-            self._on_batch_failed(batch_id, "server shutting down")
-            return
-        worker.task_queue.put(("batch", batch_id, list(requests)))
+        if reason:
+            self._on_batch_failed(batch_id, reason)
 
     def swap(self, index_path: str, timeout: float = 60.0) -> Dict[str, object]:
         """Hot-swap every worker onto the index at ``index_path``.
 
-        Each worker re-opens the manifest after draining the batches
-        already in its queue, so in-flight queries finish on the old index
-        and later ones see the new.  Blocks until every live worker acks
-        (a worker that crashes mid-swap is counted as such).  Respawned
-        workers open ``self.index_path``, which is updated first so crash
-        recovery lands on the new index too.
+        The swap is one more entry in each slot's FIFO, so in-flight and
+        queued queries finish on the old index and later ones see the new.
+        Blocks until every live worker acks (a worker that crashes mid-swap
+        is counted as such).  Respawned workers open ``self.index_path``,
+        which is updated first so crash recovery lands on the new index too.
         """
         token = next(self._swap_tokens)
-        waiter = {"event": threading.Event(), "pending": set(), "errors": []}
+        waiter = {"event": threading.Event(), "errors": []}
         with self._lock:
             self.index_path = index_path
-            waiter["pending"] = {w.slot for w in self._workers}
+            live = [s for s in self._slots if not s.error]
+            waiter["pending"] = {s.index for s in live}
             self._swap_waiters[token] = waiter
-        for worker in self._workers:
-            worker.task_queue.put(("swap", index_path, token))
+            for slot in live:
+                self._enqueue(slot, ("swap", token), swap_index, (index_path,))
+            if not live:
+                waiter["event"].set()
         if not waiter["event"].wait(timeout):
             raise RuntimeError(f"index hot-swap did not complete within {timeout:.0f}s")
         with self._lock:
             self._swap_waiters.pop(token, None)
         return {"workers": self.num_workers, "errors": list(waiter["errors"])}
 
+    def _enqueue(self, slot: _Slot, job, func, args) -> None:
+        slot.queue.append((job, func, args))
+        self._pump(slot)
+
+    def _pump(self, slot: _Slot) -> None:
+        """Send the slot's next queued job if its pipe is free (lock held)."""
+        if self._stop or slot.error or not slot.queue or slot.job is not None:
+            return
+        job, func, args = slot.queue[0]
+        # A failed send means the worker just died: the job stays queued
+        # for the respawn, which the death event triggers.
+        if self._sup.send(slot, func, args, job=job):
+            slot.queue.popleft()
+
     # -------------------------------------------------------------- results
-    def _pump_loop(self) -> None:
-        while not self._stop:
-            self._reap_dead_workers()
-            self._expire_deadlines()
+    def _result_loop(self) -> None:
+        while True:
+            with self._lock:
+                watched = [s for s in self._slots if not s.error]
+                if self._stop or not watched:
+                    return
+                timeout = self._next_timeout()
             try:
-                msg = self._result_queue.get(timeout=_POLL_S)
-            except queue_mod.Empty:
-                continue
-            except (OSError, ValueError):  # queue closed during shutdown
+                events = self._sup.wait(watched, timeout)
+            except (OSError, ValueError):
+                if self._stop:
+                    return  # close() shut the pipes under this wait
+                raise
+            self._handle(events)
+
+    def _next_timeout(self) -> Optional[float]:
+        if self.batch_timeout_s is None:
+            return None
+        if not self._open:
+            # A batch submitted during this wait expires no sooner.
+            return self.batch_timeout_s
+        return max(0.0, min(self._open.values()) - time.monotonic())
+
+    def _handle(self, events) -> None:
+        """Apply worker events under the lock; run their callbacks off it."""
+        calls: List[Callable[[], None]] = []
+        with self._lock:
+            if self._stop:
                 return
-            kind = msg[0]
-            if kind == "ready":
-                with self._lock:
-                    worker = self._workers[msg[1]]
-                    worker.ready = True
-                    worker.start_failures = 0
-                    if all(w.ready for w in self._workers):
-                        self._ready_event.set()
-                # Off the pool lock, like every callback: the scheduler
-                # calls back into has_idle_worker under its own lock.
-                self._on_worker_ready()
-            elif kind == "fatal":
-                with self._lock:
-                    self._fatal = msg[2]
-                    self._ready_event.set()
-            elif kind == "batch":
-                _, slot, batch_id, responses = msg
-                with self._lock:
-                    expired = batch_id not in self._workers[slot].assigned
-                    self._workers[slot].assigned.discard(batch_id)
-                    self._deadlines.pop(batch_id, None)
-                if not expired:
-                    # An expired batch was already answered with a deadline
-                    # error; this late result has no one waiting for it.
-                    self._on_batch_done(batch_id, responses)
-            elif kind == "swapped":
-                _, slot, token, error = msg
-                self._ack_swap(slot, token, error)
+            for slot, job, reply in events:
+                self._on_event(slot, job, reply, calls)
+            self._expire_deadlines(calls)
+        for call in calls:
+            call()
+
+    def _on_event(self, slot: _Slot, job, reply, calls: List) -> None:
+        kind, key = job or (None, None)
+        if reply is None:
+            self._on_death(slot, kind, key, calls)
+        elif kind == "open" and reply[0] == "err":
+            self._start_failed(slot, reply[1], calls)
+        elif kind == "open":
+            slot.ready, slot.start_failures = True, 0
+            self._check_started()
+            calls.append(self._on_worker_ready)
+        elif kind == "swap":
+            self._ack_swap(slot.index, key, reply[1] if reply[0] == "err" else None)
+        elif reply[0] == "err":
+            self._fail(key, f"batch failed: {reply[1]}", calls)
+        elif key in self._open:
+            # (Not open: the batch was already answered with a deadline
+            # error, and this late result has no one waiting for it.)
+            del self._open[key]
+            calls.append(partial(self._on_batch_done, key, reply[1]))
+        self._pump(slot)
+
+    def _on_death(self, slot: _Slot, kind, key, calls: List) -> None:
+        """The worker died: fail the job in flight, restart the slot."""
+        self.crashes += 1
+        if kind == "batch":
+            self._fail(key, "worker crashed mid-batch; request not served", calls)
+        elif kind == "swap":
+            self._ack_swap(slot.index, key, "worker crashed during swap")
+        if slot.ready:
+            self._sup.respawn(slot)
+            self._open_worker(slot)
+        else:
+            why = f"exited with code {slot.proc.exitcode} before ready"
+            self._start_failed(slot, why, calls)
+
+    def _start_failed(self, slot: _Slot, why: str, calls: List) -> None:
+        """Restart the slot, or retire it once its start budget is spent."""
+        slot.start_failures += 1
+        if slot.start_failures < START_ATTEMPTS:
+            self._sup.respawn(slot)
+            self._open_worker(slot)
+            return
+        slot.error = (
+            f"worker {slot.index} failed to start {slot.start_failures} times: {why}"
+        )
+        self._sup.retire(slot)
+        for (kind, key), _, _ in slot.queue:
+            if kind == "swap":
+                self._ack_swap(slot.index, key, f"failed to start: {why}")
+            else:
+                self._fail(key, slot.error, calls)
+        slot.queue.clear()
+        self._check_started()
+
+    def _fail(self, batch_id: int, message: str, calls: List, **kw) -> None:
+        """Answer a still-unanswered batch with an error (callback deferred)."""
+        if batch_id in self._open:
+            del self._open[batch_id]
+            calls.append(partial(self._on_batch_failed, batch_id, message, **kw))
+
+    def _check_started(self) -> None:
+        if all(s.ready or s.error for s in self._slots):
+            self._started.set()
 
     def _ack_swap(self, slot: int, token: int, error) -> None:
-        with self._lock:
-            waiter = self._swap_waiters.get(token)
-            if waiter is None:
-                return
-            if error:
-                waiter["errors"].append(f"worker {slot}: {error}")
-            waiter["pending"].discard(slot)
-            if not waiter["pending"]:
-                waiter["event"].set()
+        waiter = self._swap_waiters.get(token)
+        if waiter is None:
+            return
+        if error:
+            waiter["errors"].append(f"worker {slot}: {error}")
+        waiter["pending"].discard(slot)
+        if not waiter["pending"]:
+            waiter["event"].set()
 
-    def _expire_deadlines(self) -> None:
+    def _expire_deadlines(self, calls: List) -> None:
         """Fail every batch past its deadline; kill the worker hung on one.
 
-        A deadline miss on the batch a worker *claims* means that worker is
-        stuck (a hang fault, a wedged syscall): the process is terminated so
-        the reap/respawn path restores the slot, and queued batches behind
-        it survive on the same FIFO queue.  A miss on a merely *queued*
-        batch just answers it early — either way the client gets a prompt
-        retryable error instead of a connection that never responds.
+        A deadline miss on the batch in flight means that worker is stuck
+        (a hang fault, a wedged syscall): the process is terminated, and
+        its death event respawns the slot — batches queued behind it go to
+        the respawn.  A miss on a merely *queued* batch just answers it
+        early (its late result is dropped) — either way the client gets a
+        prompt retryable error instead of a connection that never responds.
         """
         if self.batch_timeout_s is None:
             return
         now = time.monotonic()
-        expired: List[tuple] = []  # (batch_id, worker, was_running)
-        with self._lock:
-            if self._stop:
-                return
-            for batch_id in [b for b, t in self._deadlines.items() if t <= now]:
-                del self._deadlines[batch_id]
-                for worker in self._workers:
-                    if batch_id in worker.assigned:
-                        worker.assigned.discard(batch_id)
-                        running = self._claims[worker.slot] == batch_id
-                        expired.append((batch_id, worker, running))
-                        break
-            self.timeouts += len(expired)
-        for batch_id, worker, running in expired:
-            proc = worker.process
-            if running and proc is not None and proc.is_alive():
-                proc.terminate()  # reaped and respawned by the next pump pass
-            self._on_batch_failed(
+        expired = {b for b, t in self._open.items() if t <= now}
+        for batch_id in expired:
+            self._fail(
                 batch_id,
                 f"deadline exceeded: batch not answered within "
                 f"{self.batch_timeout_s:g}s",
+                calls,
                 retryable=True,
             )
-
-    def _reap_dead_workers(self) -> None:
-        for worker in self._workers:
-            proc = worker.process
-            if proc is None or proc.is_alive():
-                continue
-            proc.join()
-            with self._lock:
-                if self._stop:
-                    return
-                self.crashes += 1
-                # Only the claimed batch died with the process; batches still
-                # queued behind it are picked up by the respawn, which reads
-                # from the same FIFO queue.  (Guard on `assigned`: the worker
-                # may have posted the result and crashed before clearing its
-                # claim slot — that batch is already answered.)
-                claimed = self._claims[worker.slot]
-                self._claims[worker.slot] = NO_CLAIM
-                dead = [claimed] if claimed in worker.assigned else []
-                worker.assigned.difference_update(dead)
-                for batch_id in dead:
-                    self._deadlines.pop(batch_id, None)
-                # A crash mid-swap must not hang the swap barrier.
-                for token, waiter in list(self._swap_waiters.items()):
-                    self._ack_swap(worker.slot, token, "worker crashed during swap")
-            for batch_id in dead:
-                self._on_batch_failed(
-                    batch_id, "worker crashed mid-batch; request not served"
-                )
-            # A worker that keeps dying before it ever comes up will never
-            # serve anything: cap the respawn loop instead of storming.
-            if not worker.ready:
-                worker.start_failures += 1
-                if worker.start_failures >= 3:
-                    with self._lock:
-                        self._fatal = self._fatal or (
-                            f"worker {worker.slot} died "
-                            f"{worker.start_failures} times before becoming ready"
-                        )
-                        self._ready_event.set()
-                    worker.process = None
-                    continue
-            self._spawn(worker)
+        self.timeouts += len(expired)
+        for slot in self._slots:
+            if slot.job and slot.job[0] == "batch" and slot.job[1] in expired:
+                slot.proc.terminate()

@@ -1,25 +1,15 @@
-"""Worker process: one warm pipeline + index pair behind a task queue.
+"""Serve worker jobs: one warm pipeline + index pair per worker process.
 
-Each worker the pool spawns loads the checkpoint and opens the (sharded)
-index read-only from disk — N workers share one on-disk
-:class:`~repro.index.ShardedEmbeddingIndex`, each materializing shards
-lazily — then loops on its task queue:
+The serve pool runs these as jobs on the shared worker runtime
+(:class:`repro.exec.pool.Supervisor`), one at a time per worker:
 
-* ``("batch", batch_id, requests)`` — claim it by writing the batch id
-  into this worker's shared-memory claim slot (a direct write, not a
-  queue message: a queue put rides a feeder thread and can vanish when
-  the process dies hard, which would leave the dispatcher unable to tell
-  which batch died), run the same :meth:`RetrievalServer.handle_batch`
-  the stdin service runs, and post the ordered responses;
-* ``("swap", index_path, token)`` — re-open the index manifest at
-  ``index_path`` and ack.  Because the task queue is FIFO, every batch
-  dispatched before the swap is served on the old index and every batch
-  after it on the new one — the hot-swap ordering guarantee;
-* ``None`` — exit.
-
-A failing batch never kills the worker (errors become per-request error
-responses); a *crashing* worker (hard exit mid-batch) is detected by the
-pool, which fails the claimed batch and respawns the slot.
+* :func:`open_server` — the first job on a fresh worker: load the
+  checkpoint and open the (sharded) index read-only from disk; N workers
+  share one on-disk index, each materializing shards lazily;
+* :func:`run_batch` — the same :meth:`RetrievalServer.handle_batch` the
+  stdin service runs; a failing batch becomes error responses, never a
+  dead worker;
+* :func:`swap_index` — re-open the index manifest at a new path.
 """
 
 from __future__ import annotations
@@ -27,93 +17,66 @@ from __future__ import annotations
 import os
 import time
 
+from repro import faults
+from repro.artifacts import ArtifactStore
+from repro.core.trainer import MatchTrainer
+from repro.index import open_index
+from repro.serve.core import RetrievalServer
 
-NO_CLAIM = -1  # claim-slot value meaning "no batch running"
+# This process's warm state, set by open_server.
+_trainer = None
+_server = None
+_test_hooks = False
 
 
-def worker_main(
-    worker_id: int,
-    task_queue,
-    result_queue,
-    claims,
-    checkpoint: str,
-    index_path: str,
-    default_k,
-    max_batch: int,
-    mode: str,
-    nprobe: int,
-    store_root,
-    enable_test_hooks: bool,
-) -> None:
-    """Entry point for one spawned worker process."""
+def open_server(config, index_path: str) -> None:
+    """Load the model and open the index at ``index_path`` for ``config``."""
+    global _trainer, _server, _test_hooks
+    _trainer = MatchTrainer.load(config.checkpoint)
+    # Degraded open: a corrupt shard quarantines instead of failing the
+    # start, and a corrupt quantizer payload records why so the server can
+    # fall back from ANN to the exact path (allow_degraded below).
+    index = open_index(index_path, _trainer, degraded=True)
+    store = ArtifactStore(config.store_root) if config.store_root else None
+    _server = RetrievalServer(
+        _trainer,
+        index,
+        batch_size=config.max_batch,
+        default_k=config.default_k,
+        store=store,
+        mode=config.mode,
+        nprobe=config.nprobe,
+        allow_degraded=True,
+    )
+    _test_hooks = config.enable_test_hooks
+
+
+def run_batch(requests):
+    """Serve one micro-batch; returns one response per request, in order."""
+    if _test_hooks:
+        _run_test_hooks(requests)
     try:
-        from repro import faults
-        from repro.artifacts import ArtifactStore
-        from repro.core.trainer import MatchTrainer
-        from repro.index import open_index
-        from repro.serve.core import RetrievalServer
+        # Fault-injection chokepoint: REPRO_FAULTS specs targeting the
+        # `worker.batch` site fire here, inside the real spawned worker —
+        # crash faults die mid-batch (exercising respawn), hang faults
+        # stall against the pool's deadline, IO faults surface as the
+        # descriptive batch error below.
+        faults.hit("worker.batch")
+        return _server.handle_batch(requests)
+    except Exception as exc:
+        # handle_batch turns per-request failures into error responses
+        # already; anything that still escapes fails the batch without
+        # poisoning the worker for later batches.
+        return [{"id": r.get("id"), "error": f"batch failed: {exc}"} for r in requests]
 
-        trainer = MatchTrainer.load(checkpoint)
-        # Degraded open: a corrupt shard quarantines instead of killing the
-        # worker, and a corrupt quantizer payload records why so the server
-        # can fall back from ANN to the exact path (allow_degraded below).
-        index = open_index(index_path, trainer, degraded=True)
-        store = ArtifactStore(store_root) if store_root else None
-        server = RetrievalServer(
-            trainer,
-            index,
-            batch_size=max_batch,
-            default_k=default_k,
-            store=store,
-            mode=mode,
-            nprobe=nprobe,
-            allow_degraded=True,
-        )
-    except Exception as exc:  # pragma: no cover - startup failure path
-        # Process boundary: there is no caller to re-raise to, so the
-        # exception crosses as a ("fatal", type, message) report — with
-        # context, never swallowed — and the pool surfaces it at start().
-        result_queue.put(("fatal", worker_id, f"{type(exc).__name__}: {exc}"))
-        return
-    result_queue.put(("ready", worker_id))
-    while True:
-        msg = task_queue.get()
-        if msg is None:
-            return
-        kind = msg[0]
-        if kind == "swap":
-            _, path, token = msg
-            try:
-                server.index = open_index(path, trainer, degraded=True)
-                result_queue.put(("swapped", worker_id, token, None))
-            except Exception as exc:
-                # Same boundary rule as startup: the swap ack carries the
-                # typed error message back; the old index stays in service.
-                result_queue.put(
-                    ("swapped", worker_id, token, f"{type(exc).__name__}: {exc}")
-                )
-            continue
-        _, batch_id, requests = msg
-        claims[worker_id] = batch_id
-        if enable_test_hooks:
-            _run_test_hooks(requests)
-        try:
-            # Fault-injection chokepoint: REPRO_FAULTS specs targeting the
-            # `worker.batch` site fire here, inside the real spawned worker
-            # — crash faults die claimed (exercising reap/respawn), hang
-            # faults stall against the pool's deadline, IO faults surface
-            # as the descriptive batch error below.
-            faults.hit("worker.batch")
-            responses = server.handle_batch(requests)
-        except Exception as exc:
-            # handle_batch turns per-request failures into error responses
-            # already; anything that still escapes fails the batch without
-            # poisoning the worker for later batches.
-            responses = [
-                {"id": r.get("id"), "error": f"batch failed: {exc}"} for r in requests
-            ]
-        result_queue.put(("batch", worker_id, batch_id, responses))
-        claims[worker_id] = NO_CLAIM
+
+def swap_index(index_path: str) -> None:
+    """Serve later batches from the index at ``index_path``.
+
+    A failed open raises (the pool reports it in the swap ack) and leaves
+    the old index in service.
+    """
+    _server.index = open_index(index_path, _trainer, degraded=True)
 
 
 def _run_test_hooks(requests) -> None:

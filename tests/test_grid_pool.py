@@ -276,9 +276,9 @@ class TestPoolBasics:
     def test_workers_stay_resident_across_batches(self):
         with WarmPool(2) as pool:
             pool.run(ping, [(1,), (2,), (3,)])
-            pids_a = {w.proc.pid for w in pool._pool}
+            pids_a = {w.proc.pid for w in pool._sup.workers}
             pool.run(ping, [(4,), (5,), (6,)])
-            pids_b = {w.proc.pid for w in pool._pool}
+            pids_b = {w.proc.pid for w in pool._sup.workers}
         assert pids_a == pids_b
         assert pool.respawns == 0
 

@@ -15,6 +15,7 @@ import io
 import json
 import os
 import socket
+import sys
 import threading
 import time
 
@@ -354,6 +355,132 @@ class TestFaults:
             ok = bystander.recv()
         assert "crashed" in boom["error"]
         assert ok["id"] == "unharmed" and "hits" in ok
+
+
+class TestSingleWorkerFaults:
+    """One worker: nothing to fall back on, so recovery must be exact."""
+
+    @staticmethod
+    def _config(checkpoint, index_path):
+        return ServerConfig(
+            checkpoint=checkpoint,
+            index_path=index_path,
+            port=0,
+            workers=1,
+            max_batch=2,
+            max_delay_ms=5.0,
+            default_k=2,
+            enable_test_hooks=True,
+        )
+
+    def test_batch_queued_behind_a_crash_is_served_by_the_respawn(
+        self, assets, corpus
+    ):
+        c, _ = corpus
+        config = self._config(assets["checkpoint"], assets["A"])
+        with create_server(config) as srv:
+            with Client(srv.address) as victim, Client(srv.address) as queued:
+                victim.send(_binary_request(
+                    c[0], id="boom", test_crash=True, test_sleep_ms=1000
+                ))
+                _wait_until(lambda: not srv.pool.has_idle_worker())
+                queued.send(_binary_request(c[1], id="queued"))
+                # Dispatched while the only worker is still busy: it waits
+                # in the parent-side FIFO, not on the dying worker's pipe.
+                _wait_until(lambda: srv.stats.batches >= 2)
+                boom = victim.recv()
+                ok = queued.recv()
+            assert boom["id"] == "boom" and "crashed" in boom["error"]
+            assert ok["id"] == "queued" and "hits" in ok
+            assert srv.pool.crashes == 1
+
+    def test_retired_worker_fails_requests_instead_of_stranding_them(
+        self, trained, assets, corpus, tmp_path
+    ):
+        c, _ = corpus
+        checkpoint = tmp_path / "model.npz"
+        trained.save(checkpoint)
+        config = self._config(str(checkpoint), assets["A"])
+        with create_server(config) as srv:
+            with Client(srv.address) as client:
+                client.send(_binary_request(c[0], id="first"))
+                assert "hits" in client.recv()
+                # Every respawn now fails to load the model.
+                os.rename(checkpoint, tmp_path / "moved.npz")
+                client.send(_binary_request(c[1], id="boom", test_crash=True))
+                assert "crashed" in client.recv()["error"]
+                client.send(_binary_request(c[2], id="stranded"))
+                stranded = client.recv()
+                client.send(_binary_request(c[3], id="later"))
+                later = client.recv()
+        assert stranded["id"] == "stranded"
+        assert "worker 0 failed to start 3 times" in stranded["error"]
+        # With no live worker left, new batches fail at submit.
+        assert later["id"] == "later"
+        assert later["error"].startswith("no worker available: worker 0")
+
+
+class TestStress:
+    def test_more_workers_than_cores_answer_each_request_once(
+        self, assets, corpus
+    ):
+        """The submit threads and the result thread share each worker's
+        in-flight job; with more workers than cores and a tiny switch
+        interval, a lost or misrouted reply shows up as a missing, extra,
+        reordered or wrong response."""
+        c, _ = corpus
+        config = ServerConfig(
+            checkpoint=assets["checkpoint"],
+            index_path=assets["A"],
+            port=0,
+            workers=(os.cpu_count() or 1) + 1,
+            max_batch=2,
+            max_delay_ms=1.0,
+            default_k=2,
+        )
+        clients, per_client = 6, 6
+        old_interval = sys.getswitchinterval()
+        with create_server(config) as srv:
+            reference = []
+            for j in range(per_client):
+                with Client(srv.address) as client:
+                    client.send(_binary_request(c[j % len(c)], id="ref"))
+                    reference.append(client.recv()["hits"])
+            got = {}
+
+            def run(ci):
+                with Client(srv.address) as client:
+                    for j in range(per_client):
+                        client.send(_binary_request(c[j % len(c)], id=f"{ci}-{j}"))
+                    got[ci] = client.recv_all(per_client)
+
+            sys.setswitchinterval(1e-5)
+            try:
+                threads = [
+                    threading.Thread(target=run, args=(ci,)) for ci in range(clients)
+                ]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=TIMEOUT)
+            finally:
+                sys.setswitchinterval(old_interval)
+            assert not any(t.is_alive() for t in threads)
+        assert sorted(got) == list(range(clients))
+        for ci, answers in got.items():
+            assert [r["id"] for r in answers] == [
+                f"{ci}-{j}" for j in range(per_client)
+            ]
+            for answer, expected in zip(answers, reference):
+                # A float32 score moves by an ulp with its batch-mates.
+                assert [h["key"] for h in answer["hits"]] == [
+                    h["key"] for h in expected
+                ]
+                assert [h["score"] for h in answer["hits"]] == pytest.approx(
+                    [h["score"] for h in expected], abs=1e-6
+                )
+        # Read after close(): a response is counted just after delivery.
+        assert srv.stats.responses == per_client + clients * per_client
 
 
 class TestBackpressure:

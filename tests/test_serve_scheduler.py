@@ -5,7 +5,8 @@ predicate holds, buffered entries flush at once; only while every worker
 is busy does the size-or-deadline rule apply, and :meth:`release` /
 :meth:`wake` wake the batch former so a freed or respawned worker picks
 up buffered work before its deadline.  :class:`WorkerPool` dispatch
-prefers ready workers over a slot that is still respawning, and a worker
+prefers ready workers over a slot that is still respawning, keeps one job
+per worker pipe with the rest in the parent-side FIFO, and a worker
 coming up is announced to the scheduler off the pool lock.
 """
 
@@ -14,7 +15,7 @@ import time
 
 import pytest
 
-from repro.serve import MicroBatchScheduler, WorkerPool
+from repro.serve import MicroBatchScheduler, ServerConfig, WorkerPool
 
 LONG_DELAY_MS = 10_000.0  # a deadline no test waits out
 WAIT_S = 5.0  # generous bound for "promptly" on a loaded host
@@ -150,12 +151,14 @@ class TestWorkConservingScheduler:
         assert reasons == stats.batches == 2
 
 
-class _FakeQueue:
-    def __init__(self):
-        self.items = []
+class _FakeConn:
+    """Stands in for a worker's pipe: records every message sent down it."""
 
-    def put(self, item):
-        self.items.append(item)
+    def __init__(self):
+        self.sent = []
+
+    def send(self, msg):
+        self.sent.append(msg)
 
 
 class TestPoolDispatch:
@@ -170,50 +173,52 @@ class TestPoolDispatch:
             ready_calls.append(pool._lock._is_owned())
 
         pool = WorkerPool(
-            "unused-checkpoint.npz",
-            "unused-index",
-            workers=2,
+            ServerConfig("unused-checkpoint.npz", "unused-index", workers=2),
             on_batch_done=lambda *a: None,
             on_batch_failed=lambda *a, **k: None,
             on_worker_ready=on_ready,
         )
-        for worker in pool._workers:
-            worker.task_queue = _FakeQueue()
+        # As start() leaves each slot, minus the process: the open job
+        # (model load) is in flight on the pipe.
+        for slot in pool._slots:
+            slot.conn = _FakeConn()
+            slot.job = ("open", None)
         return pool
 
     def test_submit_skips_a_respawning_worker(self, pool):
-        respawning, live = pool._workers
-        respawning.ready = False  # crashed, spawn + checkpoint load pending
-        live.ready = True
+        respawning, live = pool._slots
+        live.ready, live.job = True, None
         assert pool.has_idle_worker()
         pool.submit(7, [{"id": "q"}])
-        assert live.task_queue.items == [("batch", 7, [{"id": "q"}])]
-        assert respawning.task_queue.items == []
-        assert live.assigned == {7}
+        assert [msg[3] for msg in live.conn.sent] == [([{"id": "q"}],)]
+        assert live.job == ("batch", 7)
+        assert respawning.conn.sent == [] and not respawning.queue
         assert not pool.has_idle_worker()
 
     def test_least_loaded_among_ready_workers(self, pool):
-        for worker in pool._workers:
-            worker.ready = True
+        for slot in pool._slots:
+            slot.ready, slot.job = True, None
         pool.submit(1, [{}])
         pool.submit(2, [{}])
-        assert [len(w.assigned) for w in pool._workers] == [1, 1]
+        assert [s.load() for s in pool._slots] == [1, 1]
         assert not pool.has_idle_worker()
+        # A third batch waits in the parent FIFO: one job per pipe.
+        pool.submit(3, [{}])
+        assert [s.load() for s in pool._slots] == [2, 1]
+        assert [len(s.conn.sent) for s in pool._slots] == [1, 1]
 
     def test_only_unready_workers_still_get_work(self, pool):
         pool.submit(3, [{}])
         assert not pool.has_idle_worker()
-        assert sum(len(w.task_queue.items) for w in pool._workers) == 1
+        assert sum(len(s.queue) for s in pool._slots) == 1
+        assert all(s.conn.sent == [] for s in pool._slots)
 
     def test_worker_coming_up_is_announced_off_lock(self, pool, ready_calls):
-        pool._pump.start()  # result pump only; no worker processes
-        try:
-            pool._result_queue.put(("ready", 1))
-            deadline = time.monotonic() + WAIT_S
-            while not ready_calls and time.monotonic() < deadline:
-                time.sleep(0.01)
-            assert ready_calls == [False]
-            assert pool._workers[1].ready
-            assert pool.has_idle_worker()
-        finally:
-            pool.close()
+        pool.submit(1, [{}])
+        pool.submit(2, [{}])  # one batch queued behind each open job
+        slot = pool._slots[1]
+        slot.job = None  # as Supervisor.wait leaves it after a reply
+        pool._handle([(slot, ("open", None), ("ok", None))])
+        assert ready_calls == [False]
+        assert slot.ready
+        assert slot.job == ("batch", 2)  # the queued batch went out
