@@ -215,7 +215,7 @@ class WorkerPool:
                     return
                 timeout = self._next_timeout()
             try:
-                events = self._sup.wait(watched, timeout)
+                events = self._sup.wait(watched, timeout, lock=self._lock)
             except (OSError, ValueError):
                 if self._stop:
                     return  # close() shut the pipes under this wait
