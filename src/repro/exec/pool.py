@@ -190,12 +190,10 @@ class Supervisor:
         worker.conn = parent_conn
         worker.token = worker.job = None
 
-    def spawn(self, worker: Optional[Worker] = None) -> Worker:
-        """Start one more worker (into ``worker``, if given); return it."""
-        worker = worker or Worker()
+    def spawn(self, worker: Worker) -> None:
+        """Start ``worker`` and add it to the supervised set."""
         self._start(worker)
         self.workers.append(worker)
-        return worker
 
     def respawn(self, worker: Worker) -> None:
         """Replace a dead (or hung) worker with a fresh one, in place."""
@@ -211,9 +209,14 @@ class Supervisor:
         worker.conn.close()
         worker.token = worker.job = None
 
-    def send(self, worker: Worker, func: Callable, args: Tuple = (),
-             shares: Optional[Dict[str, Tuple[str, int]]] = None,
-             job: object = None) -> bool:
+    def send(
+        self,
+        worker: Worker,
+        func: Callable,
+        args: Tuple = (),
+        shares: Optional[Dict[str, Tuple[str, int]]] = None,
+        job: object = None,
+    ) -> bool:
         """Put ``func(*args)`` on an idle ``worker``'s pipe.
 
         ``job`` is the caller's record of it, handed back by :meth:`wait`
@@ -380,7 +383,7 @@ class WarmPool:
         if not payloads:
             return []
         while len(self._sup.workers) < min(self.workers, len(payloads)):
-            self._sup.spawn()
+            self._sup.spawn(Worker())
         results: List[object] = [None] * len(payloads)
         # Each worker's job record is (payload index, attempts, deadline).
         queue = deque((i, 0) for i in range(len(payloads)))

@@ -308,7 +308,7 @@ class ConcurrentServer:
             snap = dict(self.stats.__dict__)
         sched = self.scheduler.stats
         snap.update(
-            workers=self.pool.num_workers,
+            workers=self.config.workers,
             worker_crashes=self.pool.crashes,
             deadline_timeouts=self.pool.timeouts,
             pending=self.scheduler.pending,

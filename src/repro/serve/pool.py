@@ -134,11 +134,6 @@ class WorkerPool:
         if self._results.is_alive():
             self._results.join(timeout=STOP_GRACE_SECONDS)
 
-    @property
-    def num_workers(self) -> int:
-        """How many worker slots the pool runs."""
-        return len(self._slots)
-
     # ------------------------------------------------------------ dispatch
     def has_idle_worker(self) -> bool:
         """True while some ready worker has nothing queued or in flight."""
@@ -190,7 +185,7 @@ class WorkerPool:
             raise RuntimeError(f"index hot-swap did not complete within {timeout:.0f}s")
         with self._lock:
             self._swap_waiters.pop(token, None)
-        return {"workers": self.num_workers, "errors": list(waiter["errors"])}
+        return {"workers": len(self._slots), "errors": list(waiter["errors"])}
 
     def _enqueue(self, slot: _Slot, job, func, args) -> None:
         slot.queue.append((job, func, args))
