@@ -41,9 +41,8 @@ import multiprocessing
 import pickle
 import time
 from collections import deque
-from contextlib import nullcontext
 from multiprocessing import connection
-from typing import Callable, ContextManager, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro import faults
 from repro.utils.shm import SharedBlock
@@ -234,10 +233,7 @@ class Supervisor:
         return True
 
     def wait(
-        self,
-        workers: Sequence[Worker],
-        timeout: Optional[float] = None,
-        lock: Optional[ContextManager] = None,
+        self, workers: Sequence[Worker], timeout: Optional[float] = None
     ) -> List[Tuple[Worker, object, Optional[Tuple[str, object]]]]:
         """Block until one of ``workers`` replies or dies (or ``timeout``).
 
@@ -246,29 +242,39 @@ class Supervisor:
         message)`` for the job in flight, or None when the worker died —
         ``job`` is then exactly the job that died with it (None if it was
         idle).  Respawn or retire a dead worker before waiting on it again.
-        A caller that sends from other threads passes the ``lock`` those
-        sends hold: the events are read under it, so a job sent while a
-        death is being recorded cannot be mistaken for the job that died.
         """
+        return self.collect(workers, self.poll(workers, timeout))
+
+    def poll(self, workers: Sequence[Worker], timeout: Optional[float] = None) -> set:
+        """Block until a pipe or sentinel of ``workers`` is ready; return those."""
         waitables = [w.conn for w in workers] + [w.proc.sentinel for w in workers]
-        ready = set(connection.wait(waitables, timeout))
+        return set(connection.wait(waitables, timeout))
+
+    def collect(
+        self, workers: Sequence[Worker], ready: set
+    ) -> List[Tuple[Worker, object, Optional[Tuple[str, object]]]]:
+        """The :meth:`wait` events for what :meth:`poll` found ready.
+
+        A caller that sends from other threads calls this and acts on the
+        events under the one lock its sends hold: then no job can reach a
+        pipe between a reply or death being read and being handled.
+        """
         events = []
-        with lock or nullcontext():
-            for worker in workers:
-                reply = None  # stays None when the worker died
-                if worker.conn in ready:
-                    try:
-                        kind, token, payload = worker.conn.recv()
-                    except (EOFError, OSError):
-                        pass
-                    else:
-                        if token != worker.token:
-                            continue  # stale: answers a job given up on
-                        reply = (kind, payload)
-                elif worker.proc.sentinel not in ready:
-                    continue
-                events.append((worker, worker.job, reply))
-                worker.token = worker.job = None
+        for worker in workers:
+            reply = None  # stays None when the worker died
+            if worker.conn in ready:
+                try:
+                    kind, token, payload = worker.conn.recv()
+                except (EOFError, OSError):
+                    pass
+                else:
+                    if token != worker.token:
+                        continue  # stale: answers a job given up on
+                    reply = (kind, payload)
+            elif worker.proc.sentinel not in ready:
+                continue
+            events.append((worker, worker.job, reply))
+            worker.token = worker.job = None
         return events
 
     def close(self) -> None:

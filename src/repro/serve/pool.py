@@ -17,10 +17,11 @@ training grid runs on (a pipe per worker, sentinel death detection):
 * crash containment: the job in flight on a dead worker's pipe is exactly
   the batch that died — it gets error responses, not silence — and the
   jobs still queued in the parent go to the respawn;
-* a start budget: a slot that fails to start :data:`START_ATTEMPTS`
+* a start budget: a slot that fails to restart :data:`START_ATTEMPTS`
   times in a row is retired — its queued batches fail with the start
   error, dispatch skips it, and once no live slot remains every new
-  batch fails at submit.
+  batch fails at submit.  An open error before :meth:`WorkerPool.start`
+  returns (a bad checkpoint or index path) fails the start at once.
 """
 
 from __future__ import annotations
@@ -192,8 +193,12 @@ class WorkerPool:
         self._pump(slot)
 
     def _pump(self, slot: _Slot) -> None:
-        """Send the slot's next queued job if its pipe is free (lock held)."""
-        if self._stop or slot.error or not slot.queue or slot.job is not None:
+        """Send the slot's next queued job if its pipe is free (lock held).
+
+        Only a ready worker takes queued jobs: one still starting has only
+        its open job, so a failed start never takes a batch down with it.
+        """
+        if self._stop or not slot.ready or not slot.queue or slot.job is not None:
             return
         job, func, args = slot.queue[0]
         # A failed send means the worker just died: the job stays queued
@@ -210,12 +215,12 @@ class WorkerPool:
                     return
                 timeout = self._next_timeout()
             try:
-                events = self._sup.wait(watched, timeout, lock=self._lock)
+                ready = self._sup.poll(watched, timeout)
             except (OSError, ValueError):
                 if self._stop:
                     return  # close() shut the pipes under this wait
                 raise
-            self._handle(events)
+            self._handle(watched, ready)
 
     def _next_timeout(self) -> Optional[float]:
         if self.batch_timeout_s is None:
@@ -225,13 +230,18 @@ class WorkerPool:
             return self.batch_timeout_s
         return max(0.0, min(self._open.values()) - time.monotonic())
 
-    def _handle(self, events) -> None:
-        """Apply worker events under the lock; run their callbacks off it."""
+    def _handle(self, watched: List[_Slot], ready: set) -> None:
+        """Read and apply worker events under the lock; run callbacks off it.
+
+        Reading and applying in one hold of the lock that every send takes
+        means no job reaches a pipe between a reply (or death) being read
+        and the slot being restarted or refilled.
+        """
         calls: List[Callable[[], None]] = []
         with self._lock:
             if self._stop:
                 return
-            for slot, job, reply in events:
+            for slot, job, reply in self._sup.collect(watched, ready):
                 self._on_event(slot, job, reply, calls)
             self._expire_deadlines(calls)
         for call in calls:
@@ -242,7 +252,10 @@ class WorkerPool:
         if reply is None:
             self._on_death(slot, kind, key, calls)
         elif kind == "open" and reply[0] == "err":
-            self._start_failed(slot, reply[1], calls)
+            # Before start() returns, an open error is a bad checkpoint or
+            # index path, which a retry cannot fix: fail the start at once.
+            retry = self._started.is_set()
+            self._start_failed(slot, reply[1], calls, retry=retry)
         elif kind == "open":
             slot.ready, slot.start_failures = True, 0
             self._check_started()
@@ -272,16 +285,17 @@ class WorkerPool:
             why = f"exited with code {slot.proc.exitcode} before ready"
             self._start_failed(slot, why, calls)
 
-    def _start_failed(self, slot: _Slot, why: str, calls: List) -> None:
+    def _start_failed(
+        self, slot: _Slot, why: str, calls: List, retry: bool = True
+    ) -> None:
         """Restart the slot, or retire it once its start budget is spent."""
         slot.start_failures += 1
-        if slot.start_failures < START_ATTEMPTS:
+        if retry and slot.start_failures < START_ATTEMPTS:
             self._sup.respawn(slot)
             self._open_worker(slot)
             return
-        slot.error = (
-            f"worker {slot.index} failed to start {slot.start_failures} times: {why}"
-        )
+        times = f" {slot.start_failures} times" if slot.start_failures > 1 else ""
+        slot.error = f"worker {slot.index} failed to start{times}: {why}"
         self._sup.retire(slot)
         for (kind, key), _, _ in slot.queue:
             if kind == "swap":
@@ -325,6 +339,8 @@ class WorkerPool:
             return
         now = time.monotonic()
         expired = {b for b, t in self._open.items() if t <= now}
+        if not expired:
+            return
         for batch_id in expired:
             self._fail(
                 batch_id,
@@ -334,6 +350,9 @@ class WorkerPool:
                 retryable=True,
             )
         self.timeouts += len(expired)
+        dead = {("batch", b) for b in expired}
         for slot in self._slots:
-            if slot.job and slot.job[0] == "batch" and slot.job[1] in expired:
+            # An answered batch still queued is dropped, not run for nobody.
+            slot.queue = deque(e for e in slot.queue if e[0] not in dead)
+            if slot.job in dead:
                 slot.proc.terminate()

@@ -419,21 +419,30 @@ class TestSingleWorkerFaults:
         assert later["id"] == "later"
         assert later["error"].startswith("no worker available: worker 0")
 
+    def test_missing_checkpoint_fails_start_without_retrying(
+        self, assets, tmp_path
+    ):
+        config = self._config(str(tmp_path / "missing.npz"), assets["A"])
+        server = create_server(config)
+        with pytest.raises(RuntimeError, match="worker failed to start") as err:
+            server.start()
+        # A bad path is not retried: one attempt, not START_ATTEMPTS.
+        assert "worker 0 failed to start: FileNotFoundError" in str(err.value)
+        assert server.pool._sup.respawns == 0
+
 
 class TestStress:
-    def test_more_workers_than_cores_answer_each_request_once(
-        self, assets, corpus
-    ):
+    def test_pipelined_clients_answer_each_request_once(self, assets, corpus):
         """The submit threads and the result thread share each worker's
-        in-flight job; with more workers than cores and a tiny switch
-        interval, a lost or misrouted reply shows up as a missing, extra,
-        reordered or wrong response."""
+        in-flight job; with a tiny switch interval forcing them to
+        interleave, a lost or misrouted reply shows up as a missing,
+        extra, reordered or wrong response."""
         c, _ = corpus
         config = ServerConfig(
             checkpoint=assets["checkpoint"],
             index_path=assets["A"],
             port=0,
-            workers=(os.cpu_count() or 1) + 1,
+            workers=3,
             max_batch=2,
             max_delay_ms=1.0,
             default_k=2,

@@ -235,6 +235,44 @@ class TestDeadlines:
             assert timeouts >= 1
             assert server.stats_snapshot()["deadline_timeouts"] == timeouts
 
+    def test_expired_queued_batch_is_dropped_not_run(self, assets, corpus):
+        """A batch that expires while queued is answered and never sent:
+        run for nobody, a hung one would hold its worker past every
+        deadline (nothing watches a batch no one waits for)."""
+        c, _ = corpus
+        config = ServerConfig(
+            checkpoint=assets["checkpoint"],
+            index_path=assets["index"],
+            port=0,
+            workers=1,
+            max_batch=2,
+            max_delay_ms=2.0,
+            default_k=3,
+            enable_test_hooks=True,
+            batch_timeout_s=2.0,
+        )
+        with create_server(config) as server:
+            with _client(server.address) as first, _client(server.address) as sock:
+                _send(first, _binary_request(c[0], id="stuck", test_sleep_ms=30000))
+                end = time.monotonic() + TIMEOUT
+                while server.pool.has_idle_worker():
+                    assert time.monotonic() < end, "stuck batch never dispatched"
+                    time.sleep(0.005)
+                # Queued behind the hung batch on the only worker.
+                _send(sock, _binary_request(c[1], id="queued", test_sleep_ms=30000))
+                assert "deadline exceeded" in _recv(first)["error"]
+                assert "deadline exceeded" in _recv(sock)["error"]
+                # The respawn serves a retry well inside the queued batch's
+                # 30 s sleep, so that batch was never run.
+                for attempt in range(5):
+                    _send(sock, _binary_request(c[2], id=f"retry{attempt}"))
+                    resp = _recv(sock)
+                    if "hits" in resp:
+                        break
+                    assert resp["retryable"] is True
+                assert "hits" in resp, resp
+            assert server.pool.timeouts >= 2
+
     def test_no_deadline_means_no_watchdog(self, assets):
         config = ServerConfig(
             checkpoint=assets["checkpoint"],

@@ -152,13 +152,35 @@ class TestWorkConservingScheduler:
 
 
 class _FakeConn:
-    """Stands in for a worker's pipe: records every message sent down it."""
+    """Stands in for a worker's pipe: records sends, hands out replies."""
 
     def __init__(self):
         self.sent = []
+        self.replies = []
 
     def send(self, msg):
         self.sent.append(msg)
+
+    def recv(self):
+        return self.replies.pop(0)
+
+    def close(self):
+        pass
+
+
+class _FakeProc:
+    """Stands in for a live worker process."""
+
+    sentinel = exitcode = None
+
+    def is_alive(self):
+        return True
+
+    def terminate(self):
+        pass
+
+    def join(self, timeout=None):
+        pass
 
 
 class TestPoolDispatch:
@@ -217,8 +239,38 @@ class TestPoolDispatch:
         pool.submit(1, [{}])
         pool.submit(2, [{}])  # one batch queued behind each open job
         slot = pool._slots[1]
-        slot.job = None  # as Supervisor.wait leaves it after a reply
-        pool._handle([(slot, ("open", None), ("ok", None))])
+        slot.conn.replies.append(("ok", None, None))  # the open job's reply
+        pool._handle([slot], {slot.conn})
         assert ready_calls == [False]
         assert slot.ready
         assert slot.job == ("batch", 2)  # the queued batch went out
+
+    def test_failed_open_keeps_queued_batch_for_the_respawn(
+        self, pool, monkeypatch
+    ):
+        def start(worker):  # Supervisor._start, minus the process
+            worker.proc, worker.conn = _FakeProc(), _FakeConn()
+            worker.token = worker.job = None
+
+        monkeypatch.setattr(pool._sup, "_start", start)
+        pool._started.set()  # past start(): a failed open is retried
+        slot = pool._slots[0]
+        slot.proc = _FakeProc()
+        pool.submit(1, [{}])
+        # Even with no job on its pipe, a worker that has not opened yet
+        # takes nothing from the queue.
+        slot.job = None
+        pool.submit(2, [{}])
+        assert slot.conn.sent == [] and slot.load() == 2
+        slot.job = ("open", None)
+        slot.conn.replies.append(("err", None, "FileNotFoundError: model.npz"))
+        pool._handle([slot], {slot.conn})
+        # Respawned: the new worker's pipe carries only its open job, and
+        # the batch still waits in the parent FIFO.
+        assert [msg[2].__name__ for msg in slot.conn.sent] == ["open_server"]
+        assert slot.start_failures == 1 and not slot.error
+        assert [job for job, _, _ in slot.queue] == [("batch", 1), ("batch", 2)]
+        assert set(pool._open) == {1, 2}
+        slot.conn.replies.append(("ok", slot.token, None))
+        pool._handle([slot], {slot.conn})
+        assert slot.job == ("batch", 1)
