@@ -163,7 +163,7 @@ class Worker:
 class Supervisor:
     """Supervised worker processes, one job in flight each.
 
-    :meth:`send` puts a job on an idle worker's pipe and :meth:`wait`
+    :meth:`send` puts a job on an idle worker's pipe and :meth:`poll`
     blocks until a watched worker replies or dies; what a reply or a
     death *means* — retry, fail a batch, retire a slot — is the caller's
     policy.  ``job_site`` is a fault site fired before every job.
@@ -218,7 +218,7 @@ class Supervisor:
     ) -> bool:
         """Put ``func(*args)`` on an idle ``worker``'s pipe.
 
-        ``job`` is the caller's record of it, handed back by :meth:`wait`
+        ``job`` is the caller's record of it, handed back by :meth:`collect`
         with the reply — or with the death, when the job dies with the
         worker.  Returns False (nothing in flight) if the worker is gone.
         """
@@ -232,32 +232,26 @@ class Supervisor:
             return False
         return True
 
-    def wait(
-        self, workers: Sequence[Worker], timeout: Optional[float] = None
-    ) -> List[Tuple[Worker, object, Optional[Tuple[str, object]]]]:
+    def poll(self, workers: Sequence[Worker], timeout: Optional[float] = None) -> set:
         """Block until one of ``workers`` replies or dies (or ``timeout``).
 
-        Returns ``(worker, job, reply)`` events; either kind leaves the
-        worker idle.  ``reply`` is ``("ok", result)`` or ``("err",
-        message)`` for the job in flight, or None when the worker died —
-        ``job`` is then exactly the job that died with it (None if it was
-        idle).  Respawn or retire a dead worker before waiting on it again.
+        Returns the ready pipes and sentinels, for :meth:`collect`.
         """
-        return self.collect(workers, self.poll(workers, timeout))
-
-    def poll(self, workers: Sequence[Worker], timeout: Optional[float] = None) -> set:
-        """Block until a pipe or sentinel of ``workers`` is ready; return those."""
         waitables = [w.conn for w in workers] + [w.proc.sentinel for w in workers]
         return set(connection.wait(waitables, timeout))
 
     def collect(
         self, workers: Sequence[Worker], ready: set
     ) -> List[Tuple[Worker, object, Optional[Tuple[str, object]]]]:
-        """The :meth:`wait` events for what :meth:`poll` found ready.
+        """The ``(worker, job, reply)`` events behind what :meth:`poll` saw.
 
-        A caller that sends from other threads calls this and acts on the
-        events under the one lock its sends hold: then no job can reach a
-        pipe between a reply or death being read and being handled.
+        Either kind leaves the worker idle.  ``reply`` is ``("ok",
+        result)`` or ``("err", message)`` for the job in flight, or None
+        when the worker died — ``job`` is then exactly the job that died
+        with it (None if it was idle).  Respawn or retire a dead worker
+        before polling it again.  A caller that sends from other threads
+        collects and acts on the events under the one lock its sends hold,
+        so no job reaches a pipe between an event being read and handled.
         """
         events = []
         for worker in workers:
@@ -432,7 +426,8 @@ class WarmPool:
             return
         deadlines = [w.job[2] for w in busy if w.job[2] is not None]
         timeout = max(0.0, min(deadlines) - time.monotonic()) if deadlines else None
-        for worker, (index, attempts, _), reply in self._sup.wait(busy, timeout):
+        events = self._sup.collect(busy, self._sup.poll(busy, timeout))
+        for worker, (index, attempts, _), reply in events:
             if reply is None:
                 self._sup.respawn(worker)
                 self._requeue(queue, index, attempts, "died mid-job")

@@ -254,8 +254,7 @@ class WorkerPool:
         elif kind == "open" and reply[0] == "err":
             # Before start() returns, an open error is a bad checkpoint or
             # index path, which a retry cannot fix: fail the start at once.
-            retry = self._started.is_set()
-            self._start_failed(slot, reply[1], calls, retry=retry)
+            self._start_failed(slot, reply[1], calls, self._started.is_set())
         elif kind == "open":
             slot.ready, slot.start_failures = True, 0
             self._check_started()
@@ -285,9 +284,7 @@ class WorkerPool:
             why = f"exited with code {slot.proc.exitcode} before ready"
             self._start_failed(slot, why, calls)
 
-    def _start_failed(
-        self, slot: _Slot, why: str, calls: List, retry: bool = True
-    ) -> None:
+    def _start_failed(self, slot: _Slot, why: str, calls: List, retry=True) -> None:
         """Restart the slot, or retire it once its start budget is spent."""
         slot.start_failures += 1
         if retry and slot.start_failures < START_ATTEMPTS:
