@@ -36,12 +36,15 @@ echo "== tier-1: pytest (suite timeout ${TIER1_TIMEOUT}s, per-test ${TEST_TIMEOU
 REPRO_TEST_TIMEOUT="$TEST_TIMEOUT" \
   timeout --signal=INT "$TIER1_TIMEOUT" python -m pytest -x -q --durations=15
 
-echo "== smoke: train -> index build -> index query =="
+echo "== smoke: train -> index build -> index query -> fsck =="
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
 python -m repro train --num-tasks 6 --variants 1 --epochs 2 --output "$tmp/model.npz"
-python -m repro index build "$tmp/model.npz" --output "$tmp/index.npz" --num-tasks 6 --variants 1
-python -m repro index query "$tmp/model.npz" "$tmp/index.npz" --task gcd --language c --top-k 3
+python -m repro index build "$tmp/model.npz" --output "$tmp/index" --num-tasks 6 --variants 1
+python -m repro index query "$tmp/model.npz" "$tmp/index" --task gcd --language c --top-k 3
+# The default (one-shard) build must be fully checksummed: fsck exits
+# non-zero on any file without a recorded checksum.
+python -m repro fsck "$tmp/index"
 
 echo "== smoke: sharded index build -> query =="
 python -m repro index build "$tmp/model.npz" --output "$tmp/sharded" --num-tasks 6 --variants 1 --shard-size 2

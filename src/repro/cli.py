@@ -8,7 +8,7 @@ Commands
 ``evaluate``   Load a checkpoint and report P/R/F1 on a rebuilt test split.
 ``retrieve``   Retrieval demo: rank source candidates for binary queries.
 ``index``      Embedding-index retrieval: ``index build`` encodes a source
-               corpus once into an ``.npz`` index; ``index query`` ranks
+               corpus once into an index directory; ``index query`` ranks
                the indexed sources for a binary query via the pair head.
 ``corpus``     Staged compilation pipeline: ``corpus build`` compiles a
                corpus (optionally into a content-addressed artifact store,
@@ -153,26 +153,26 @@ def build_parser() -> argparse.ArgumentParser:
 
     ix = sub.add_parser("index", help="build / query a persistent embedding index")
     ixsub = ix.add_subparsers(dest="index_command", required=True)
-    ib = ixsub.add_parser("build", help="encode a source corpus into an .npz index")
+    ib = ixsub.add_parser("build", help="encode a source corpus into an index directory")
     ib.add_argument("checkpoint")
-    ib.add_argument("--output", default="index.npz", help="index path")
+    ib.add_argument("--output", default="index", help="index directory")
     ib.add_argument("--languages", default="java", help="comma list, source side")
     ib.add_argument("--num-tasks", type=int, default=8)
     ib.add_argument("--variants", type=int, default=1)
     ib.add_argument("--seed", type=int, default=0)
     ib.add_argument("--shard-size", type=int, default=0, metavar="N",
-                    help="write a sharded index directory with N entries "
-                         "per shard instead of one monolithic .npz")
+                    help="N entries per shard (default: one shard holding "
+                         "every entry)")
     ib.add_argument("--codec", default="float32",
                     choices=("float32", "int8", "fp16"),
                     help="shard storage codec; int8/fp16 write raw "
-                         "memory-mapped .npy shards (needs --shard-size)")
+                         "memory-mapped .npy shards")
     ib.add_argument("--cells", type=int, default=0, metavar="K",
                     help="train a K-cell coarse quantizer for mode=ann "
-                         "queries (needs --shard-size)")
+                         "queries")
     iq = ixsub.add_parser("query", help="rank indexed sources for a binary query")
     iq.add_argument("checkpoint")
-    iq.add_argument("index", help=".npz index file or sharded index directory")
+    iq.add_argument("index", help="index directory (from `index build`)")
     iq.add_argument("--task", default="gcd", help="task to compile as the query binary")
     iq.add_argument("--language", default="c", choices=("c", "cpp", "java"))
     iq.add_argument("--variant", type=int, default=0)
@@ -205,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
         "serve", help="serve JSON-lines retrieval requests (stdin or socket)"
     )
     sv.add_argument("checkpoint")
-    sv.add_argument("index", help=".npz index file or sharded index directory")
+    sv.add_argument("index", help="index directory (from `index build`)")
     sv.add_argument("--batch", "--max-batch", dest="batch", type=int, default=8,
                     metavar="N",
                     help="score up to N pipelined requests per batched pass")
@@ -470,13 +470,6 @@ def cmd_index_build(args) -> int:
     from repro.data.corpus import CorpusBuilder
     from repro.index import EmbeddingIndex, ShardedEmbeddingIndex
 
-    if (args.codec != "float32" or args.cells) and not args.shard_size:
-        print(
-            "error: --codec/--cells apply to sharded indexes only; "
-            "add --shard-size N",
-            file=sys.stderr,
-        )
-        return 2
     trainer = MatchTrainer.load(args.checkpoint)
     cfg = DataConfig(num_tasks=args.num_tasks, variants=args.variants, seed=args.seed)
     samples = CorpusBuilder(cfg).build(args.languages.split(","))
@@ -489,28 +482,24 @@ def cmd_index_build(args) -> int:
             for s in samples
         ],
     )
-    if args.shard_size:
-        # Any non-zero value reaches from_index, so a negative size errors
-        # loudly instead of silently writing a monolithic file.  overwrite:
-        # rebuilds replace the old shard set, like the monolithic path.
-        sharded = ShardedEmbeddingIndex.from_index(
-            index,
-            args.output,
-            args.shard_size,
-            overwrite=True,
-            codec=args.codec,
-            cells=args.cells,
-            quantizer_seed=args.seed,
-        )
-        written = (
-            f"{args.output} ({sharded.num_shards} shards, codec={args.codec}"
-            + (f", {args.cells} cells)" if args.cells else ")")
-        )
-    else:
-        written = index.save(args.output)
+    # No --shard-size means one shard holding every entry; any other value
+    # reaches from_index, so a negative size errors loudly.  overwrite:
+    # rebuilds replace the old shard set.
+    sharded = ShardedEmbeddingIndex.from_index(
+        index,
+        args.output,
+        args.shard_size or max(len(index), 1),
+        overwrite=True,
+        codec=args.codec,
+        cells=args.cells,
+        quantizer_seed=args.seed,
+    )
     print(f"indexed {len(index)} source graphs in {time.time() - t0:.1f}s "
           f"({index.cache_misses} encoded, {index.cache_hits} cache hits)")
-    print(f"index -> {written}")
+    print(
+        f"index -> {args.output} ({sharded.num_shards} shards, codec={args.codec}"
+        + (f", {args.cells} cells)" if args.cells else ")")
+    )
     return 0
 
 
@@ -625,11 +614,9 @@ def cmd_serve(args) -> int:
         nprobe=args.nprobe,
     )
     # Status goes to stderr: stdout is the JSON-lines response channel.
-    shards = getattr(index, "num_shards", None)
     print(
-        f"serving {len(index)} entries"
-        + (f" across {shards} shards" if shards is not None else "")
-        + f" (batch={args.batch}, top-k={args.top_k}, mode={args.mode})",
+        f"serving {len(index)} entries across {index.num_shards} shards "
+        f"(batch={args.batch}, top-k={args.top_k}, mode={args.mode})",
         file=sys.stderr,
     )
     stats = server.serve(sys.stdin, sys.stdout)

@@ -9,11 +9,13 @@ One scan walks a store or index directory and classifies every entry:
 
 ``ok``
     Readable, and its recorded checksum (entry ``payload_sha256``, model
-    sidecar, or index-manifest ``sha256`` field) matches.  Entries from
-    pre-checksum formats that read fine are ``ok`` with
-    ``"verified": false`` — unverifiable is not wrong.
+    sidecar, or index-manifest ``sha256`` field) matches.  Store entries
+    from pre-checksum formats that read fine are ``ok`` with
+    ``"verified": false`` — unverifiable is not wrong.  Index files have
+    no such grace: every index writer records a checksum.
 ``corrupt``
-    Unreadable, structurally invalid, mislocated, or checksum-mismatched.
+    Unreadable, structurally invalid, mislocated, checksum-mismatched, or
+    (index files) missing their recorded checksum.
 ``orphaned-tmp``
     Residue of a crashed or fault-injected writer: a ``*.tmp`` /
     ``*.tmp.npz`` file nobody will ever rename into place.
@@ -55,9 +57,14 @@ from repro.artifacts.store import (
     payload_sha256,
 )
 from repro.exec.store import ModelStore
-from repro.index.sharded import MANIFEST_NAME, _FORMAT, _FORMAT_V1, _FORMAT_V2
+from repro.index.sharded import (
+    MANIFEST_NAME,
+    ShardCorruption,
+    checked_sha256,
+    read_manifest,
+)
 from repro.pipeline.staged import PIPELINE_VERSION, StageFailure
-from repro.utils.fsio import find_orphan_tmps, sha256_file
+from repro.utils.fsio import find_orphan_tmps
 
 PathLike = Union[str, Path]
 
@@ -312,34 +319,6 @@ def fsck_model_store(root: PathLike, quarantine: bool = False, repair: bool = Fa
 
 
 # --------------------------------------------------------------- index
-def _check_index_file(root: Path, name: str, recorded_sha: Optional[str]) -> Optional[str]:
-    """Detail string when one index file is corrupt, else None."""
-    path = root / name
-    if not path.exists():
-        return "file is missing"
-    if recorded_sha:
-        actual = sha256_file(path)
-        if actual != recorded_sha:
-            return (
-                f"checksum mismatch (manifest records {recorded_sha[:12]}…, "
-                f"file hashes to {actual[:12]}…)"
-            )
-        return None
-    # No recorded checksum (pre-v3 manifest entry): structural probe only.
-    try:
-        if name.endswith(".npz"):
-            with np.load(path) as archive:
-                if _META_KEY not in archive.files or "embeddings" not in archive.files:
-                    return "not an EmbeddingIndex archive"
-        elif name.endswith(".npy"):
-            np.load(path, mmap_mode="r", allow_pickle=False)
-        else:
-            json.loads(path.read_text())
-    except READ_ERRORS as exc:
-        return f"unreadable: {exc}"
-    return None
-
-
 def fsck_index(root: PathLike, quarantine: bool = False, repair: bool = False) -> dict:
     """Scan one sharded index directory against its own manifest.
 
@@ -350,11 +329,8 @@ def fsck_index(root: PathLike, quarantine: bool = False, repair: bool = False) -
     root = Path(root)
     report = _new_report(root, "index")
     quarantine = quarantine or repair
-    manifest_path = root / MANIFEST_NAME
     try:
-        manifest = json.loads(manifest_path.read_text())
-        if manifest.get("format") not in (_FORMAT_V1, _FORMAT_V2, _FORMAT):
-            raise ValueError(f"unknown manifest format {manifest.get('format')!r}")
+        manifest = read_manifest(root)
     except READ_ERRORS as exc:
         report["entries"].append(
             {
@@ -386,22 +362,23 @@ def fsck_index(root: PathLike, quarantine: bool = False, repair: bool = False) -
         if shard.get("cells"):
             checks.append(("cells", "cells_sha256"))
         for name_field, sha_field in checks:
-            name = shard[name_field]
-            entry = {"file": name}
-            detail = _check_index_file(root, name, shard.get(sha_field))
-            if detail is None:
-                entry.update(status=STATUS_OK, verified=bool(shard.get(sha_field)))
-            else:
-                entry.update(status=STATUS_CORRUPT, detail=detail)
-                if quarantine and (root / name).exists():
+            path = root / shard[name_field]
+            entry = {"file": shard[name_field]}
+            try:
+                checked_sha256(path, shard.get(sha_field))
+            except ShardCorruption as exc:
+                entry.update(status=STATUS_CORRUPT, detail=str(exc))
+                if quarantine and path.exists():
                     entry["action"] = "quarantined"
-                    entry["quarantined_to"] = _quarantine(root, root / name)
+                    entry["quarantined_to"] = _quarantine(root, path)
                 if repair:
                     entry["action"] = "unrepairable"
                     entry["detail"] += (
                         "; shards are not re-derivable — rebuild the index "
                         "(degraded-mode serving covers the gap)"
                     )
+            else:
+                entry.update(status=STATUS_OK, verified=True)
             report["entries"].append(entry)
     _sweep_tmps(root, report, act=quarantine)
     return _finalize(report)

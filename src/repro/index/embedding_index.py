@@ -15,9 +15,13 @@ O(Q×C) encoder forwards for Q queries over C candidates.
 * a query runs one encoder forward, then the lightweight pair head —
   ``score_from_embeddings`` vectorized over the tiled query×candidate
   embedding matrix, covering both ``pair_features`` modes — against the
-  whole corpus in a single call: O(Q + C) encoder forwards total;
-* the index persists to ``.npz`` (embeddings + JSON metadata, no pickle),
-  so a corpus is embedded once per checkpoint, not once per process.
+  whole corpus in a single call: O(Q + C) encoder forwards total.
+
+This index lives in memory.  To embed a corpus once per checkpoint rather
+than once per process, persist it with
+:meth:`~repro.index.sharded.ShardedEmbeddingIndex.from_index` — the
+sharded directory is the one on-disk index format, and it scores
+bit-identically to the in-memory index it came from.
 
 Exactness: embeddings are produced in eval mode (BatchNorm running
 statistics, no dropout), so index scores match pairwise ``predict`` scores
@@ -32,16 +36,11 @@ import json
 import numbers
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro.graphs.programl import ProgramGraph
-
-PathLike = Union[str, Path]
-
-_META_KEY = "__meta_json__"
 
 
 def model_fingerprint(trainer) -> str:
@@ -49,7 +48,7 @@ def model_fingerprint(trainer) -> str:
 
     Embeddings are only meaningful against the exact model that produced
     them; two checkpoints with the same architecture but different weights
-    would silently mis-score.  Saved indexes record this and loading
+    would silently mis-score.  Index manifests record this and opening
     verifies it.
     """
     h = hashlib.sha256()
@@ -136,14 +135,14 @@ class Hit:
 
 
 def _require_exact(mode: str) -> None:
-    """Shared mode guard for the monolithic (exact-only) index."""
+    """Shared mode guard for the in-memory (exact-only) index."""
     if mode == "exact":
         return
     if mode == "ann":
         raise ValueError(
-            "the monolithic EmbeddingIndex only supports mode='exact'; "
+            "the in-memory EmbeddingIndex only supports mode='exact'; "
             "build a sharded index with a coarse quantizer "
-            "(`repro index build --shard-size N --cells K`) for ANN queries"
+            "(`repro index build --cells K`) for ANN queries"
         )
     raise ValueError(f"mode must be 'exact' or 'ann', got {mode!r}")
 
@@ -231,7 +230,8 @@ class EmbeddingIndex:
         self._matrix: Optional[np.ndarray] = None
         # Optional caller-set identity for the corpus behind the entries
         # (e.g. MatcherPipeline stores a hash of its candidate list here);
-        # persisted by save()/load() and checked by callers, not by us.
+        # carried into the manifest by ShardedEmbeddingIndex.from_index and
+        # checked by callers, not by us.
         self.tag: Optional[str] = None
         self.cache_hits = 0
         self.cache_misses = 0
@@ -251,7 +251,7 @@ class EmbeddingIndex:
         """Per-entry metadata copies, in insertion order.
 
         Copies, so callers can annotate freely without corrupting what
-        :meth:`save` persists or what integrity checks read.
+        gets persisted or what integrity checks read.
         """
         return [dict(m) for m in self._metas]
 
@@ -311,7 +311,7 @@ class EmbeddingIndex:
     ) -> None:
         """Append entries whose embeddings were already computed.
 
-        Used when re-arranging existing indexes — sharding a monolithic
+        Used when re-arranging existing indexes — sharding an in-memory
         index, merging shards — where re-encoding would both waste encoder
         passes and (because batch composition perturbs float accumulation
         order) break bit-exact score parity with the original index.
@@ -338,48 +338,26 @@ class EmbeddingIndex:
         """Register precomputed ``key → embedding row`` pairs in the cache.
 
         Adds no entries — only the permanent content-hash cache consulted
-        by :meth:`embed_query` / :meth:`embed_queries` is populated, so
-        queries identical to known graphs skip the encoder.  Rows replace
+        by :meth:`embed_queries` is populated, so queries identical to
+        known graphs skip the encoder.  Rows replace
         any prior binding for the same key; by contract the values must be
         identical (same model, same graph), callers only swap storage.
         """
         for key, row in zip(keys, embeddings):
             self._cache[key] = row
 
-    def embed_query(self, graph: ProgramGraph) -> np.ndarray:
-        """Query embedding ``(2H,)``, cached by content hash like entries.
-
-        Queries matching a corpus entry reuse its embedding; other query
-        embeddings are kept in an LRU bounded by ``query_cache_size``.
-        """
-        key = graph_fingerprint(graph)
-        if key in self._cache:
-            self.cache_hits += 1
-            return self._cache[key]
-        if key in self._query_cache:
-            self.cache_hits += 1
-            self._query_cache.move_to_end(key)
-            return self._query_cache[key]
-        self.cache_misses += 1
-        embedded = self.trainer.encode_graphs([graph])[0]
-        self._query_cache[key] = embedded
-        # Trim after insert; return the local so query_cache_size=0
-        # (caching disabled) still works.
-        while len(self._query_cache) > max(self.query_cache_size, 0):
-            self._query_cache.popitem(last=False)
-        return embedded
-
     def embed_queries(
         self, graphs: Sequence[ProgramGraph], batch_size: int = 32
     ) -> np.ndarray:
         """Query embeddings ``(Q, 2H)`` with every uncached graph batched.
 
-        The multi-query analogue of :meth:`embed_query`: all graphs not
-        already cached (as corpus entries or earlier queries) go through
-        **one** :meth:`MatchTrainer.embed_many` call instead of Q encoder
-        invocations — tokenization, graph batching and the segment sorts
-        are per-call overheads, so batching them is where
-        :meth:`topk_batch`'s speedup comes from.
+        Queries matching a corpus entry reuse its embedding; other query
+        embeddings are kept in an LRU bounded by ``query_cache_size``.
+        All graphs not already cached (as corpus entries or earlier
+        queries) go through **one** :meth:`MatchTrainer.embed_many` call
+        instead of Q encoder invocations — tokenization, graph batching
+        and the segment sorts are per-call overheads, so batching them is
+        where :meth:`topk_batch`'s speedup comes from.
         """
         keys = [graph_fingerprint(g) for g in graphs]
         fresh: Dict[str, ProgramGraph] = {}
@@ -460,7 +438,7 @@ class EmbeddingIndex:
         """Top-k entries by descending score (all entries when k is None).
 
         ``mode``/``nprobe`` exist for signature parity with the sharded
-        index; the monolithic index is exact-only.
+        index; the in-memory index is exact-only.
         """
         validate_k(k)
         _require_exact(mode)
@@ -487,75 +465,3 @@ class EmbeddingIndex:
         _require_exact(mode)
         scores = self.scores_batch(graphs, embeddings=embeddings, batch_size=batch_size)
         return [ranked_hits(row, self._keys, self._metas, k) for row in scores]
-
-    # -------------------------------------------------------- persistence
-    def save(self, path: PathLike) -> str:
-        """Persist embeddings + metadata to one ``.npz`` (no pickle).
-
-        Returns the path actually written: NumPy appends ``.npz`` when the
-        name lacks it, and callers (the CLI) report this path, so the two
-        must agree.
-        """
-        path = str(path)
-        if not path.endswith(".npz"):
-            path += ".npz"
-        meta = {
-            "keys": self._keys,
-            "metas": self._metas,
-            "dim": self.dim,
-            "hidden_dim": self.trainer.config.hidden_dim,
-            "pair_features": self.trainer.config.pair_features,
-            "model_sha": model_fingerprint(self.trainer),
-            "tag": self.tag,
-        }
-        payload = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
-        np.savez_compressed(path, embeddings=self.embeddings, **{_META_KEY: payload})
-        return path
-
-    @classmethod
-    def load(cls, path: PathLike, trainer) -> "EmbeddingIndex":
-        """Restore an index saved by :meth:`save` for the same model shape.
-
-        Embeddings are model-specific: loading against a trainer whose
-        embedding width or ``pair_features`` differs is rejected rather
-        than silently mis-scored.
-        """
-        path = str(path)
-        if not path.endswith(".npz") and not Path(path).exists():
-            if Path(path + ".npz").exists():
-                path += ".npz"
-        with np.load(path) as archive:
-            if _META_KEY not in archive.files or "embeddings" not in archive.files:
-                raise ValueError(f"{path} is not an EmbeddingIndex archive")
-            meta = json.loads(bytes(archive[_META_KEY].tobytes()).decode("utf-8"))
-            # copy=False: the archive already hands us a fresh float32
-            # array; an unconditional astype would duplicate every shard.
-            embeddings = archive["embeddings"].astype(np.float32, copy=False)
-        # A GraphBinMatch checkpoint also carries JSON metadata; reject it
-        # (and any other stray archive) by the index schema, not a KeyError.
-        if not {"keys", "metas", "dim", "pair_features"} <= meta.keys():
-            raise ValueError(f"{path} is not an EmbeddingIndex archive")
-        if embeddings.shape != (len(meta["keys"]), meta["dim"]):
-            raise ValueError(
-                f"{path} is corrupt: {embeddings.shape} embeddings for "
-                f"{len(meta['keys'])} keys of dim {meta['dim']}"
-            )
-        index = cls(trainer)
-        if meta["dim"] != index.dim or meta["pair_features"] != trainer.config.pair_features:
-            raise ValueError(
-                f"index built for dim={meta['dim']}/"
-                f"pair_features={meta['pair_features']!r}, trainer has "
-                f"dim={index.dim}/pair_features={trainer.config.pair_features!r}"
-            )
-        want_sha = meta.get("model_sha")
-        if want_sha is not None and want_sha != model_fingerprint(trainer):
-            raise ValueError(
-                f"{path} was built by a different model (weight/tokenizer "
-                "fingerprint mismatch); rebuild the index with this checkpoint"
-            )
-        index._keys = list(meta["keys"])
-        index._metas = [dict(m) for m in meta["metas"]]
-        index.tag = meta.get("tag")
-        for key, row in zip(index._keys, embeddings):
-            index._cache.setdefault(key, row)
-        return index

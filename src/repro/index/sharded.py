@@ -1,16 +1,16 @@
-"""Sharded embedding index: a corpus split across lazily-loaded shards.
+"""Sharded embedding index: the one on-disk index format.
 
-:class:`~repro.index.embedding_index.EmbeddingIndex` keeps one monolithic
-archive fully resident, which is the right shape for a benchmark run and
-the wrong one for a long-lived retrieval service: corpora grow
+:class:`~repro.index.embedding_index.EmbeddingIndex` is the in-memory,
+encode-once index; this module is how an index persists.  Corpora grow
 incrementally (new shards, merged indexes from other machines) and a
-process should not pay to materialize embeddings it never scores.
-
-:class:`ShardedEmbeddingIndex` is a directory::
+long-lived retrieval service should not pay to materialize embeddings it
+never scores, so :class:`ShardedEmbeddingIndex` is a directory of lazily
+loaded shards.  A small corpus is simply a one-shard index (what
+``repro index build`` writes without ``--shard-size``)::
 
     index_dir/
       manifest.json          # schema + model fingerprint + codec + quantizer
-      shard-0000.npz         # float32 codec: plain EmbeddingIndex archives
+      shard-0000.npz         # float32 codec: embeddings + __meta_json__
       shard-0001.npz
       ...
     index_dir/               # quantized codecs (int8 / fp16)
@@ -23,9 +23,9 @@ process should not pay to materialize embeddings it never scores.
 Two scoring regimes share the directory layout:
 
 * **exact** (the reference) — every entry is scored by the pair head.
-  The float32 codec keeps the original flat-matrix hot path, so an index
-  sharded with :meth:`from_index` returns **bit-identical** scores and
-  rankings to the monolithic index it came from.  Quantized codecs score
+  The float32 codec keeps the flat-matrix hot path, so an index sharded
+  with :meth:`from_index` returns **bit-identical** scores and rankings
+  to the in-memory index it came from.  Quantized codecs score
   block-by-block straight off the memory map, fanned out across shards on
   a thread pool, so resident memory is bounded by the scoring blocks —
   not the corpus.
@@ -36,17 +36,14 @@ Two scoring regimes share the directory layout:
   per-shard partial top-k lists with a heap.  Recall against the exact
   path is gated by ``benchmarks/bench_index_scale.py``.
 
-Format history: v1 manifests (``sharded-embedding-index-v1``, float32
-``.npz`` shards only) are still readable; ``INDEX_FORMAT_VERSION`` 2 adds
-the ``codec`` and ``quantizer`` manifest fields and the raw-``.npy``
-quantized shard layout; version 3 records a sha256 per shard file (and
-per sidecar / cells file) in each manifest entry, checked on load when
-``verify_reads`` is on.  Older manifests open unchanged and keep
-recording their origin version — checksum fields they lack simply go
-unverified, and mutations add the fields entry by entry.
+Format: ``INDEX_FORMAT_VERSION`` 3 (``sharded-embedding-index-v3``).  Every
+manifest entry records the sha256 of its shard file, sidecar and cells
+file, checked on load when ``verify_reads`` is on; a missing checksum
+counts as corruption.  Manifests of the earlier v1/v2 formats (no
+checksums) are rejected with a rebuild instruction rather than read.
 
 Entry positions are global: ``Hit.index`` counts across shards in manifest
-order, matching the monolithic index the shards came from.  An index
+order, matching the in-memory index the shards came from.  An index
 opened with ``degraded=True`` quarantines shards whose load raises
 :class:`ShardCorruption` instead of failing the query: surviving shards
 keep answering, :meth:`coverage` reports the remaining corpus fraction,
@@ -71,7 +68,6 @@ import numpy as np
 from repro import faults
 from repro.graphs.programl import ProgramGraph
 from repro.index.embedding_index import (
-    _META_KEY,
     EmbeddingIndex,
     Hit,
     graph_fingerprint,
@@ -95,9 +91,10 @@ PathLike = Union[str, Path]
 
 MANIFEST_NAME = "manifest.json"
 INDEX_FORMAT_VERSION = 3
-_FORMAT_V1 = "sharded-embedding-index-v1"
-_FORMAT_V2 = "sharded-embedding-index-v2"
 _FORMAT = "sharded-embedding-index-v3"
+
+#: Archive member holding a float32 shard's JSON metadata.
+_META_KEY = "__meta_json__"
 
 
 class ShardCorruption(ValueError):
@@ -160,6 +157,47 @@ def _dequantize(raw: np.ndarray, codec: str, scale: Optional[np.ndarray]) -> np.
     return np.asarray(raw, dtype=np.float32)
 
 
+def checked_sha256(path: Path, recorded: Optional[str]) -> str:
+    """sha256 of ``path``, raising :class:`ShardCorruption` unless it is
+    ``recorded``.
+
+    Every writer records a checksum, so a missing one is corruption (a
+    hand-edited or damaged manifest), not an unverifiable file.
+    """
+    if not recorded:
+        raise ShardCorruption(
+            f"{path.name} has no recorded checksum in the manifest; rebuild the index"
+        )
+    try:
+        actual = sha256_file(path)
+    except OSError as exc:
+        raise ShardCorruption(f"{path} is unreadable ({exc})") from exc
+    if actual != recorded:
+        raise ShardCorruption(
+            f"checksum mismatch for {path.name}: manifest records "
+            f"{recorded[:12]}…, file hashes to {actual[:12]}…"
+        )
+    return actual
+
+
+def read_manifest(root: PathLike) -> dict:
+    """Parse ``root``'s manifest, rejecting every format but the current one.
+
+    The one manifest reader behind :meth:`ShardedEmbeddingIndex.open` and
+    ``repro fsck``.  v1/v2 manifests carry no checksums, so they are
+    refused with a rebuild instruction instead of being half-verified.
+    """
+    manifest_path = Path(root) / MANIFEST_NAME
+    manifest = json.loads(manifest_path.read_text())
+    fmt = manifest.get("format")
+    if fmt != _FORMAT:
+        raise ValueError(
+            f"{manifest_path} has format {fmt!r}; this build reads only "
+            f"{_FORMAT} — rebuild the index with `repro index build`"
+        )
+    return manifest
+
+
 class _Shard:
     """One resident shard: aligned keys, metas and (possibly raw) rows."""
 
@@ -199,7 +237,7 @@ class _Shard:
 
 
 class ShardedEmbeddingIndex:
-    """Multi-shard, lazily-loaded variant of :class:`EmbeddingIndex`."""
+    """Multi-shard, lazily-loaded, persistent :class:`EmbeddingIndex`."""
 
     def __init__(
         self,
@@ -277,9 +315,9 @@ class ShardedEmbeddingIndex:
         self._dequant_now = 0
         self.last_peak_dequant_bytes = 0
         self.last_peak_block_bytes = 0
-        # Query embeddings are cached exactly like the monolithic index's:
-        # an entry-less EmbeddingIndex is that cache (embed_query /
-        # embed_queries, bounded LRU, duplicate batching) verbatim.
+        # Query embeddings are cached exactly like the in-memory index's:
+        # an entry-less EmbeddingIndex is that cache (embed_queries,
+        # bounded LRU, duplicate batching) verbatim.
         self._encoder = EmbeddingIndex(trainer)
 
     # ------------------------------------------------------- construction
@@ -340,29 +378,19 @@ class ShardedEmbeddingIndex:
 
         Only the manifest is read; shard arrays stay on disk until a query
         touches them (quantized shards are memory-mapped even then).
-        Legacy v1/v2 manifests open unchanged (v1 as ``codec="float32"``
-        with no quantizer; both without checksum fields); the file on
-        disk is not rewritten unless the index is mutated.  Opening also
+        Anything but a current-format index directory — a model
+        checkpoint, a v1/v2 manifest — is a ``ValueError``.  Opening also
         sweeps aged-out orphan temp files left by crashed writers.  See
         ``__init__`` for ``degraded`` / ``verify_reads``.
         """
         root = Path(root)
-        manifest_path = root / MANIFEST_NAME
-        if not manifest_path.exists():
-            raise ValueError(f"{root} is not a sharded index (no {MANIFEST_NAME})")
-        sweep_orphan_tmps(root, TMP_SWEEP_AGE_SECONDS)
-        manifest = json.loads(manifest_path.read_text())
-        fmt = manifest.get("format")
-        if fmt == _FORMAT_V1:
-            manifest.setdefault("format_version", 1)
-            manifest.setdefault("codec", "float32")
-            manifest.setdefault("quantizer", None)
-        elif fmt not in (_FORMAT_V2, _FORMAT):
+        if not (root / MANIFEST_NAME).exists():
             raise ValueError(
-                f"{manifest_path} is not a sharded index manifest this build "
-                f"reads (format {fmt!r}; supported: {_FORMAT_V1}, "
-                f"{_FORMAT_V2}, {_FORMAT})"
+                f"{root} is not a sharded index (no {MANIFEST_NAME}); "
+                "build one with `repro index build`"
             )
+        manifest = read_manifest(root)
+        sweep_orphan_tmps(root, TMP_SWEEP_AGE_SECONDS)
         index = cls(trainer, root, manifest, degraded=degraded, verify_reads=verify_reads)
         if (
             manifest["dim"] != index.dim
@@ -392,7 +420,7 @@ class ShardedEmbeddingIndex:
         cells: int = 0,
         quantizer_seed: int = 0,
     ) -> "ShardedEmbeddingIndex":
-        """Shard a monolithic index into ``shard_entries``-sized pieces.
+        """Persist an in-memory index as ``shard_entries``-sized shards.
 
         With the default float32 codec, embeddings are copied, never
         re-encoded, so the sharded index scores bit-identically to
@@ -447,61 +475,51 @@ class ShardedEmbeddingIndex:
         self._manifest["tag"] = tag
         self._write_manifest()
 
-    # ------------------------------------------------------------ loading
-    def _write_manifest(self) -> None:
-        # Per-pid temp name: two concurrent mutators each rename their own
-        # file (last replace wins) instead of clobbering a shared
-        # `manifest.json.tmp` mid-commit; try/finally reclaims the temp on
-        # any failure.  The format/format_version fields keep recording the
-        # manifest's origin (legacy manifests are not force-upgraded);
-        # checksum fields are added per entry as entries are written, and
-        # verification is driven by field presence, not format version.
-        tmp = self.root / f".{MANIFEST_NAME}.{os.getpid()}.tmp"
-        try:
-            faults.hit("index.manifest.write")
-            tmp.write_text(json.dumps(self._manifest, indent=2, sort_keys=True))
-            faults.replace(tmp, self.root / MANIFEST_NAME, "index.manifest")
-        finally:
-            tmp.unlink(missing_ok=True)
+    # ------------------------------------------------------------ disk IO
+    def _commit(self, name: str, write, site: str, write_fault: bool = True) -> str:
+        """Atomically write one index file via ``write(fh)``; returns its sha256.
 
-    def _save_array(self, name: str, arr: np.ndarray) -> str:
-        """Atomically write one ``.npy``; returns the committed sha256."""
+        The one temp-write → hash → ``faults.replace`` → unlink sequence
+        behind every file this index writes.  Per-pid temp names let
+        concurrent writers each rename their own file (last replace wins).
+        ``write_fault`` fires the ``{site}.write`` fault site first.
+        """
         tmp = self.root / f".{name}.{os.getpid()}.tmp"
         try:
-            faults.hit("index.array.write")
+            if write_fault:
+                faults.hit(f"{site}.write")
             with open(tmp, "wb") as fh:
-                np.save(fh, np.ascontiguousarray(arr))
-            digest = sha256_file(tmp)
-            faults.replace(tmp, self.root / name, "index.array")
-        finally:
-            tmp.unlink(missing_ok=True)
-        return digest
-
-    def _save_json(self, name: str, payload: dict, site: str) -> str:
-        """Atomically write one JSON sidecar; returns the committed sha256."""
-        tmp = self.root / f".{name}.{os.getpid()}.tmp"
-        try:
-            tmp.write_text(json.dumps(payload))
+                write(fh)
             digest = sha256_file(tmp)
             faults.replace(tmp, self.root / name, site)
         finally:
             tmp.unlink(missing_ok=True)
         return digest
 
+    def _write_manifest(self) -> None:
+        text = json.dumps(self._manifest, indent=2, sort_keys=True)
+        self._commit(MANIFEST_NAME, lambda fh: fh.write(text.encode()), "index.manifest")
+
+    def _save_array(self, name: str, arr: np.ndarray) -> str:
+        """Atomically write one ``.npy``; returns the committed sha256."""
+        return self._commit(
+            name, lambda fh: np.save(fh, np.ascontiguousarray(arr)), "index.array"
+        )
+
+    def _save_cells(
+        self, quantizer: CoarseQuantizer, position: int, entry: dict, shard: _Shard
+    ) -> None:
+        """Assign ``shard``'s rows to cells; persist them, then record them."""
+        cells = quantizer.assign(shard.dense())
+        name = _cells_name(position)
+        entry["cells_sha256"] = self._save_array(name, cells)
+        entry["cells"] = name
+        shard.cells = cells
+
     def _verify_file(self, entry: dict, field: str, path: Path) -> None:
-        """Check one shard file against its manifest checksum (when present)."""
-        recorded = entry.get(field)
-        if not self.verify_reads or not recorded:
-            return
-        try:
-            actual = sha256_file(path)
-        except OSError as exc:
-            raise ShardCorruption(f"{path} is unreadable ({exc})") from exc
-        if actual != recorded:
-            raise ShardCorruption(
-                f"checksum mismatch for {path.name}: manifest records "
-                f"{recorded[:12]}…, file hashes to {actual[:12]}…"
-            )
+        """Check one shard file against its manifest checksum (``verify_reads``)."""
+        if self.verify_reads:
+            checked_sha256(path, entry.get(field))
 
     def _load_shard(self, position: int) -> _Shard:
         entry = self._manifest["shards"][position]
@@ -512,17 +530,9 @@ class ShardedEmbeddingIndex:
         if self.codec == "float32":
             try:
                 with np.load(path) as archive:
-                    if _META_KEY not in archive.files or "embeddings" not in archive.files:
-                        raise ShardCorruption(
-                            f"{path} is not an EmbeddingIndex archive"
-                        )
-                    meta = json.loads(
-                        bytes(archive[_META_KEY].tobytes()).decode("utf-8")
-                    )
+                    meta = json.loads(bytes(archive[_META_KEY].tobytes()).decode())
                     embeddings = archive["embeddings"].astype(np.float32, copy=False)
             except (OSError, EOFError, ValueError, KeyError, zipfile.BadZipFile) as exc:
-                if isinstance(exc, ShardCorruption):
-                    raise
                 raise ShardCorruption(
                     f"{path} is corrupt, truncated or missing ({exc}); "
                     "rebuild the shard or run `repro fsck`"
@@ -679,7 +689,7 @@ class ShardedEmbeddingIndex:
         """Concatenated (embeddings, keys, metas) over the selected shards.
 
         Float32 codec only — the exact hot path whose flat matmul keeps
-        bit parity with the monolithic index.  The whole-corpus case
+        bit parity with the in-memory index.  The whole-corpus case
         (``shards=None`` — the serving hot path) is cached until the
         shard set changes.
         """
@@ -696,7 +706,7 @@ class ShardedEmbeddingIndex:
             # The flat matrix becomes the one canonical copy: re-point each
             # shard's rows at views into it (freeing the per-shard arrays)
             # and seed the query-encoder cache so queries identical to
-            # indexed entries skip the encoder, like the monolithic index.
+            # indexed entries skip the encoder, like the in-memory index.
             offset = 0
             for shard in loaded:
                 n = shard.embeddings.shape[0]
@@ -770,39 +780,39 @@ class ShardedEmbeddingIndex:
         shard_keys = list(index._keys)
         shard_metas = [dict(m) for m in index._metas]
         scale = None
+        sidecar = {
+            "keys": shard_keys,
+            "metas": shard_metas,
+            "model_sha": self._manifest["model_sha"],
+        }
         if self.codec == "float32":
-            # Per-pid temp + replace: EmbeddingIndex.save writes in place,
-            # which would leave a torn shard if this process died mid-write
-            # (and lets concurrent builders clobber each other's file).
-            tmp = self.root / f".{name}.{os.getpid()}.tmp.npz"
-            try:
-                faults.hit("index.array.write")
-                index.save(tmp)
-                entry["sha256"] = sha256_file(tmp)
-                faults.replace(tmp, self.root / name, "index.array")
-            finally:
-                tmp.unlink(missing_ok=True)
+            # The archive _load_shard reads: the rows plus the sidecar
+            # fields as a uint8 JSON member (no pickle).
             store = index.embeddings.copy()
+            payload = np.frombuffer(json.dumps(sidecar).encode(), dtype=np.uint8)
+            entry["sha256"] = self._commit(
+                name,
+                lambda fh: np.savez_compressed(
+                    fh, embeddings=store, **{_META_KEY: payload}
+                ),
+                "index.array",
+            )
         else:
             store, scale = _quantize(index.embeddings, self.codec)
             entry["sha256"] = self._save_array(name, store)
-            meta_name = _meta_name(position)
-            sidecar = {
-                "keys": shard_keys,
-                "metas": shard_metas,
-                "model_sha": self._manifest["model_sha"],
-            }
             if scale is not None:
                 sidecar["scale"] = [float(v) for v in scale]
-            entry["meta_sha256"] = self._save_json(meta_name, sidecar, "index.sidecar")
-            entry["meta"] = meta_name
+            text = json.dumps(sidecar).encode()
+            entry["meta"] = _meta_name(position)
+            entry["meta_sha256"] = self._commit(
+                entry["meta"],
+                lambda fh: fh.write(text),
+                "index.sidecar",
+                write_fault=False,
+            )
         resident = _Shard(shard_keys, shard_metas, store, codec=self.codec, scale=scale)
         if self.quantizer is not None:
-            cells = self.quantizer.assign(resident.dense())
-            cells_name = _cells_name(position)
-            entry["cells_sha256"] = self._save_array(cells_name, cells)
-            entry["cells"] = cells_name
-            resident.cells = cells
+            self._save_cells(self.quantizer, position, entry, resident)
         self._manifest["shards"].append(entry)
         self._write_manifest()
         self._shards.append(resident)
@@ -821,6 +831,8 @@ class ShardedEmbeddingIndex:
         Both indexes must use the same codec.  When self has a trained
         quantizer, the absorbed entries are assigned to *self's* cells
         (other's assignments, if any, belong to different centroids).
+        A source file whose copy does not match its recorded checksum
+        raises :class:`ShardCorruption` and leaves self unchanged.
         """
         if other is self or other.root.resolve() == self.root.resolve():
             raise ValueError("cannot merge a sharded index into itself")
@@ -837,35 +849,51 @@ class ShardedEmbeddingIndex:
             raise ValueError(
                 f"cannot merge: codecs differ ({other.codec!r} into {self.codec!r})"
             )
-        for position, entry in enumerate(list(other._manifest["shards"])):
-            new_position = self.num_shards
-            name = _shard_name(new_position, self.codec)
-            shutil.copyfile(other.root / entry["file"], self.root / name)
-            new_entry: Dict[str, object] = {"file": name, "entries": entry["entries"]}
-            # Hash what actually landed on this disk: copying with the
-            # source's recorded checksum would bless a corrupt copy (and
-            # pre-v3 sources recorded none).
-            new_entry["sha256"] = sha256_file(self.root / name)
-            if self.codec != "float32":
-                meta_name = _meta_name(new_position)
-                shutil.copyfile(other.root / entry["meta"], self.root / meta_name)
-                new_entry["meta"] = meta_name
-                new_entry["meta_sha256"] = sha256_file(self.root / meta_name)
-            resident = other._shards[position]
-            if self.quantizer is not None:
-                source = resident if resident is not None else other._ensure(position)
-                cells = self.quantizer.assign(source.dense())
-                cells_name = _cells_name(new_position)
-                new_entry["cells_sha256"] = self._save_array(cells_name, cells)
-                new_entry["cells"] = cells_name
-                resident = _Shard(
-                    source.keys,
-                    source.metas,
-                    source.embeddings,
-                    codec=self.codec,
-                    scale=source.scale,
-                    cells=cells,
-                )
+        # Every file lands and is verified before this manifest learns of
+        # any: one bad file aborts the merge and removes what it wrote.
+        written: List[Path] = []
+        added: List[Tuple[dict, Optional[_Shard]]] = []
+        try:
+            for position, entry in enumerate(other._manifest["shards"]):
+                new_position = self.num_shards + position
+                new_entry: Dict[str, object] = {
+                    "file": _shard_name(new_position, self.codec),
+                    "entries": entry["entries"],
+                }
+                copies = [("file", "sha256")]
+                if self.codec != "float32":
+                    new_entry["meta"] = _meta_name(new_position)
+                    copies.append(("meta", "meta_sha256"))
+                for name_field, sha_field in copies:
+                    # Hash the copy against the *source's* record: hashing
+                    # it alone would bless corrupt source bytes.
+                    src = other.root / entry[name_field]
+                    written.append(self.root / new_entry[name_field])
+                    shutil.copyfile(src, written[-1])
+                    try:
+                        new_entry[sha_field] = checked_sha256(
+                            written[-1], entry.get(sha_field)
+                        )
+                    except ShardCorruption as exc:
+                        raise ShardCorruption(f"cannot merge {src}: {exc}") from exc
+                resident = other._shards[position]
+                if self.quantizer is not None:
+                    source = resident if resident is not None else other._ensure(position)
+                    resident = _Shard(
+                        source.keys,
+                        source.metas,
+                        source.embeddings,
+                        codec=self.codec,
+                        scale=source.scale,
+                    )
+                    written.append(self.root / _cells_name(new_position))
+                    self._save_cells(self.quantizer, new_position, new_entry, resident)
+                added.append((new_entry, resident))
+        except BaseException:
+            for path in written:
+                path.unlink(missing_ok=True)
+            raise
+        for new_entry, resident in added:
             self._manifest["shards"].append(new_entry)
             self._shards.append(resident)
         self._write_manifest()
@@ -916,12 +944,8 @@ class ShardedEmbeddingIndex:
             np.concatenate(sample, axis=0), num_cells, seed=seed, iters=iters
         )
         for position, shard in zip(positions, loaded):
-            cells = quantizer.assign(shard.dense())
-            cells_name = _cells_name(position)
-            digest = self._save_array(cells_name, cells)
-            self._manifest["shards"][position]["cells"] = cells_name
-            self._manifest["shards"][position]["cells_sha256"] = digest
-            shard.cells = cells
+            entry = self._manifest["shards"][position]
+            self._save_cells(quantizer, position, entry, shard)
         payload = quantizer.to_manifest()
         payload["seed"] = int(seed)
         payload["iters"] = int(iters)
@@ -950,15 +974,11 @@ class ShardedEmbeddingIndex:
     @property
     def keys(self) -> List[str]:
         """All entry keys in global order (loads shard metadata)."""
-        if self.codec == "float32":
-            return self._gather(None)[1]
-        return self._meta_gather(None)[0]
+        return list(self._meta_gather(None)[0])
 
     @property
     def metas(self) -> List[dict]:
         """Per-entry metadata copies in global order (loads shard metadata)."""
-        if self.codec == "float32":
-            return [dict(m) for m in self._gather(None)[2]]
         return [dict(m) for m in self._meta_gather(None)[1]]
 
     # ----------------------------------------------------------- fan-out
@@ -1045,7 +1065,7 @@ class ShardedEmbeddingIndex:
         The single implementation behind :meth:`scores`,
         :meth:`scores_batch`, :meth:`topk` and :meth:`topk_batch`, so the
         shard concatenation and metadata flattening happen once per call.
-        Float32 keeps the flat-matrix pass (bit parity with the monolithic
+        Float32 keeps the flat-matrix pass (bit parity with the in-memory
         index); quantized codecs stream blocks off the memory maps.
         """
         q, num_q = normalize_query_batch(graphs, embeddings, self.dim)
@@ -1218,24 +1238,16 @@ class ShardedEmbeddingIndex:
         is the position within the scored entry set: global when
         ``shards`` is None, shard-subset-relative otherwise.
         """
-        validate_k(k)
-        if mode not in ("exact", "ann"):
-            raise ValueError(f"mode must be 'exact' or 'ann', got {mode!r}")
         if embedding is not None:
             embedding = np.asarray(embedding, dtype=np.float32).reshape(1, -1)
-        if mode == "ann":
-            if shards is not None:
-                raise ValueError(
-                    "mode='ann' always scores against the whole corpus; "
-                    "drop shards= or use mode='exact'"
-                )
-            return self._ann_topk_batch(
-                None if graph is None else [graph], embedding, k, 32, nprobe
-            )[0]
-        scores, keys, metas = self._scored_batch(
-            None if graph is None else [graph], embedding, 32, shards
-        )
-        return ranked_hits(scores[0], keys, metas, k)
+        return self.topk_batch(
+            None if graph is None else [graph],
+            k,
+            embeddings=embedding,
+            shards=shards,
+            mode=mode,
+            nprobe=nprobe,
+        )[0]
 
     def topk_batch(
         self,
@@ -1268,17 +1280,7 @@ class ShardedEmbeddingIndex:
         return [ranked_hits(row, keys, metas, k) for row in scores]
 
 
-def open_index(path: PathLike, trainer, degraded: bool = False, verify_reads: bool = False):
-    """Open either index flavor: a sharded directory or a monolithic ``.npz``.
-
-    The CLI's loader: ``repro serve`` and ``repro index query`` accept
-    both, dispatching on what is actually on disk.  ``degraded`` /
-    ``verify_reads`` apply to the sharded flavor (a monolithic archive
-    has no shards to quarantine — it either loads or raises).
-    """
-    p = Path(path)
-    if p.is_dir() or (p / MANIFEST_NAME).exists():
-        return ShardedEmbeddingIndex.open(
-            p, trainer, degraded=degraded, verify_reads=verify_reads
-        )
-    return EmbeddingIndex.load(path, trainer)
+#: The loader behind the CLI and the serve workers: anything but an index
+#: directory (a model checkpoint, an old single-file ``.npz`` index) raises
+#: ``ValueError`` saying it is not a sharded index.
+open_index = ShardedEmbeddingIndex.open

@@ -3,10 +3,10 @@
 The paper's end product is a matcher that ranks source candidates for
 binary queries; this module turns the retrieval stack into a service. One
 warm :class:`~repro.core.pipeline.MatcherPipeline` (compilation pipeline +
-optional artifact store) and one warm index — monolithic
-:class:`~repro.index.EmbeddingIndex` or lazily-loaded
-:class:`~repro.index.ShardedEmbeddingIndex` — are shared across every
-request of the process lifetime, and pipelined requests are batched so Q
+optional artifact store) and one warm index — the lazily-loaded
+:class:`~repro.index.ShardedEmbeddingIndex` an index directory opens as,
+or an in-memory :class:`~repro.index.EmbeddingIndex` — are shared across
+every request of the process lifetime, and pipelined requests are batched so Q
 queued queries cost one batched encoder pass plus one tiled pair-head
 pass instead of Q of each (see :meth:`EmbeddingIndex.topk_batch`).
 
@@ -192,8 +192,7 @@ class RetrievalServer:
                 else:
                     raise ValueError(
                         "mode='ann' needs a sharded index with a trained coarse "
-                        "quantizer (build with `repro index build --shard-size N "
-                        "--cells K`)"
+                        "quantizer (build with `repro index build --cells K`)"
                     )
         self.index = index
         self.batch_size = batch_size

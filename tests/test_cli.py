@@ -1,5 +1,7 @@
 """Tests for the command-line interface (repro.cli)."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -126,11 +128,12 @@ class TestIndexParser:
     def test_build_defaults(self):
         args = build_parser().parse_args(["index", "build", "model.npz"])
         assert args.index_command == "build"
-        assert args.output == "index.npz"
+        assert args.output == "index"
+        assert args.shard_size == 0
         assert args.languages == "java"
 
     def test_query_defaults(self):
-        args = build_parser().parse_args(["index", "query", "model.npz", "index.npz"])
+        args = build_parser().parse_args(["index", "query", "model.npz", "index"])
         assert args.index_command == "query"
         assert args.top_k == 5
 
@@ -141,7 +144,7 @@ class TestIndexParser:
 
 class TestServeParser:
     def test_defaults(self):
-        args = build_parser().parse_args(["serve", "model.npz", "index.npz"])
+        args = build_parser().parse_args(["serve", "model.npz", "index"])
         assert args.command == "serve"
         assert args.batch == 8
         assert args.top_k == 5
@@ -237,7 +240,7 @@ class TestIndexCommands:
 
     @pytest.fixture(scope="class")
     def index_path(self, checkpoint, tmp_path_factory):
-        path = tmp_path_factory.mktemp("cli-index") / "index.npz"
+        path = tmp_path_factory.mktemp("cli-index") / "index"
         rc = main([
             "index", "build", str(checkpoint),
             "--output", str(path),
@@ -248,10 +251,32 @@ class TestIndexCommands:
         return path
 
     def test_build_writes_index(self, index_path, capsys):
-        assert index_path.exists()
+        """Without --shard-size the build is a one-shard index directory."""
+        manifest = json.loads((index_path / "manifest.json").read_text())
+        assert len(manifest["shards"]) == 1
+        assert manifest["shards"][0]["entries"] == 6
+        assert sorted(p.name for p in index_path.glob("shard-*")) == ["shard-0000.npz"]
+
+    def test_codec_needs_no_shard_size(self, checkpoint, tmp_path, capsys):
+        out_path = tmp_path / "idx"
+        rc = main([
+            "index", "build", str(checkpoint),
+            "--output", str(out_path),
+            "--num-tasks", "4", "--variants", "1",
+            "--codec", "int8",
+        ])
+        assert rc == 0
+        assert "(1 shards, codec=int8)" in capsys.readouterr().out
+        manifest = json.loads((out_path / "manifest.json").read_text())
+        assert manifest["codec"] == "int8" and len(manifest["shards"]) == 1
+        rc = main([
+            "index", "query", str(checkpoint), str(out_path),
+            "--task", "gcd", "--language", "c", "--top-k", "2",
+        ])
+        assert rc == 0
 
     def test_build_reports_counts(self, checkpoint, tmp_path, capsys):
-        out_path = tmp_path / "idx.npz"
+        out_path = tmp_path / "idx"
         rc = main([
             "index", "build", str(checkpoint),
             "--output", str(out_path),

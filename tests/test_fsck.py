@@ -174,6 +174,17 @@ class TestIndexFsck:
         assert not shard.exists()
         assert list((index_root / "quarantine").iterdir())
 
+    def test_missing_checksum_is_corrupt(self, index_root):
+        """Every index writer records a checksum; a missing one is damage."""
+        manifest = json.loads((index_root / "manifest.json").read_text())
+        del manifest["shards"][0]["sha256"]
+        (index_root / "manifest.json").write_text(json.dumps(manifest))
+        report = fsck(index_root)
+        assert not report["clean"]
+        [bad] = [e for e in report["entries"] if e["status"] == "corrupt"]
+        assert bad["file"] == manifest["shards"][0]["file"]
+        assert "no recorded checksum" in bad["detail"]
+
     def test_manifest_untouched_by_quarantine(self, index_root):
         manifest = (index_root / "manifest.json").read_text()
         shard = sorted(index_root.glob("shard-*.npz"))[0]

@@ -3,8 +3,9 @@
 The contract under test is exactness — the index is an optimization, not
 an approximation: top-k order and scores from :class:`EmbeddingIndex` must
 match full pairwise ``trainer.predict`` scoring for both ``pair_features``
-modes, duplicate graphs must not re-enter the encoder, and a save/load
-round trip must preserve scores.
+modes, duplicate graphs must not re-enter the encoder, and persisting
+the index (as a one-shard index directory, the only on-disk format) must
+preserve scores bit for bit.
 """
 
 import numpy as np
@@ -20,7 +21,12 @@ from repro.eval.retrieval import (
     rank_candidates,
     retrieval_corpus_from_samples,
 )
-from repro.index import EmbeddingIndex, graph_fingerprint
+from repro.index import (
+    EmbeddingIndex,
+    ShardedEmbeddingIndex,
+    graph_fingerprint,
+    open_index,
+)
 
 
 @pytest.fixture(scope="module")
@@ -364,6 +370,12 @@ class TestIndexCache:
             index.add([j[0].source_graph], metas=[{}, {}])
 
 
+def _persist(index, root):
+    """Write ``index`` as a one-shard index directory; returns the root."""
+    ShardedEmbeddingIndex.from_index(index, root, max(len(index), 1))
+    return root
+
+
 class TestIndexPersistence:
     def test_save_load_round_trip(self, trained, corpus, tmp_path):
         c, j = corpus
@@ -373,11 +385,10 @@ class TestIndexPersistence:
         )
         query = c[0].decompiled_graph
         want = index.scores(query)
-        path = tmp_path / "index.npz"
-        index.save(path)
-        restored = EmbeddingIndex.load(path, trained)
+        restored = open_index(_persist(index, tmp_path / "index"), trained)
+        assert restored.num_shards == 1
         assert len(restored) == len(index)
-        np.testing.assert_allclose(restored.scores(query), want, atol=1e-6)
+        np.testing.assert_array_equal(restored.scores(query), want)
         assert [h.meta for h in restored.topk(query, k=2)] == [
             h.meta for h in index.topk(query, k=2)
         ]
@@ -386,65 +397,60 @@ class TestIndexPersistence:
         c, j = corpus
         index = EmbeddingIndex(trained)
         index.add([s.source_graph for s in j[:3]])
-        path = tmp_path / "index.npz"
-        index.save(path)
-        restored = EmbeddingIndex.load(path, trained)
+        restored = open_index(_persist(index, tmp_path / "index"), trained)
+        restored.scores(c[0].decompiled_graph)  # loads the stored rows
         before = trained.model.encoder_graph_count
-        restored.add([j[0].source_graph])
+        restored.scores(j[0].source_graph)  # an indexed entry
         assert trained.model.encoder_graph_count == before
 
     def test_row_count_mismatch_rejected(self, trained, corpus, tmp_path):
         """A truncated embeddings array fails loudly at load, not later."""
-        _, j = corpus
+        c, j = corpus
         index = EmbeddingIndex(trained)
         index.add([s.source_graph for s in j[:3]])
-        path = tmp_path / "index.npz"
-        index.save(path)
-        with np.load(path) as archive:
+        shard = _persist(index, tmp_path / "index") / "shard-0000.npz"
+        with np.load(shard) as archive:
             meta = archive["__meta_json__"]
             truncated = archive["embeddings"][:2]
-        np.savez_compressed(path, embeddings=truncated, __meta_json__=meta)
+        np.savez_compressed(shard, embeddings=truncated, __meta_json__=meta)
+        restored = open_index(tmp_path / "index", trained)
         with pytest.raises(ValueError, match="corrupt"):
-            EmbeddingIndex.load(path, trained)
+            restored.scores(c[0].decompiled_graph)
 
-    def test_save_appends_npz_suffix(self, trained, corpus, tmp_path):
+    def test_index_directory_path_used_verbatim(self, trained, corpus, tmp_path):
+        """The index is written to, and opened from, exactly the path given."""
         _, j = corpus
         index = EmbeddingIndex(trained)
         index.add([j[0].source_graph])
-        written = index.save(tmp_path / "myindex")
-        assert written.endswith("myindex.npz")
-        # load resolves the suffix-less name too
-        restored = EmbeddingIndex.load(tmp_path / "myindex", trained)
-        assert len(restored) == 1
+        _persist(index, tmp_path / "myindex")
+        assert (tmp_path / "myindex" / "manifest.json").exists()
+        assert len(open_index(tmp_path / "myindex", trained)) == 1
 
     def test_tag_round_trips(self, trained, corpus, tmp_path):
         _, j = corpus
         index = EmbeddingIndex(trained)
         index.add([j[0].source_graph])
         index.tag = "corpus-v1"
-        path = tmp_path / "index.npz"
-        index.save(path)
-        assert EmbeddingIndex.load(path, trained).tag == "corpus-v1"
+        restored = open_index(_persist(index, tmp_path / "index"), trained)
+        assert restored.tag == "corpus-v1"
 
     def test_model_mismatch_rejected(self, trained, trained_concat, corpus, tmp_path):
         _, j = corpus
         index = EmbeddingIndex(trained)
         index.add([j[0].source_graph])
-        path = tmp_path / "index.npz"
-        index.save(path)
+        _persist(index, tmp_path / "index")
         with pytest.raises(ValueError):
-            EmbeddingIndex.load(path, trained_concat)
+            open_index(tmp_path / "index", trained_concat)
 
     def test_same_shape_different_weights_rejected(self, trained, corpus, tmp_path):
         """An index is bound to the exact weights that produced it."""
         _, j = corpus
         index = EmbeddingIndex(trained)
         index.add([j[0].source_graph])
-        path = tmp_path / "index.npz"
-        index.save(path)
+        _persist(index, tmp_path / "index")
         other = _train(corpus, seed=99)  # same architecture, different weights
         with pytest.raises(ValueError, match="different model"):
-            EmbeddingIndex.load(path, other)
+            open_index(tmp_path / "index", other)
 
     def test_meta_mutation_does_not_corrupt_index(self, trained, corpus):
         c, j = corpus
@@ -458,24 +464,23 @@ class TestIndexPersistence:
     def test_non_index_archive_rejected(self, trained, tmp_path):
         path = tmp_path / "junk.npz"
         np.savez_compressed(path, a=np.zeros(3))
-        with pytest.raises(ValueError):
-            EmbeddingIndex.load(path, trained)
+        with pytest.raises(ValueError, match="not a sharded index"):
+            open_index(path, trained)
 
     def test_checkpoint_and_index_not_interchangeable(
         self, trained, corpus, tmp_path
     ):
-        """Model checkpoints and index archives reject each other cleanly."""
+        """Model checkpoints and index files reject each other cleanly."""
         _, j = corpus
         ckpt = tmp_path / "model.npz"
         trained.save(ckpt)
-        with pytest.raises(ValueError):
-            EmbeddingIndex.load(ckpt, trained)
+        with pytest.raises(ValueError, match="not a sharded index"):
+            open_index(ckpt, trained)
         index = EmbeddingIndex(trained)
         index.add([j[0].source_graph])
-        idx_path = tmp_path / "index.npz"
-        index.save(idx_path)
+        shard = _persist(index, tmp_path / "index") / "shard-0000.npz"
         with pytest.raises(ValueError):
-            MatchTrainer.load(idx_path)
+            MatchTrainer.load(shard)
 
 
 class TestRetrievalFastPath:

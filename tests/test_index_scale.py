@@ -9,8 +9,9 @@ Three contracts layered on top of the sharded index's exactness story:
 * **ann** — with ``nprobe >= num_cells`` the ANN path degenerates to
   exact search over the same stored rows, hit for hit, and with fewer
   probes every returned hit still comes from a probed cell;
-* **migration** — legacy v1 manifests open and score bit-identically,
-  and corrupt quantized shards fail loudly with actionable messages.
+* **migration** — v1/v2 manifests (no checksums) are refused with a
+  rebuild instruction, and corrupt quantized shards fail loudly with
+  actionable messages.
 """
 
 import json
@@ -24,7 +25,8 @@ from repro.data.corpus import CorpusBuilder
 from repro.data.pairs import build_pairs
 from repro.eval.retrieval import evaluate_retrieval
 from repro.index import EmbeddingIndex, ShardedEmbeddingIndex
-from repro.index.sharded import INDEX_FORMAT_VERSION, MANIFEST_NAME, _FORMAT_V1
+from repro.fsck import fsck
+from repro.index.sharded import INDEX_FORMAT_VERSION, MANIFEST_NAME
 from repro.serve import RetrievalServer
 
 
@@ -303,31 +305,21 @@ class TestQuantizerSampling:
 
 
 class TestMigration:
-    def test_v1_manifest_opens_and_scores_bit_identically(
-        self, trained, corpus, mono, tmp_path
-    ):
-        root = tmp_path / "idx"
-        ShardedEmbeddingIndex.from_index(mono, root, 3)
-        # Rewrite the manifest exactly as the v1 writer left it: v1 had no
-        # format_version / codec / quantizer keys at all.
-        manifest = json.loads((root / MANIFEST_NAME).read_text())
-        manifest["format"] = _FORMAT_V1
-        for key in ("format_version", "codec", "quantizer"):
-            manifest.pop(key, None)
-        (root / MANIFEST_NAME).write_text(json.dumps(manifest))
-        legacy = ShardedEmbeddingIndex.open(root, trained)
-        assert legacy.codec == "float32" and legacy.quantizer is None
-        queries = _queries(corpus)
-        np.testing.assert_array_equal(
-            legacy.scores_batch(queries), mono.scores_batch(queries)
-        )
-        # The v1 manifest is not rewritten by read-only use...
-        assert json.loads((root / MANIFEST_NAME).read_text())["format"] == _FORMAT_V1
-        # ...and mutation upgrades it in place to the current version.
-        legacy.train_quantizer(2)
-        upgraded = json.loads((root / MANIFEST_NAME).read_text())
-        assert upgraded["format_version"] == 1  # version reflects origin
-        assert upgraded["quantizer"]["num_cells"] == 2
+    def test_legacy_manifests_rejected(self, trained, mono, tmp_path):
+        """v1/v2 manifests are refused by open and fsck, naming the format."""
+        for fmt in ("sharded-embedding-index-v1", "sharded-embedding-index-v2"):
+            root = tmp_path / fmt
+            ShardedEmbeddingIndex.from_index(mono, root, 3)
+            manifest = json.loads((root / MANIFEST_NAME).read_text())
+            manifest["format"] = fmt
+            (root / MANIFEST_NAME).write_text(json.dumps(manifest))
+            with pytest.raises(ValueError, match=f"{fmt}.*rebuild"):
+                ShardedEmbeddingIndex.open(root, trained)
+            report = fsck(root)
+            assert not report["clean"]
+            [entry] = [e for e in report["entries"] if e["file"] == MANIFEST_NAME]
+            assert entry["status"] == "corrupt"
+            assert fmt in entry["detail"] and "rebuild" in entry["detail"]
 
     def test_format_version_recorded(self, trained, mono, tmp_path):
         root = tmp_path / "idx"

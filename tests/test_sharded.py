@@ -1,10 +1,12 @@
 """Tests for the sharded embedding index: exactness, laziness, growth.
 
-The contract is the same as the monolithic index's, with one word
-stronger: an index sharded from a monolithic one must return *bit
+The contract is the same as the in-memory index's, with one word
+stronger: an index sharded from an in-memory one must return *bit
 identical* scores (the shards hold the same float32 rows and the scoring
 code path is shared), while loading shards lazily and growing via
-``add_shard`` / ``merge`` without rewriting existing shard files.
+``add_shard`` / ``merge`` without rewriting existing shard files.  The
+sharded directory is the only on-disk index format, so every shard file
+is checksummed and anything else on disk is refused.
 """
 
 import json
@@ -17,7 +19,7 @@ from repro.core.trainer import MatchTrainer
 from repro.data.corpus import CorpusBuilder
 from repro.data.pairs import build_pairs
 from repro.index import EmbeddingIndex, ShardedEmbeddingIndex, open_index
-from repro.index.sharded import MANIFEST_NAME
+from repro.index.sharded import MANIFEST_NAME, ShardCorruption
 
 
 @pytest.fixture(scope="module")
@@ -46,7 +48,7 @@ def trained(corpus):
 
 @pytest.fixture()
 def mono(trained, corpus):
-    """Monolithic reference index over every java source graph."""
+    """In-memory reference index over every java source graph."""
     _, j = corpus
     index = EmbeddingIndex(trained)
     index.add(
@@ -191,6 +193,25 @@ class TestGrowth:
         assert reopened.num_shards == a.num_shards
         np.testing.assert_array_equal(reopened.embeddings, mono.embeddings)
 
+    def test_merge_rejects_corrupt_source_shard(self, trained, mono, tmp_path):
+        """A corrupt source file must not come out of merge re-checksummed."""
+        rng = np.random.default_rng(0)
+        rows = rng.standard_normal((64, mono.dim)).astype(np.float32)
+        flat = EmbeddingIndex(trained)
+        flat.add_precomputed([f"{i:064x}" for i in range(64)], rows)
+        ShardedEmbeddingIndex.from_index(flat, tmp_path / "src", 32, codec="int8")
+        victim = tmp_path / "src" / "shard-0000.npy"
+        raw = bytearray(victim.read_bytes())
+        for i in range(len(raw) - 80, len(raw) - 16):
+            raw[i] ^= 0xFF
+        victim.write_bytes(bytes(raw))
+        dst = ShardedEmbeddingIndex.create(trained, tmp_path / "dst", codec="int8")
+        with pytest.raises(ShardCorruption, match="shard-0000.npy"):
+            dst.merge(ShardedEmbeddingIndex.open(tmp_path / "src", trained))
+        assert dst.num_shards == 0
+        assert json.loads((tmp_path / "dst" / MANIFEST_NAME).read_text())["shards"] == []
+        assert not list((tmp_path / "dst").glob("shard-*"))
+
     def test_merge_into_itself_rejected(self, trained, mono, tmp_path):
         a = ShardedEmbeddingIndex.from_index(mono, tmp_path / "a", 2)
         with pytest.raises(ValueError, match="itself"):
@@ -251,14 +272,29 @@ class TestValidation:
 
 
 class TestOpenIndex:
-    def test_dispatches_on_disk_layout(self, trained, corpus, mono, tmp_path):
-        _, j = corpus
-        mono_path = tmp_path / "mono.npz"
-        mono.save(mono_path)
-        ShardedEmbeddingIndex.from_index(mono, tmp_path / "sharded", 3)
-        assert isinstance(open_index(mono_path, trained), EmbeddingIndex)
+    def test_rejects_checkpoints_and_monolithic_archives(
+        self, trained, mono, tmp_path
+    ):
+        """Only an index directory opens; single-file archives are refused."""
+        ckpt = tmp_path / "model.npz"
+        trained.save(ckpt)
+        # The single-archive layout earlier builds wrote for unsharded indexes.
+        legacy = tmp_path / "index.npz"
+        meta = json.dumps({"keys": mono._keys, "metas": mono._metas, "dim": mono.dim})
+        np.savez_compressed(
+            legacy,
+            embeddings=mono.embeddings,
+            __meta_json__=np.frombuffer(meta.encode(), dtype=np.uint8),
+        )
+        for path in (ckpt, legacy):
+            with pytest.raises(ValueError, match="not a sharded index"):
+                open_index(path, trained)
         assert isinstance(
-            open_index(tmp_path / "sharded", trained), ShardedEmbeddingIndex
+            open_index(
+                ShardedEmbeddingIndex.from_index(mono, tmp_path / "idx", 3).root,
+                trained,
+            ),
+            ShardedEmbeddingIndex,
         )
 
 
@@ -298,22 +334,6 @@ class _SpyArchive:
 
 class TestNoCopyLoads:
     """astype(copy=False) regression: loading float32 must not duplicate."""
-
-    def test_monolithic_load_shares_archive_memory(
-        self, trained, mono, tmp_path, monkeypatch
-    ):
-        import repro.index.embedding_index as ei
-
-        path = tmp_path / "mono.npz"
-        mono.save(path)
-        handed = {}
-        real_load = np.load
-        monkeypatch.setattr(
-            ei.np, "load", lambda p: _SpyArchive(real_load(p), handed)
-        )
-        reopened = EmbeddingIndex.load(path, trained)
-        row = reopened._cache[reopened._keys[0]]
-        assert np.shares_memory(row, handed["arr"])
 
     def test_shard_load_shares_archive_memory(
         self, trained, mono, tmp_path, monkeypatch
@@ -385,3 +405,31 @@ class TestTieBreaking:
             (h.index, h.key) for h in exact
         ]
         assert [h.key for h in ann] == sorted(h.key for h in ann)
+
+
+class TestChecksums:
+    """Every writer records a checksum, so a missing one is corruption."""
+
+    @pytest.mark.parametrize("field", ["sha256", "meta_sha256", "cells_sha256"])
+    def test_missing_checksum_is_corruption(
+        self, trained, corpus, mono, tmp_path, field
+    ):
+        c, _ = corpus
+        root = tmp_path / "idx"
+        ShardedEmbeddingIndex.from_index(mono, root, 3, codec="int8", cells=2)
+        manifest = json.loads((root / MANIFEST_NAME).read_text())
+        del manifest["shards"][0][field]
+        (root / MANIFEST_NAME).write_text(json.dumps(manifest))
+        query = c[0].decompiled_graph
+        strict = ShardedEmbeddingIndex.open(root, trained, verify_reads=True)
+        with pytest.raises(ShardCorruption, match="no recorded checksum"):
+            strict.scores(query)
+        degraded = ShardedEmbeddingIndex.open(
+            root, trained, degraded=True, verify_reads=True
+        )
+        assert degraded.scores(query).shape == (len(mono) - 3,)
+        assert list(degraded.quarantined) == [0]
+        # Without verify_reads nothing is hashed, so nothing is missed.
+        assert ShardedEmbeddingIndex.open(root, trained).scores(query).shape == (
+            len(mono),
+        )
