@@ -124,13 +124,30 @@ assert stats["flushed_on_idle"] >= 1, stats
 assert stats["flushed_on_barrier"] == 0, stats
 flushes = sum(stats[f"flushed_on_{r}"] for r in ("idle", "size", "deadline"))
 assert flushes == stats["batches"], stats
+# A repeated binary is answered from the payload memo: same hits, bit for bit.
+repeat = json.loads(open(f"{tmp}/requests.jsonl").readline())
+repeat["id"] = "bin-again"
+s.sendall((json.dumps(repeat) + "\n").encode())
+buf = b""
+while b"\n" not in buf:
+    chunk = s.recv(65536)
+    assert chunk, "server hung up early"
+    buf += chunk
+again = json.loads(buf)
+assert again["id"] == "bin-again" and again["hits"] == lines[0]["hits"], again
 s.close()
 print("socket serve smoke: OK")
 EOF
+stop_started="$(date +%s%N)"
 kill -INT "$serve_pid"
 if ! wait "$serve_pid"; then
   echo "verify: FAIL — socket server did not exit cleanly" >&2
   cat "$tmp/serve-socket.log" >&2
+  exit 1
+fi
+stop_ms=$(( ($(date +%s%N) - stop_started) / 1000000 ))
+if [ "$stop_ms" -gt 2000 ]; then
+  echo "verify: FAIL — socket server took ${stop_ms} ms to exit after SIGINT" >&2
   exit 1
 fi
 # An exception in a server thread only prints to stderr while later

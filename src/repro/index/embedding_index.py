@@ -181,11 +181,22 @@ def normalize_query_batch(
     return q, q.shape[0]
 
 
+def key_order(keys: Sequence[str]) -> np.ndarray:
+    """Dense rank of each key in ascending key order (equal keys, equal rank).
+
+    :func:`ranked_hits`' key tie-break as integers: computed once per
+    entry list and cached by both indexes, so ranking a query never sorts
+    C strings again.
+    """
+    return np.unique(np.asarray(keys), return_inverse=True)[1]
+
+
 def ranked_hits(
     scores: np.ndarray,
     keys: Sequence[str],
     metas: Sequence[dict],
     k: Optional[int],
+    order: Optional[np.ndarray] = None,
 ) -> List[Hit]:
     """Descending-score :class:`Hit` list (all entries when ``k`` is None).
 
@@ -196,13 +207,27 @@ def ranked_hits(
     content hashes — not positions alone — is what lets exact-vs-ANN
     recall gates and cross-process parity checks survive equal scores,
     where position order would depend on shard layout.
+
+    ``order`` is :func:`key_order` of ``keys`` (computed here when None).
+    A top-k query partitions first and sorts only the rows scoring at
+    least the k-th best score — ties with it included, so the key
+    tie-break still decides among them: O(C + k log k) instead of a full
+    sort.  A NaN score, or ``k`` covering every entry, takes the full sort.
     """
-    # lexsort sorts by the *last* key first: -scores primary, keys secondary.
-    order = np.lexsort((np.asarray(keys), -scores))
+    if order is None:
+        order = key_order(keys)
+    neg = -scores
+    if k is None or k >= neg.shape[0] or np.isnan(neg).any():
+        # lexsort sorts by the *last* key first: -scores, then key rank.
+        ranked = np.lexsort((order, neg))
+    else:
+        kth = np.partition(neg, k - 1)[k - 1]
+        rows = np.flatnonzero(neg <= kth)
+        ranked = rows[np.lexsort((order[rows], neg[rows]))]
     if k is not None:
-        order = order[:k]
+        ranked = ranked[:k]
     return [
-        Hit(int(i), float(scores[i]), dict(metas[i]), keys[i]) for i in order
+        Hit(int(i), float(scores[i]), dict(metas[i]), keys[i]) for i in ranked
     ]
 
 
@@ -228,6 +253,8 @@ class EmbeddingIndex:
         self._keys: List[str] = []
         self._metas: List[dict] = []
         self._matrix: Optional[np.ndarray] = None
+        # key_order(self._keys), dropped with _matrix whenever entries change.
+        self._order: Optional[np.ndarray] = None
         # Optional caller-set identity for the corpus behind the entries
         # (e.g. MatcherPipeline stores a hash of its candidate list here);
         # carried into the manifest by ShardedEmbeddingIndex.from_index and
@@ -265,6 +292,11 @@ class EmbeddingIndex:
                 self._matrix = np.stack([self._cache[k] for k in self._keys])
         return self._matrix
 
+    def _key_order(self) -> np.ndarray:
+        if self._order is None:
+            self._order = key_order(self._keys)
+        return self._order
+
     # ------------------------------------------------------------ loading
     def add(
         self,
@@ -301,6 +333,7 @@ class EmbeddingIndex:
         self._keys.extend(keys)
         self._metas.extend(dict(m) for m in metas)
         self._matrix = None
+        self._order = None
         return keys
 
     def add_precomputed(
@@ -333,6 +366,7 @@ class EmbeddingIndex:
         self._keys.extend(keys)
         self._metas.extend(dict(m) for m in metas)
         self._matrix = None
+        self._order = None
 
     def seed_embedding_cache(self, keys: Sequence[str], embeddings: np.ndarray) -> None:
         """Register precomputed ``key → embedding row`` pairs in the cache.
@@ -346,8 +380,28 @@ class EmbeddingIndex:
         for key, row in zip(keys, embeddings):
             self._cache[key] = row
 
+    def cached_embedding(self, key: str) -> Optional[np.ndarray]:
+        """The cached embedding row for fingerprint ``key``, or None.
+
+        Looks in the corpus cache, then the query LRU (touching the entry),
+        and counts a found row as a cache hit exactly as
+        :meth:`embed_queries` does.  A miss is not counted: the caller then
+        embeds the graph, and :meth:`embed_queries` counts it.
+        """
+        row = self._cache.get(key)
+        if row is None:
+            row = self._query_cache.get(key)
+            if row is None:
+                return None
+            self._query_cache.move_to_end(key)
+        self.cache_hits += 1
+        return row
+
     def embed_queries(
-        self, graphs: Sequence[ProgramGraph], batch_size: int = 32
+        self,
+        graphs: Sequence[ProgramGraph],
+        batch_size: int = 32,
+        keys: Optional[Sequence[str]] = None,
     ) -> np.ndarray:
         """Query embeddings ``(Q, 2H)`` with every uncached graph batched.
 
@@ -358,8 +412,14 @@ class EmbeddingIndex:
         instead of Q encoder invocations — tokenization, graph batching
         and the segment sorts are per-call overheads, so batching them is
         where :meth:`topk_batch`'s speedup comes from.
+
+        ``keys`` are the graphs' fingerprints when the caller already has
+        them; they are computed here otherwise.
         """
-        keys = [graph_fingerprint(g) for g in graphs]
+        if keys is None:
+            keys = [graph_fingerprint(g) for g in graphs]
+        elif len(keys) != len(graphs):
+            raise ValueError("keys must match graphs 1:1")
         fresh: Dict[str, ProgramGraph] = {}
         for key, graph in zip(keys, graphs):
             if key in self._cache or key in self._query_cache or key in fresh:
@@ -443,7 +503,7 @@ class EmbeddingIndex:
         validate_k(k)
         _require_exact(mode)
         scores = self.scores(graph, embedding=embedding)
-        return ranked_hits(scores, self._keys, self._metas, k)
+        return ranked_hits(scores, self._keys, self._metas, k, self._key_order())
 
     def topk_batch(
         self,
@@ -464,4 +524,5 @@ class EmbeddingIndex:
         validate_k(k)
         _require_exact(mode)
         scores = self.scores_batch(graphs, embeddings=embeddings, batch_size=batch_size)
-        return [ranked_hits(row, self._keys, self._metas, k) for row in scores]
+        order = self._key_order()
+        return [ranked_hits(row, self._keys, self._metas, k, order) for row in scores]

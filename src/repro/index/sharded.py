@@ -61,7 +61,7 @@ import threading
 import zipfile
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -71,6 +71,7 @@ from repro.index.embedding_index import (
     EmbeddingIndex,
     Hit,
     graph_fingerprint,
+    key_order,
     model_fingerprint,
     normalize_query_batch,
     ranked_hits,
@@ -114,6 +115,20 @@ _SHARD_GLOB = "shard-*"
 
 #: Rows dequantized per scoring block on the streamed exact path.
 _SCORE_BLOCK_ROWS = 4096
+
+
+class _Gathered(NamedTuple):
+    """The entries of a shard selection, concatenated in global order."""
+
+    keys: List[str]
+    metas: List[dict]
+    order: np.ndarray  # key_order(keys): ranked_hits' tie-break
+    positions: List[int]  # the shards they came from (quarantined skipped)
+    matrix: Optional[np.ndarray]  # float32 rows, once a scoring pass needs them
+
+
+def _no_entries() -> _Gathered:
+    return _Gathered([], [], key_order([]), [], None)
 
 
 def _shard_name(position: int, codec: str = "float32") -> str:
@@ -294,11 +309,11 @@ class ShardedEmbeddingIndex:
             self.quantizer = None
             self.quantizer_error = str(exc)
         self._shards: List[Optional[_Shard]] = [None] * len(manifest["shards"])
-        # Whole-corpus gather cache (matrix, keys, metas) — rebuilt after
-        # add_shard/merge so queries pay the flattening once, not per call.
-        # Float32 codec only: quantized codecs never flatten the corpus.
-        self._flat: Optional[Tuple[np.ndarray, List[str], List[dict]]] = None
-        self._meta_flat: Optional[Tuple[List[str], List[dict]]] = None
+        # Whole-corpus gather cache — dropped by add_shard, merge and
+        # quarantine_shard — so queries pay the flattening and the key
+        # order once, not per call.  Only the float32 codec ever adds the
+        # matrix: quantized codecs never flatten the corpus.
+        self._flat: Optional[_Gathered] = None
         self._load_lock = threading.Lock()
         # Shard fan-out: exact streaming and ANN probing dispatch per-shard
         # work on a thread pool (numpy releases the GIL in the pair head's
@@ -629,7 +644,6 @@ class ShardedEmbeddingIndex:
         self.quarantined[position] = reason
         self._shards[position] = None
         self._flat = None
-        self._meta_flat = None
 
     def coverage(self) -> float:
         """Fraction of manifest entries still in service (1.0 when healthy)."""
@@ -683,53 +697,42 @@ class ShardedEmbeddingIndex:
             out.append(s)
         return out
 
-    def _gather(
-        self, shards: Optional[Sequence[int]]
-    ) -> Tuple[np.ndarray, List[str], List[dict]]:
-        """Concatenated (embeddings, keys, metas) over the selected shards.
+    def _gather(self, shards: Optional[Sequence[int]], rows: bool = False) -> _Gathered:
+        """Keys, metas and key order over the selected shards (+ rows).
 
-        Float32 codec only — the exact hot path whose flat matmul keeps
-        bit parity with the in-memory index.  The whole-corpus case
-        (``shards=None`` — the serving hot path) is cached until the
-        shard set changes.
+        ``rows`` adds the float32 matrix — the exact hot path whose flat
+        matmul keeps bit parity with the in-memory index.  The
+        whole-corpus case (``shards=None`` — the serving hot path) is
+        cached until the shard set changes.
         """
-        if shards is None and self._flat is not None:
-            return self._flat
-        _, loaded = self._ensure_active(self._resolve_shards(shards))
-        if not loaded:
-            matrix = np.zeros((0, self.dim), dtype=np.float32)
-        else:
-            matrix = np.concatenate([s.embeddings for s in loaded], axis=0)
-        keys = [k for s in loaded for k in s.keys]
-        gathered = (matrix, keys, [m for s in loaded for m in s.metas])
+        flat = self._flat if shards is None else None
+        if flat is None:
+            positions, loaded = self._ensure_active(self._resolve_shards(shards))
+            keys = [k for s in loaded for k in s.keys]
+            metas = [m for s in loaded for m in s.metas]
+            flat = _Gathered(keys, metas, key_order(keys), positions, None)
+        if rows and flat.matrix is None:
+            loaded = [self._shards[p] for p in flat.positions]
+            if not loaded:
+                matrix = np.zeros((0, self.dim), dtype=np.float32)
+            else:
+                matrix = np.concatenate([s.embeddings for s in loaded], axis=0)
+            flat = flat._replace(matrix=matrix)
+            if shards is None:
+                # The flat matrix becomes the one canonical copy: re-point
+                # each shard's rows at views into it (freeing the per-shard
+                # arrays) and seed the query-encoder cache so queries
+                # identical to indexed entries skip the encoder, like the
+                # in-memory index.
+                offset = 0
+                for shard in loaded:
+                    n = shard.embeddings.shape[0]
+                    shard.embeddings = matrix[offset : offset + n]
+                    offset += n
+                self._encoder.seed_embedding_cache(flat.keys, matrix)
         if shards is None:
-            # The flat matrix becomes the one canonical copy: re-point each
-            # shard's rows at views into it (freeing the per-shard arrays)
-            # and seed the query-encoder cache so queries identical to
-            # indexed entries skip the encoder, like the in-memory index.
-            offset = 0
-            for shard in loaded:
-                n = shard.embeddings.shape[0]
-                shard.embeddings = matrix[offset : offset + n]
-                offset += n
-            self._encoder.seed_embedding_cache(keys, matrix)
-            self._flat = gathered
-        return gathered
-
-    def _meta_gather(
-        self, shards: Optional[Sequence[int]]
-    ) -> Tuple[List[str], List[dict], List[int]]:
-        """Concatenated (keys, metas) plus resolved positions — no dequant."""
-        positions = self._resolve_shards(shards)
-        if shards is None and self._meta_flat is not None:
-            keys, metas = self._meta_flat
-            return keys, metas, [p for p in positions if p not in self.quarantined]
-        positions, loaded = self._ensure_active(positions)
-        keys = [k for s in loaded for k in s.keys]
-        metas = [m for s in loaded for m in s.metas]
-        if shards is None:
-            self._meta_flat = (keys, metas)
-        return keys, metas, positions
+            self._flat = flat
+        return flat
 
     # ------------------------------------------------------------ growing
     def add_shard(
@@ -822,7 +825,6 @@ class ShardedEmbeddingIndex:
             # float32 codec registers entry embeddings as known queries.
             self._encoder.seed_embedding_cache(resident.keys, resident.embeddings)
         self._flat = None
-        self._meta_flat = None
         return name
 
     def merge(self, other: "ShardedEmbeddingIndex") -> None:
@@ -898,7 +900,6 @@ class ShardedEmbeddingIndex:
             self._shards.append(resident)
         self._write_manifest()
         self._flat = None
-        self._meta_flat = None
 
     # ---------------------------------------------------------- quantizer
     def train_quantizer(
@@ -965,7 +966,7 @@ class ShardedEmbeddingIndex:
         never depend on a corpus-sized float32 matrix existing.
         """
         if self.codec == "float32":
-            return self._gather(None)[0]
+            return self._gather(None, rows=True).matrix
         loaded = [self._ensure(p) for p in range(self.num_shards)]
         if not loaded:
             return np.zeros((0, self.dim), dtype=np.float32)
@@ -974,12 +975,12 @@ class ShardedEmbeddingIndex:
     @property
     def keys(self) -> List[str]:
         """All entry keys in global order (loads shard metadata)."""
-        return list(self._meta_gather(None)[0])
+        return list(self._gather(None).keys)
 
     @property
     def metas(self) -> List[dict]:
         """Per-entry metadata copies in global order (loads shard metadata)."""
-        return [dict(m) for m in self._meta_gather(None)[1]]
+        return [dict(m) for m in self._gather(None).metas]
 
     # ----------------------------------------------------------- fan-out
     def _run_fanout(self, fn, count: int) -> None:
@@ -1059,8 +1060,8 @@ class ShardedEmbeddingIndex:
         embeddings: Optional[np.ndarray],
         batch_size: int,
         shards: Optional[Sequence[int]],
-    ) -> Tuple[np.ndarray, List[str], List[dict]]:
-        """One gather + one scoring pass: ``((Q, C) scores, keys, metas)``.
+    ) -> Tuple[np.ndarray, _Gathered]:
+        """One gather + one scoring pass: ``((Q, C) scores, entries)``.
 
         The single implementation behind :meth:`scores`,
         :meth:`scores_batch`, :meth:`topk` and :meth:`topk_batch`, so the
@@ -1070,25 +1071,42 @@ class ShardedEmbeddingIndex:
         """
         q, num_q = normalize_query_batch(graphs, embeddings, self.dim)
         if len(self) == 0:
-            return np.zeros((num_q, 0), dtype=np.float32), [], []
-        if self.codec == "float32":
-            matrix, keys, metas = self._gather(shards)
-            if num_q == 0 or matrix.shape[0] == 0:
-                return (
-                    np.zeros((num_q, matrix.shape[0]), dtype=np.float32),
-                    keys,
-                    metas,
-                )
-            if q is None:
-                q = self._encoder.embed_queries(graphs, batch_size)
-            return score_pairs_tiled(self.trainer, q, matrix), keys, metas
-        keys, metas, positions = self._meta_gather(shards)
-        if num_q == 0 or not keys:
-            return np.zeros((num_q, len(keys)), dtype=np.float32), keys, metas
+            return np.zeros((num_q, 0), dtype=np.float32), _no_entries()
+        float32 = self.codec == "float32"
+        flat = self._gather(shards, rows=float32)
+        if num_q == 0 or not flat.keys:
+            return np.zeros((num_q, len(flat.keys)), dtype=np.float32), flat
         if q is None:
             q = self._encoder.embed_queries(graphs, batch_size)
+        if float32:
+            return score_pairs_tiled(self.trainer, q, flat.matrix), flat
         self._dequant_reset()
-        return self._stream_scores(q, positions), keys, metas
+        return self._stream_scores(q, flat.positions), flat
+
+    @property
+    def query_cache_size(self) -> int:
+        """Bound of the query-embedding LRU (the inner encoder's)."""
+        return self._encoder.query_cache_size
+
+    def cached_embedding(self, key: str) -> Optional[np.ndarray]:
+        """See :meth:`EmbeddingIndex.cached_embedding` (the query cache's)."""
+        return self._encoder.cached_embedding(key)
+
+    def embed_queries(
+        self,
+        graphs: Sequence[ProgramGraph],
+        batch_size: int = 32,
+        keys: Optional[Sequence[str]] = None,
+    ) -> np.ndarray:
+        """Query embeddings ``(Q, 2H)`` as the exact scoring pass makes them.
+
+        A float32 index gathers its corpus first, which seeds the query
+        cache with the stored rows: a query identical to an indexed entry
+        then reuses that row instead of being encoded.
+        """
+        if self.codec == "float32" and len(self):
+            self._gather(None, rows=True)
+        return self._encoder.embed_queries(graphs, batch_size, keys)
 
     def scores(
         self,
@@ -1100,7 +1118,7 @@ class ShardedEmbeddingIndex:
         """Pair-head scores against every (selected-shard) entry."""
         if embedding is not None:
             embedding = np.asarray(embedding, dtype=np.float32).reshape(1, -1)
-        scores, _, _ = self._scored_batch(
+        scores, _ = self._scored_batch(
             None if graph is None else [graph], embedding, 32, shards
         )
         return scores[0]
@@ -1114,7 +1132,7 @@ class ShardedEmbeddingIndex:
         shards: Optional[Sequence[int]] = None,
     ) -> np.ndarray:
         """All pair-head scores ``(Q, C)``, one batched encode + one pass."""
-        scores, _, _ = self._scored_batch(graphs, embeddings, batch_size, shards)
+        scores, _ = self._scored_batch(graphs, embeddings, batch_size, shards)
         return scores
 
     # ---------------------------------------------------------- ANN path
@@ -1274,10 +1292,10 @@ class ShardedEmbeddingIndex:
                     "drop shards= or use mode='exact'"
                 )
             return self._ann_topk_batch(graphs, embeddings, k, batch_size, nprobe)
-        scores, keys, metas = self._scored_batch(
-            graphs, embeddings, batch_size, shards
-        )
-        return [ranked_hits(row, keys, metas, k) for row in scores]
+        scores, flat = self._scored_batch(graphs, embeddings, batch_size, shards)
+        return [
+            ranked_hits(row, flat.keys, flat.metas, k, flat.order) for row in scores
+        ]
 
 
 #: The loader behind the CLI and the serve workers: anything but an index

@@ -147,6 +147,12 @@ class SocketFrontend:
         responses already owed drain through the existing connections.
         """
         if self._listener is not None:
+            # On Linux, close() alone does not wake a thread blocked in
+            # accept(); shutdown() does, so the join below returns at once.
+            try:
+                self._listener.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
             try:
                 self._listener.close()
             except OSError:

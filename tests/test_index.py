@@ -26,7 +26,9 @@ from repro.index import (
     ShardedEmbeddingIndex,
     graph_fingerprint,
     open_index,
+    ranked_hits,
 )
+from repro.index.embedding_index import key_order
 
 
 @pytest.fixture(scope="module")
@@ -363,6 +365,37 @@ class TestIndexCache:
         assert scores.shape == (1,)
         assert len(index._query_cache) == 0
 
+    def test_cached_embedding_counts_hits_only(self, trained, corpus):
+        c, j = corpus
+        index = EmbeddingIndex(trained, query_cache_size=2)
+        index.add([j[0].source_graph])
+        entry_key = graph_fingerprint(j[0].source_graph)
+        np.testing.assert_array_equal(
+            index.cached_embedding(entry_key), index.embeddings[0]
+        )
+        query = c[0].decompiled_graph
+        key = graph_fingerprint(query)
+        hits, misses = index.cache_hits, index.cache_misses
+        assert index.cached_embedding(key) is None
+        assert (index.cache_hits, index.cache_misses) == (hits, misses)
+        row = index.embed_queries([query], keys=[key])[0]
+        np.testing.assert_array_equal(index.cached_embedding(key), row)
+        assert (index.cache_hits, index.cache_misses) == (hits + 1, misses + 1)
+        # A lookup touches the LRU like a query does: the touched row
+        # survives the next insertion, the other one is evicted.
+        other = c[1].decompiled_graph
+        index.embed_queries([other])
+        index.cached_embedding(key)
+        index.embed_queries([c[2].decompiled_graph])
+        assert index.cached_embedding(key) is not None
+        assert index.cached_embedding(graph_fingerprint(other)) is None
+
+    def test_embed_queries_keys_must_align(self, trained, corpus):
+        c, j = corpus
+        index = EmbeddingIndex(trained)
+        with pytest.raises(ValueError, match="1:1"):
+            index.embed_queries([c[0].decompiled_graph], keys=[])
+
     def test_metas_must_align(self, trained, corpus):
         _, j = corpus
         index = EmbeddingIndex(trained)
@@ -675,3 +708,71 @@ class TestPipelineFastPaths:
         bare.add([pipe.graph_of_source(t, l) for t, l in candidates])
         with pytest.raises(ValueError, match="source_index"):
             pipe.rank_sources(c[0].binary_bytes, candidates, index=bare)
+
+
+def _lexsort_reference(scores, keys, k):
+    """The full-sort ranking: descending score, then key, then position."""
+    order = np.lexsort((np.asarray(keys), -scores))
+    return list(order if k is None else order[:k])
+
+
+class TestRankedHits:
+    """Top-k selection returns exactly the full sort's prefix."""
+
+    C = 48
+
+    def _case(self, seed, levels):
+        rng = np.random.default_rng(seed)
+        # Few score levels force ties at and across the k-th score; a few
+        # duplicate keys force the position tie-break too.
+        scores = (rng.integers(0, levels, self.C) / levels).astype(np.float32)
+        keys = [f"{int(v):064x}" for v in rng.integers(0, self.C // 2, self.C)]
+        metas = [{"i": i} for i in range(self.C)]
+        return scores, keys, metas
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("levels", [2, 5, 1000])
+    @pytest.mark.parametrize("k", [1, 5, C - 1, C, None])
+    def test_matches_full_lexsort(self, seed, levels, k):
+        scores, keys, metas = self._case(seed, levels)
+        want = _lexsort_reference(scores, keys, k)
+        for order in (None, key_order(keys)):
+            hits = ranked_hits(scores, keys, metas, k, order)
+            assert [h.index for h in hits] == want
+            assert [h.key for h in hits] == [keys[i] for i in want]
+            assert [h.score for h in hits] == [float(scores[i]) for i in want]
+            assert [h.meta for h in hits] == [metas[i] for i in want]
+
+    def test_ties_straddle_the_kth_score(self):
+        scores = np.array([0.9, 0.5, 0.5, 0.5, 0.5, 0.1], dtype=np.float32)
+        keys = ["f", "e", "b", "d", "a", "c"]
+        metas = [{} for _ in keys]
+        for k in range(1, len(keys) + 1):
+            hits = ranked_hits(scores, keys, metas, k)
+            assert [h.index for h in hits] == _lexsort_reference(scores, keys, k)
+        assert [h.key for h in ranked_hits(scores, keys, metas, 3)] == ["f", "a", "b"]
+
+    @pytest.mark.parametrize("k", [1, 5, C - 1, C, None])
+    def test_nan_score(self, k):
+        scores, keys, metas = self._case(0, 5)
+        scores[[3, 17]] = np.nan
+        scores[5] = -0.0
+        hits = ranked_hits(scores, keys, metas, k)
+        assert [h.index for h in hits] == _lexsort_reference(scores, keys, k)
+
+    def test_key_order_is_a_dense_rank(self):
+        np.testing.assert_array_equal(
+            key_order(["b", "a", "c", "a"]), np.array([1, 0, 2, 0])
+        )
+        assert key_order([]).shape == (0,)
+
+    def test_index_key_order_follows_adds(self, trained, corpus):
+        c, j = corpus
+        index = EmbeddingIndex(trained)
+        index.add([s.source_graph for s in j[:3]])
+        query = c[0].decompiled_graph
+        index.topk(query, k=2)
+        index.add([s.source_graph for s in j[3:]])
+        scores = index.scores(query)
+        want = _lexsort_reference(scores, index.keys, 3)
+        assert [h.index for h in index.topk(query, k=3)] == want

@@ -328,3 +328,147 @@ class TestShardedServing:
         mono_responses, _ = _serve(mono_server, req)
         shard_responses, _ = _serve(shard_server, req)
         assert mono_responses == shard_responses
+
+    def test_memo_hit_on_sharded_index(self, trained, index, corpus, tmp_path):
+        c, _ = corpus
+        ShardedEmbeddingIndex.from_index(index, tmp_path / "idx", 3)
+        server = RetrievalServer(
+            trained, ShardedEmbeddingIndex.open(tmp_path / "idx", trained), default_k=4
+        )
+        req = [_binary_request(c[0], id="q")]
+        first, _ = _serve(server, req)
+        again, _ = _serve(server, req)
+        assert server.memo_hits == 1
+        fresh = RetrievalServer(
+            trained, ShardedEmbeddingIndex.open(tmp_path / "idx", trained), default_k=4
+        )
+        assert first == again == _serve(fresh, req)[0]
+
+
+def _copy_index(index, **kw):
+    """A fresh in-memory index over the same rows (its own, empty query cache)."""
+    copy = EmbeddingIndex(index.trainer, **kw)
+    copy.add_precomputed(index.keys, index.embeddings, index.metas)
+    return copy
+
+
+@pytest.fixture()
+def decompiles(monkeypatch):
+    """Count the front end's decompile calls."""
+    from repro.pipeline import staged
+
+    calls = []
+    original = staged.decompile_bytes
+
+    def counting(raw, name):
+        calls.append(name)
+        return original(raw, name)
+
+    monkeypatch.setattr(staged, "decompile_bytes", counting)
+    return calls
+
+
+class TestQueryMemo:
+    """A repeated payload skips the front end and answers bit-identically."""
+
+    def test_repeated_binary(self, trained, index, corpus, decompiles):
+        c, _ = corpus
+        server = RetrievalServer(trained, _copy_index(index), default_k=3)
+        (first,), _ = _serve(server, [_binary_request(c[0], id="q")])
+        assert (server.memo_hits, server.memo_misses, len(decompiles)) == (0, 1, 1)
+        (again,), _ = _serve(server, [_binary_request(c[0], id="q")])
+        assert (server.memo_hits, len(decompiles)) == (1, 1)
+        fresh = RetrievalServer(trained, _copy_index(index), default_k=3)
+        (cold,), _ = _serve(fresh, [_binary_request(c[0], id="q")])
+        assert first == again == cold
+        assert "hits" in first
+
+    def test_repeated_source(self, trained, index, corpus):
+        _, j = corpus
+        req = json.dumps({"id": "s", "source": j[1].source_text, "language": "java"})
+        server = RetrievalServer(trained, _copy_index(index), default_k=3)
+        (first,), _ = _serve(server, [req])
+        (again,), _ = _serve(server, [req])
+        assert server.memo_hits == 1
+        fresh = RetrievalServer(trained, _copy_index(index), default_k=3)
+        (cold,), _ = _serve(fresh, [req])
+        assert first == again == cold
+        assert "hits" in first
+
+    def test_digest_covers_kind_language_and_payload(self, trained, index):
+        server = RetrievalServer(trained, index)
+        text = "int f() { return 1; }"
+        digests = {
+            server._payload({"source": text, "language": "c"})[0],
+            server._payload({"source": text, "language": "java"})[0],
+            server._payload({"source": text + " ", "language": "c"})[0],
+            server._payload({"binary_b64": base64.b64encode(text.encode()).decode()})[0],
+        }
+        assert len(digests) == 4
+
+    def test_identical_binaries_in_one_batch_decompile_once(
+        self, trained, index, corpus, decompiles
+    ):
+        c, _ = corpus
+        server = RetrievalServer(trained, _copy_index(index), batch_size=3, default_k=3)
+        responses, stats = _serve(server, [
+            _binary_request(c[0], id="a"),
+            _binary_request(c[1], id="b"),
+            _binary_request(c[0], id="c"),
+        ])
+        assert stats.batches == 1
+        assert decompiles == ["a", "b"]
+        assert responses[0]["hits"] == responses[2]["hits"]
+        plain = RetrievalServer(trained, _copy_index(index), batch_size=3, default_k=3)
+        reference, _ = _serve(plain, [
+            _binary_request(c[0], id="a"),
+            _binary_request(c[1], id="b"),
+        ])
+        assert responses[:2] == reference
+
+    def test_evicted_embedding_falls_back_to_full_path(
+        self, trained, index, corpus, decompiles
+    ):
+        c, _ = corpus
+        copy = _copy_index(index, query_cache_size=4)
+        server = RetrievalServer(trained, copy, default_k=3)
+        assert server.memo_size == 4
+        copy.query_cache_size = 1  # the LRU now forgets what the memo keeps
+        (first,), _ = _serve(server, [_binary_request(c[0], id="q")])
+        _serve(server, [_binary_request(c[1], id="other")])
+        assert len(server._memo) == 2
+        (again,), _ = _serve(server, [_binary_request(c[0], id="q")])
+        assert server.memo_hits == 0
+        assert decompiles == ["q", "other", "q"]
+        assert again == first
+
+    def test_failed_decompile_is_not_memoized(self, trained, index, decompiles):
+        server = RetrievalServer(trained, _copy_index(index), default_k=1)
+        junk = json.dumps({"id": "j", "binary_b64": base64.b64encode(b"\x00junk").decode()})
+        for _ in range(2):
+            (resp,), stats = _serve(server, [junk])
+            assert stats.errors == 1 and "does not decompile" in resp["error"]
+        assert len(decompiles) == 2
+        assert len(server._memo) == 0 and server.memo_hits == 0
+
+    def test_memo_is_bounded(self, trained, index, corpus):
+        c, _ = corpus
+        server = RetrievalServer(trained, _copy_index(index, query_cache_size=2))
+        assert server.memo_size == 2
+        for sample in c[:5]:
+            _serve(server, [_binary_request(sample)])
+            assert len(server._memo) <= 2
+        assert len(server._memo) == 2
+
+    def test_swapped_index_answers_memoized_binary(self, trained, index, corpus):
+        c, _ = corpus
+        server = RetrievalServer(trained, _copy_index(index), default_k=3)
+        _serve(server, [_binary_request(c[0], id="q")])
+        smaller = EmbeddingIndex(trained)
+        smaller.add_precomputed(index.keys[1:], index.embeddings[1:], index.metas[1:])
+        server.index = smaller
+        (after,), _ = _serve(server, [_binary_request(c[0], id="q")])
+        fresh = RetrievalServer(trained, _copy_index(smaller), default_k=3)
+        (want,), _ = _serve(fresh, [_binary_request(c[0], id="q")])
+        assert after == want
+        assert index.keys[0] not in [h["key"] for h in after["hits"]]

@@ -368,3 +368,37 @@ class TestGracefulShutdown:
             if proc.poll() is None:
                 proc.kill()
             proc.stderr.close()
+
+    def test_sigterm_on_idle_server_exits_promptly(self, assets):
+        """An idle `repro serve --socket` exits within a second of SIGTERM:
+        closing the listener must wake the thread blocked in accept()."""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = "src"
+        proc = subprocess.Popen(
+            [
+                sys.executable,
+                "-m",
+                "repro",
+                "serve",
+                assets["checkpoint"],
+                assets["index"],
+                "--socket",
+                "127.0.0.1:0",
+                "--workers",
+                "1",
+            ],
+            env=env,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        try:
+            banner = proc.stderr.readline()
+            assert "serving on" in banner, banner
+            started = time.monotonic()
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=TIMEOUT) == 0
+            assert time.monotonic() - started < 1.0
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+            proc.stderr.close()

@@ -407,6 +407,83 @@ class TestTieBreaking:
         assert [h.key for h in ann] == sorted(h.key for h in ann)
 
 
+    @pytest.mark.parametrize("k", [1, 5, "C-1", "C", None])
+    @pytest.mark.parametrize("codec", ["float32", "int8"])
+    def test_top_k_across_ties_matches_monolithic(
+        self, trained, corpus, equal_corpus, tmp_path, k, codec
+    ):
+        c, _ = corpus
+        size = len(equal_corpus)
+        k = {"C-1": size - 1, "C": size}.get(k, k)
+        sharded = ShardedEmbeddingIndex.from_index(
+            equal_corpus, tmp_path / "idx", 2, codec=codec
+        )
+        query = c[0].decompiled_graph
+        got = [(h.index, h.key) for h in sharded.topk(query, k=k)]
+        # The full sort over the index's own scores (int8 rows score
+        # slightly differently from the float32 originals).
+        scores, keys = sharded.scores(query), sharded.keys
+        order = np.lexsort((np.asarray(keys), -scores))[:k]
+        assert got == [(int(i), keys[i]) for i in order]
+        if codec == "float32":
+            assert got == [(h.index, h.key) for h in equal_corpus.topk(query, k=k)]
+
+
+def _hits(hits):
+    return [(h.index, h.score, h.key, h.meta) for h in hits]
+
+
+class TestGatherCache:
+    """The whole-corpus gather (keys, metas, key order, rows) follows the shard set."""
+
+    def test_add_shard_refreshes_ranking(self, trained, corpus, mono, tmp_path):
+        c, j = corpus
+        sharded = ShardedEmbeddingIndex.create(trained, tmp_path / "idx")
+        sharded.add_shard(index=_subset(mono, 0, 4))
+        query = c[0].decompiled_graph
+        assert len(sharded.topk(query, k=None)) == 4
+        assert len(sharded.keys) == 4
+        sharded.add_shard(index=_subset(mono, 4, len(mono)))
+        assert _hits(sharded.topk(query, k=None)) == _hits(mono.topk(query, k=None))
+        assert sharded.keys == mono.keys
+
+    def test_merge_refreshes_ranking(self, trained, corpus, mono, tmp_path):
+        c, _ = corpus
+        a = ShardedEmbeddingIndex.from_index(_subset(mono, 0, 4), tmp_path / "a", 2)
+        b = ShardedEmbeddingIndex.from_index(
+            _subset(mono, 4, len(mono)), tmp_path / "b", 2
+        )
+        query = c[0].decompiled_graph
+        a.topk(query, k=3)
+        a.merge(b)
+        assert _hits(a.topk(query, k=3)) == _hits(mono.topk(query, k=3))
+        assert a.metas == mono.metas
+
+    @pytest.mark.parametrize("codec", ["float32", "int8"])
+    def test_quarantine_drops_the_shard_from_ranking(
+        self, trained, corpus, mono, tmp_path, codec
+    ):
+        c, _ = corpus
+        sharded = ShardedEmbeddingIndex.from_index(
+            mono, tmp_path / "idx", 3, codec=codec
+        )
+        query = c[0].decompiled_graph
+        sharded.topk(query, k=None)
+        sharded.quarantine_shard(0, "test")
+        hits = sharded.topk(query, k=None)
+        assert len(hits) == len(mono) - 3
+        assert set(h.key for h in hits) == set(mono.keys[3:])
+        assert sharded.keys == mono.keys[3:]
+
+
+def _subset(index, start, stop):
+    part = EmbeddingIndex(index.trainer)
+    part.add_precomputed(
+        index.keys[start:stop], index.embeddings[start:stop], index.metas[start:stop]
+    )
+    return part
+
+
 class TestChecksums:
     """Every writer records a checksum, so a missing one is corruption."""
 
