@@ -36,6 +36,12 @@ echo "== tier-1: pytest (suite timeout ${TIER1_TIMEOUT}s, per-test ${TEST_TIMEOU
 REPRO_TEST_TIMEOUT="$TEST_TIMEOUT" \
   timeout --signal=INT "$TIER1_TIMEOUT" python -m pytest -x -q --durations=15
 
+echo "== golden graphs: every recorded graph fingerprint unchanged (full grid) =="
+# Artifact-store keys, index entries and query-cache keys all derive from
+# graph_fingerprint: a front-end change that moves one of them must bump
+# PIPELINE_VERSION and re-record, never drift silently.
+python scripts/graph_fingerprints.py --check
+
 echo "== smoke: train -> index build -> index query -> fsck =="
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT

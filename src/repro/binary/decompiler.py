@@ -22,10 +22,10 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.binary.isa import BinaryFunction, BinaryProgram, MachineInstr
+from repro.binary.isa import NUM_REGS, BinaryFunction, BinaryProgram, DecompileError, MachineInstr
 from repro.ir.builder import IRBuilder
 from repro.ir.module import BasicBlock, Constant, Function, Instruction, Module, Value
-from repro.ir.types import I1, I64, VOID, PtrType
+from repro.ir.types import I64, PTR_I64
 
 _BRANCHES = {"BEQ": "eq", "BNE": "ne", "BLT": "slt", "BLE": "sle", "BGT": "sgt", "BGE": "sge"}
 _ALU = {
@@ -40,10 +40,6 @@ _ALU = {
     "SHL": "shl",
     "SAR": "ashr",
 }
-
-
-class DecompileError(ValueError):
-    """Raised on malformed binaries."""
 
 
 def _find_leaders(code: List[MachineInstr]) -> List[int]:
@@ -80,7 +76,7 @@ class _FunctionLifter:
         b.position(entry)
 
         # Recovered register variables (all i64 — type recovery is lossy).
-        for r in range(12):
+        for r in range(NUM_REGS):
             slot = b.alloca(I64, name=f"r{r}")
             self.reg_slots.append(slot)
         # Recovered stack frame: one flat i64 array.
@@ -91,9 +87,7 @@ class _FunctionLifter:
         self.frame = b.alloca(I64, count=Constant(frame_words, I64))
         # Arguments arrive in r0..r5: spill them like the prologue did.
         for i in range(self.bf.num_args):
-            arg = self.fn.args[i]
-            ext = b.sext(arg, I64)
-            b.store(ext, self.reg_slots[i])
+            self._write_reg(i, b.sext(self.fn.args[i], I64))
 
         leaders = _find_leaders(self.code)
         for lead in leaders:
@@ -105,11 +99,19 @@ class _FunctionLifter:
             self._lift_block(lead, end)
 
     # ------------------------------------------------------------ helpers
+    def _slot(self, r: int) -> Value:
+        try:
+            return self.reg_slots[r]
+        except IndexError:
+            raise DecompileError(
+                f"{self.bf.name}: register r{r} out of range (r0..r{NUM_REGS - 1})"
+            ) from None
+
     def _read_reg(self, r: int) -> Value:
-        return self.builder.load(self.reg_slots[r])
+        return self.builder.load(self._slot(r))
 
     def _write_reg(self, r: int, value: Value) -> None:
-        self.builder.store(value, self.reg_slots[r])
+        self.builder.store(value, self._slot(r))
 
     def _addr(self, base_reg: int, imm: int) -> Value:
         """Recover an address expression for LD/ST."""
@@ -120,7 +122,7 @@ class _FunctionLifter:
         if imm:
             base = b.add(base, Constant(imm, I64))
         # Speculative pointer recovery: integer reinterpreted as pointer.
-        return b._emit(Instruction("inttoptr", [base], PtrType(I64)))
+        return b._emit(Instruction("inttoptr", [base], PTR_I64))
 
     def _lift_block(self, start: int, end: int) -> None:
         b = self.builder
@@ -184,12 +186,12 @@ class _FunctionLifter:
                 terminated = True
                 break
             elif op == "CALL":
-                callee = self.program.functions[ins.imm]
+                callee = self._symbol(self.program.functions, ins.imm, "function")
                 args = [self._read_reg(r) for r in range(callee.num_args)]
                 result = b.call(callee.name, args, I64)
                 self._write_reg(0, result)
             elif op == "CALLX":
-                name = self.program.externals[ins.imm]
+                name = self._symbol(self.program.externals, ins.imm, "external")
                 args = [self._read_reg(r) for r in range(ins.rs)]
                 result = b.call(name, args, I64)
                 self._write_reg(0, result)
@@ -202,6 +204,13 @@ class _FunctionLifter:
                 b.br(self.blocks_by_leader[i])
             else:
                 b.ret(Constant(0, I64))
+
+    def _symbol(self, table: list, index: int, kind: str):
+        if not 0 <= index < len(table):
+            raise DecompileError(
+                f"{self.bf.name}: {kind} index {index} out of range ({len(table)} {kind}s)"
+            )
+        return table[index]
 
     def _target(self, offset: int) -> BasicBlock:
         if offset not in self.blocks_by_leader:
@@ -228,7 +237,13 @@ def decompile(program: BinaryProgram, module_name: str = "decompiled") -> Module
         )
     if any(ins.op == "SALLOC" for ins in program.instructions):
         module.add(Function("__alloca", [I64], ["n"], I64, is_declaration=True))
+    n_code = len(program.instructions)
     for bf in program.functions:
+        if bf.length < 1 or bf.start + bf.length > n_code:
+            raise DecompileError(
+                f"function {bf.name!r} spans [{bf.start}, {bf.start + bf.length}) "
+                f"outside the {n_code}-instruction stream"
+            )
         fn = Function(
             bf.name,
             [I64] * bf.num_args,

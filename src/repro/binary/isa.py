@@ -17,6 +17,8 @@ from typing import List
 
 NUM_REGS = 12  # r0..r11
 WORD = 8  # bytes per machine word
+#: The fixed 8-byte instruction format: opcode, rd, rs, pad, imm32.
+INSTR_FORMAT = struct.Struct("<BBBbi")
 
 # opcode table
 OPCODES = [
@@ -54,6 +56,10 @@ OPCODES = [
 OPCODE_INDEX = {name: i for i, name in enumerate(OPCODES)}
 
 
+class DecompileError(ValueError):
+    """Raised on malformed binaries (by the object-file parser and the lifter)."""
+
+
 @dataclass
 class MachineInstr:
     """One decoded instruction."""
@@ -65,14 +71,12 @@ class MachineInstr:
 
     def encode(self) -> bytes:
         """Pack to the fixed 8-byte format."""
-        return struct.pack(
-            "<BBBbi", OPCODE_INDEX[self.op], self.rd, self.rs, 0, self.imm
-        )
+        return INSTR_FORMAT.pack(OPCODE_INDEX[self.op], self.rd, self.rs, 0, self.imm)
 
     @staticmethod
     def decode(raw: bytes) -> "MachineInstr":
         """Unpack from 8 bytes."""
-        opcode, rd, rs, _, imm = struct.unpack("<BBBbi", raw)
+        opcode, rd, rs, _, imm = INSTR_FORMAT.unpack(raw)
         if opcode >= len(OPCODES):
             raise ValueError(f"bad opcode byte {opcode}")
         return MachineInstr(OPCODES[opcode], rd, rs, imm)
@@ -134,40 +138,55 @@ class BinaryProgram:
 
     @staticmethod
     def decode(raw: bytes) -> "BinaryProgram":
-        """Parse an object file back into a program."""
-        magic, n_instr = struct.unpack_from("<4sI", raw, 0)
-        if magic != b"RVMB":
-            raise ValueError("not a RVMB binary")
-        off = 8
-        (n_funcs,) = struct.unpack_from("<I", raw, off)
-        off += 4
-        functions = []
-        for _ in range(n_funcs):
-            name_len, start, length, num_args = struct.unpack_from("<HIII", raw, off)
-            off += 14
-            name = raw[off : off + name_len].decode()
-            off += name_len
-            functions.append(BinaryFunction(name, start, length, num_args))
-        (n_ext,) = struct.unpack_from("<I", raw, off)
-        off += 4
-        externals = []
-        for _ in range(n_ext):
-            (nl,) = struct.unpack_from("<H", raw, off)
+        """Parse an object file back into a program.
+
+        Raises :class:`DecompileError` on anything malformed: a bad magic,
+        a truncated header, an instruction stream that is not exactly the
+        declared length, or a bad opcode byte.
+        """
+        if raw[:4] != b"RVMB":
+            raise DecompileError("not a RVMB binary")
+        try:
+            (n_instr,) = struct.unpack_from("<I", raw, 4)
+            off = 8
+            (n_funcs,) = struct.unpack_from("<I", raw, off)
+            off += 4
+            functions = []
+            for _ in range(n_funcs):
+                name_len, start, length, num_args = struct.unpack_from("<HIII", raw, off)
+                off += 14
+                name = raw[off : off + name_len].decode()
+                off += name_len
+                functions.append(BinaryFunction(name, start, length, num_args))
+            (n_ext,) = struct.unpack_from("<I", raw, off)
+            off += 4
+            externals = []
+            for _ in range(n_ext):
+                (nl,) = struct.unpack_from("<H", raw, off)
+                off += 2
+                externals.append(raw[off : off + nl].decode())
+                off += nl
+            (el,) = struct.unpack_from("<H", raw, off)
             off += 2
-            externals.append(raw[off : off + nl].decode())
-            off += nl
-        (el,) = struct.unpack_from("<H", raw, off)
-        off += 2
-        entry = raw[off : off + el].decode()
-        off += el
-        (cl,) = struct.unpack_from("<H", raw, off)
-        off += 2
-        compiler = raw[off : off + cl].decode()
-        off += cl
+            entry = raw[off : off + el].decode()
+            off += el
+            (cl,) = struct.unpack_from("<H", raw, off)
+            off += 2
+            compiler = raw[off : off + cl].decode()
+            off += cl
+        except (struct.error, UnicodeDecodeError) as exc:
+            raise DecompileError(f"truncated or malformed binary header: {exc}") from exc
+        if len(raw) - off != n_instr * INSTR_FORMAT.size:
+            raise DecompileError(
+                f"instruction stream is {len(raw) - off} bytes, "
+                f"header declares {n_instr} instructions"
+            )
         instructions = []
-        for _ in range(n_instr):
-            instructions.append(MachineInstr.decode(raw[off : off + 8]))
-            off += 8
+        n_ops = len(OPCODES)
+        for opcode, rd, rs, _, imm in INSTR_FORMAT.iter_unpack(memoryview(raw)[off:]):
+            if opcode >= n_ops:
+                raise DecompileError(f"bad opcode byte {opcode}")
+            instructions.append(MachineInstr(OPCODES[opcode], rd, rs, imm))
         return BinaryProgram(instructions, functions, externals, entry, compiler)
 
     def size_bytes(self) -> int:

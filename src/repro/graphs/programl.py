@@ -23,9 +23,9 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.ir.module import Argument, BasicBlock, Constant, Function, Instruction, Module, Value
+from repro.ir.module import BasicBlock, Constant, Instruction, Module, Value
 from repro.ir.printer import Namer, instruction_text
-from repro.ir.types import VOID
+from repro.ir.types import VoidType
 
 CONTROL = "control"
 DATA = "data"
@@ -83,9 +83,12 @@ class ProgramGraph:
 
 
 class _GraphBuilder:
+    """Node lists plus one flat ``[src, dst, pos, src, dst, pos, ...]`` int
+    list per relation; :meth:`finish` turns each into one array."""
+
     def __init__(self, name: str, relations: Tuple[str, ...] = RELATIONS):  # noqa: D107
         self.graph = ProgramGraph(name)
-        self._edge_lists: Dict[str, List[Tuple[int, int, int]]] = {r: [] for r in relations}
+        self.edges: Dict[str, List[int]] = {r: [] for r in relations}
         self._const_nodes: Dict[Tuple[int, str], int] = {}
 
     def add_node(self, text: str, full_text: str, node_type: int) -> int:
@@ -95,22 +98,21 @@ class _GraphBuilder:
         g.node_types.append(node_type)
         return len(g.node_texts) - 1
 
-    def add_edge(self, rel: str, src: int, dst: int, position: int = 0) -> None:
-        self._edge_lists[rel].append((src, dst, position))
-
     def const_node(self, c: Constant) -> int:
-        key = (c.value, str(c.type))
-        if key not in self._const_nodes:
-            self._const_nodes[key] = self.add_node(
-                str(c.type), f"{c.type} {c.value}", NODE_CONSTANT
+        text = c.type.text
+        key = (c.value, text)
+        idx = self._const_nodes.get(key)
+        if idx is None:
+            idx = self._const_nodes[key] = self.add_node(
+                text, f"{text} {c.value}", NODE_CONSTANT
             )
-        return self._const_nodes[key]
+        return idx
 
     def finish(self) -> ProgramGraph:
         g = self.graph
-        for rel, triples in self._edge_lists.items():
-            if triples:
-                arr = np.asarray(triples, dtype=np.int64).T
+        for rel, flat in self.edges.items():
+            if flat:
+                arr = np.array(flat, dtype=np.int64).reshape(-1, 3).T
                 g.edges[rel] = arr[:2]
                 g.positions[rel] = arr[2]
             else:
@@ -129,18 +131,27 @@ def build_graph(
     their summary nodes).  The three structural relations are built
     identically either way — a ``dataflow`` graph restricted to
     :data:`RELATIONS` is byte-for-byte the clean graph.
+
+    Node maps are keyed by the IR objects themselves: instructions and
+    arguments hash by identity, so lookups are exact.
     """
     b = _GraphBuilder(
         name or module.name, EXTENDED_RELATIONS if dataflow else RELATIONS
     )
-    b.graph.source_language = module.source_language
+    g = b.graph
+    g.source_language = module.source_language
+    texts, full_texts, node_types = g.node_texts, g.node_full_texts, g.node_types
 
-    instr_node: Dict[int, int] = {}
-    var_node: Dict[int, int] = {}
+    instr_node: Dict[Instruction, int] = {}
+    var_node: Dict[Value, int] = {}
     fn_entry_node: Dict[str, int] = {}
     fn_ret_nodes: Dict[str, List[int]] = {}
+    # (block, its instructions' node ids) in program order, for pass 2.
+    block_nodes: List[Tuple[BasicBlock, List[int]]] = []
 
     # --- pass 1: nodes ---------------------------------------------------
+    # Each instruction is a node; a value-producing one is followed
+    # directly by its variable node (index + 1).
     for fn in module.functions:
         if fn.is_declaration:
             # one node stands for the external function
@@ -152,58 +163,61 @@ def build_graph(
         namer = Namer()
         namer.assign_all(fn)
         for arg in fn.args:
-            var_node[id(arg)] = b.add_node(
-                str(arg.type), f"{arg.type} %{arg.name}", NODE_VARIABLE
-            )
+            tt = arg.type.text
+            var_node[arg] = b.add_node(tt, f"{tt} %{arg.name}", NODE_VARIABLE)
         rets: List[int] = []
         for blk in fn.blocks:
+            ids: List[int] = []
             for instr in blk.instructions:
-                full = instruction_text(instr, namer)
-                idx = b.add_node(instr.opcode, full, NODE_INSTRUCTION)
-                instr_node[id(instr)] = idx
-                if instr.type != VOID:
-                    var_node[id(instr)] = b.add_node(
-                        str(instr.type), f"{instr.type} {namer.name(instr)}", NODE_VARIABLE
-                    )
+                idx = len(texts)
+                ids.append(idx)
+                instr_node[instr] = idx
+                texts.append(instr.opcode)
+                full_texts.append(instruction_text(instr, namer))
+                node_types.append(NODE_INSTRUCTION)
+                if not isinstance(instr.type, VoidType):
+                    var_node[instr] = idx + 1
+                    tt = instr.type.text
+                    texts.append(tt)
+                    full_texts.append(f"{tt} {namer.name(instr)}")
+                    node_types.append(NODE_VARIABLE)
                 if instr.opcode == "ret":
                     rets.append(idx)
-        fn_entry_node[fn.name] = instr_node[id(fn.entry.instructions[0])]
+            block_nodes.append((blk, ids))
+        fn_entry_node[fn.name] = instr_node[fn.entry.instructions[0]]
         fn_ret_nodes[fn.name] = rets
 
     # --- pass 2: edges ---------------------------------------------------
-    for fn in module.defined_functions():
-        for blk in fn.blocks:
-            instrs = blk.instructions
-            # control: straight line
-            for a, nxt in zip(instrs, instrs[1:]):
-                b.add_edge(CONTROL, instr_node[id(a)], instr_node[id(nxt)], 0)
-            # control: branch targets
-            term = blk.terminator
-            if term is not None:
-                for k, succ in enumerate(term.blocks if term.opcode != "phi" else []):
-                    b.add_edge(
-                        CONTROL,
-                        instr_node[id(term)],
-                        instr_node[id(succ.instructions[0])],
-                        k,
-                    )
-            for instr in instrs:
-                # data: producer → its variable node
-                if instr.type != VOID and id(instr) in var_node:
-                    b.add_edge(DATA, instr_node[id(instr)], var_node[id(instr)], 0)
-                # data: operands → this instruction
-                for pos, op in enumerate(instr.operands):
-                    if isinstance(op, Constant):
-                        b.add_edge(DATA, b.const_node(op), instr_node[id(instr)], pos)
-                    elif id(op) in var_node:
-                        b.add_edge(DATA, var_node[id(op)], instr_node[id(instr)], pos)
-                # call edges
-                if instr.opcode == "call":
-                    callee = instr.extra["callee"]
-                    if callee in fn_entry_node:
-                        b.add_edge(CALL, instr_node[id(instr)], fn_entry_node[callee], 0)
-                        for r in fn_ret_nodes.get(callee, []):
-                            b.add_edge(CALL, r, instr_node[id(instr)], 1)
+    control, data, call = b.edges[CONTROL], b.edges[DATA], b.edges[CALL]
+    const_node = b.const_node
+    for blk, ids in block_nodes:
+        # control: straight line
+        for a, nxt in zip(ids, ids[1:]):
+            control += (a, nxt, 0)
+        # control: branch targets
+        term = blk.terminator
+        if term is not None:
+            for k, succ in enumerate(term.blocks):
+                control += (ids[-1], instr_node[succ.instructions[0]], k)
+        for instr, idx in zip(blk.instructions, ids):
+            # data: producer → its variable node
+            if instr in var_node:
+                data += (idx, idx + 1, 0)
+            # data: operands → this instruction
+            for pos, op in enumerate(instr.operands):
+                if isinstance(op, Constant):
+                    data += (const_node(op), idx, pos)
+                else:
+                    src = var_node.get(op)
+                    if src is not None:
+                        data += (src, idx, pos)
+            # call edges
+            if instr.opcode == "call":
+                callee = instr.extra["callee"]
+                if callee in fn_entry_node:
+                    call += (idx, fn_entry_node[callee], 0)
+                    for r in fn_ret_nodes.get(callee, ()):
+                        call += (r, idx, 1)
 
     if dataflow:
         _add_analysis_edges(b, module, instr_node)
@@ -211,7 +225,7 @@ def build_graph(
 
 
 def _add_analysis_edges(
-    b: _GraphBuilder, module: Module, instr_node: Dict[int, int]
+    b: _GraphBuilder, module: Module, instr_node: Dict[Instruction, int]
 ) -> None:
     """Emit the ``dataflow`` and ``callsummary`` relations (pass 3).
 
@@ -229,12 +243,11 @@ def _add_analysis_edges(
 
     summaries = CallGraph(module).summaries()
     summary_node: Dict[str, int] = {}
+    dataflow, callsummary = b.edges[DATAFLOW], b.edges[CALLSUMMARY]
     for fn in module.defined_functions():
         chains = DefUseChains.build(fn)
         for def_instr, use_instr, pos in chains.cross_block_pairs():
-            b.add_edge(
-                DATAFLOW, instr_node[id(def_instr)], instr_node[id(use_instr)], pos
-            )
+            dataflow += (instr_node[def_instr], instr_node[use_instr], pos)
         for instr in fn.instructions():
             if instr.opcode != "call":
                 continue
@@ -249,4 +262,4 @@ def _add_analysis_edges(
                     else f"summary @{callee} unknown calls=0"
                 )
                 summary_node[callee] = b.add_node("summary", text, NODE_SUMMARY)
-            b.add_edge(CALLSUMMARY, instr_node[id(instr)], summary_node[callee], 0)
+            callsummary += (instr_node[instr], summary_node[callee], 0)

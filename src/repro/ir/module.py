@@ -8,6 +8,7 @@ directly as operands; the printer assigns ``%N`` names on demand.
 
 from __future__ import annotations
 
+import itertools
 from typing import Dict, Iterator, List, Optional, Sequence, Set
 
 from repro.ir.types import I1, I32, I64, LABEL, VOID, IRType, PtrType
@@ -81,7 +82,10 @@ class Instruction(Value):
 
     __slots__ = ("opcode", "operands", "blocks", "type", "extra", "parent", "uid")
 
-    _next_uid = 0
+    # One shared counter object, never rebound: rebinding a class attribute
+    # on every construction invalidates the type's attribute caches, which
+    # slowed every instruction attribute access.
+    _uids = itertools.count()
 
     def __init__(
         self,
@@ -97,8 +101,7 @@ class Instruction(Value):
         self.type = type
         self.extra = extra or {}
         self.parent: Optional[BasicBlock] = None
-        self.uid = Instruction._next_uid
-        Instruction._next_uid += 1
+        self.uid = next(Instruction._uids)
 
     # ------------------------------------------------------------- queries
     @property

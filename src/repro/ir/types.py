@@ -1,21 +1,37 @@
 """The IR type system: i1/i32/i64 integers, typed pointers, void.
 
 Mirrors the slice of LLVM's type system the reproduction needs.  Types are
-interned value objects — compare with ``==`` or ``is`` via the module-level
-singletons ``I1``/``I32``/``I64``/``VOID``.
+value objects — compare them with ``==`` (the module-level singletons
+``I1``/``I32``/``I64``/``VOID`` are shared, but builders also make fresh
+equal instances).
+
+A type's printed spelling is :attr:`IRType.text`, computed once per
+instance and kept in the instance ``__dict__``: the printer and the graph
+builder spell the same few types hundreds of thousands of times.  The
+cached text is not a dataclass field, so it never enters ``==``,
+``hash`` or ``repr``, and the spelling itself never changes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 
 @dataclass(frozen=True)
 class IRType:
     """Base marker for IR types."""
 
-    def __str__(self) -> str:  # pragma: no cover - overridden
+    @cached_property
+    def text(self) -> str:
+        """The printed spelling (``i32``, ``i64*``, ``void``), cached per instance."""
+        return self._spell()
+
+    def _spell(self) -> str:  # pragma: no cover - overridden
         raise NotImplementedError
+
+    def __str__(self) -> str:
+        return self.text
 
 
 @dataclass(frozen=True)
@@ -24,7 +40,7 @@ class IntType(IRType):
 
     bits: int
 
-    def __str__(self) -> str:
+    def _spell(self) -> str:
         return f"i{self.bits}"
 
 
@@ -34,15 +50,15 @@ class PtrType(IRType):
 
     element: IRType
 
-    def __str__(self) -> str:
-        return f"{self.element}*"
+    def _spell(self) -> str:
+        return f"{self.element.text}*"
 
 
 @dataclass(frozen=True)
 class VoidType(IRType):
     """The void type (function returns only)."""
 
-    def __str__(self) -> str:
+    def _spell(self) -> str:
         return "void"
 
 
@@ -50,7 +66,7 @@ class VoidType(IRType):
 class LabelType(IRType):
     """The type of basic-block labels (branch targets)."""
 
-    def __str__(self) -> str:
+    def _spell(self) -> str:
         return "label"
 
 

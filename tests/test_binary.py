@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.binary.codegen import CodegenError, compile_module
-from repro.binary.decompiler import decompile, decompile_bytes
+from repro.binary.decompiler import DecompileError, decompile, decompile_bytes
 from repro.binary.isa import BinaryProgram, MachineInstr
 from repro.binary.vm import VirtualMachine, VMError, run_binary
 from repro.ir.lowering import lower_program
@@ -224,3 +224,86 @@ class TestDecompiler:
         _, dec = self._decompiled(lang="java")
         decls = [f.name for f in dec.functions if f.is_declaration]
         assert any("java" in d for d in decls)
+
+
+class TestMalformedBinaries:
+    """Every malformed binary is a DecompileError, never a silent wrong
+    answer or an IndexError/struct.error from deep inside the parser."""
+
+    @pytest.fixture
+    def program(self):
+        sf = GEN.generate("sum_array", 0, "java")  # CALLX, CALL and LD/ST
+        mod = lower_program(sf.program, name=sf.identifier)
+        return compile_module(mod)
+
+    def _first(self, program, op):
+        return next(ins for ins in program.instructions if ins.op == op)
+
+    @pytest.mark.parametrize("extra", [b"\x00", b"\x00" * 8, b"junk!"])
+    def test_trailing_bytes_rejected(self, program, extra):
+        with pytest.raises(DecompileError, match="instruction stream"):
+            decompile_bytes(program.encode() + extra)
+
+    @pytest.mark.parametrize("cut", [1, 3, 8, 11])
+    def test_truncated_stream_rejected(self, program, cut):
+        with pytest.raises(DecompileError, match="instruction stream"):
+            decompile_bytes(program.encode()[:-cut])
+
+    @pytest.mark.parametrize("keep", [0, 3, 6, 10, 20])
+    def test_truncated_header_rejected(self, program, keep):
+        with pytest.raises(DecompileError):
+            decompile_bytes(program.encode()[:keep])
+
+    def test_bad_opcode_in_stream_rejected(self, program):
+        raw = bytearray(program.encode())
+        raw[-8] = 0xFF  # opcode byte of the last instruction
+        with pytest.raises(DecompileError, match="bad opcode"):
+            decompile_bytes(bytes(raw))
+
+    @pytest.mark.parametrize("grow", [1, 40])
+    def test_function_past_stream_rejected(self, program, grow):
+        program.functions[-1].length += grow
+        with pytest.raises(DecompileError, match="outside"):
+            decompile_bytes(program.encode())
+
+    def test_empty_function_rejected(self, program):
+        program.functions[0].length = 0
+        with pytest.raises(DecompileError, match="outside"):
+            decompile(program)
+
+    @pytest.mark.parametrize("op, index", [("CALLX", 999), ("CALLX", -1), ("CALL", 999), ("CALL", -2)])
+    def test_call_index_out_of_range_rejected(self, program, op, index):
+        self._first(program, op).imm = index
+        with pytest.raises(DecompileError, match="index"):
+            decompile_bytes(program.encode())
+
+    @pytest.mark.parametrize("op, field", [("ADD", "rs"), ("ADD", "rd"), ("MOVI", "rd"), ("LD", "rd"), ("ST", "rs")])
+    @pytest.mark.parametrize("reg", [12, 13, 255])
+    def test_register_out_of_range_rejected(self, program, op, field, reg):
+        setattr(self._first(program, op), field, reg)
+        with pytest.raises(DecompileError, match="register"):
+            decompile_bytes(program.encode())
+
+    def test_callx_arity_beyond_registers_rejected(self, program):
+        self._first(program, "CALLX").rs = 13
+        with pytest.raises(DecompileError, match="register"):
+            decompile_bytes(program.encode())
+
+    def test_frame_alias_base_register_still_lifts(self, program):
+        """r13 is the frame alias in LD/ST address bases, not a bad register."""
+        assert any(i.op == "LD" and i.rs == 13 for i in program.instructions)
+        assert any(i.op == "ST" and i.rd == 13 for i in program.instructions)
+        decompile_bytes(program.encode())
+
+    @pytest.mark.parametrize("spec", ["pad", "regrename", "pad@1.0+regrename@1.0"])
+    def test_binary_transforms_stay_well_formed(self, spec):
+        from repro.pipeline import CompilationPipeline
+
+        pipeline = CompilationPipeline(transforms=spec)
+        for task in ("sum_array", "gcd", "sort_median"):
+            for lang in LANGUAGES:
+                sf = GEN.generate(task, 0, lang)
+                result = pipeline.compile(sf.text, lang, name=sf.identifier,
+                                          opt_level="O1", program=sf.program)
+                assert result.complete
+                decompile_bytes(result.binary_bytes)

@@ -1,0 +1,101 @@
+"""Graph front-end output is pinned: golden fingerprints and IR type text.
+
+``tests/data/graph_fingerprints.json`` records, over perfbench's query
+universe, the ``graph_fingerprint`` of every decompiled binary and source
+graph (dataflow off and on) plus the source module's printed text.  Every
+artifact-store key, index entry and query-cache key derives from those
+fingerprints, so a faster builder, printer or lifter must reproduce them
+exactly.  The full grid runs as ``scripts/graph_fingerprints.py --check``
+in ``scripts/verify.sh``; tier-1 checks an evenly spread slice.
+"""
+
+import hashlib
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+from repro.binary.codegen import compile_module
+from repro.binary.decompiler import decompile_bytes
+from repro.ir.lowering import lower_program
+from repro.ir.passes import optimize
+from repro.ir.serialize import module_from_dict, module_to_dict
+from repro.ir.types import I1, I32, I64, VOID, IntType, PtrType
+from repro.lang.generator import SolutionGenerator
+
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "graph_fingerprints.py"
+
+
+@pytest.fixture(scope="module")
+def golden():
+    spec = importlib.util.spec_from_file_location("graph_fingerprints", SCRIPT)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+class TestGoldenFingerprints:
+    def test_recording_covers_the_grid(self, golden):
+        rows = golden.load()
+        assert list(rows) == [golden.key(c) for c in golden.grid()]
+        assert all(len(r) == len(golden.COLUMNS) for r in rows.values())
+
+    def test_slice_matches_recording(self, golden):
+        coords = golden.spread(golden.grid(), 48)
+        assert len(coords) == 48
+        assert {c[2] for c in coords} == {"c", "cpp", "java"}
+        assert {c[3] for c in coords} == set(golden.OPT_LEVELS)
+        assert golden.mismatches(golden.compute(coords), golden.load()) == []
+
+    def test_drift_is_reported(self, golden):
+        (coord,) = golden.spread(golden.grid(), 1)
+        got = golden.compute([coord])
+        got[golden.key(coord)][2] = "0" * 64
+        (line,) = golden.mismatches(got, golden.load())
+        assert "source" in line and golden.key(coord) in line
+
+
+#: sha256 of ``json.dumps(module_to_dict(...))`` — the artifact store's
+#: encoding — for two decompiled modules, recorded before the type-text
+#: cache and the object-keyed builder existed.
+SERIALIZED = {
+    ("gcd", "c", "O0", "clang"):
+        "2ca496253926859ac1b7428421a969823dab77c5636f472a869026ca0b92eee8",
+    ("count_above", "java", "O2", "gcc"):
+        "f766f6da5c72a914ea604652450b672576520d0abde8439ab5c9a9e99d2b96e4",
+}
+
+
+class TestTypeText:
+    def test_fresh_instances_spell_alike(self):
+        a, b = PtrType(I64), PtrType(I64)
+        assert a is not b
+        assert str(a) == str(b) == "i64*"
+        assert str(PtrType(PtrType(I32))) == "i32**"
+        assert (str(I1), str(VOID)) == ("i1", "void")
+
+    def test_cached_text_stays_out_of_eq_hash_repr(self):
+        fresh, warmed = PtrType(IntType(64)), PtrType(IntType(64))
+        before = (hash(warmed), repr(warmed))
+        str(warmed)
+        assert "text" in vars(warmed) and "text" not in vars(fresh)
+        assert warmed == fresh and hash(warmed) == hash(fresh)
+        assert (hash(warmed), repr(warmed)) == before
+        assert len({warmed, fresh, PtrType(I64)}) == 1
+
+    def test_types_stay_frozen(self):
+        with pytest.raises(AttributeError):
+            I64.bits = 32
+
+    @pytest.mark.parametrize("coord", sorted(SERIALIZED))
+    def test_decompiled_module_serializes_as_before(self, coord):
+        task, lang, opt, style = coord
+        sf = SolutionGenerator(seed=0, independent=True).generate(task, 2, lang)
+        module = lower_program(sf.program, name=sf.identifier)
+        optimize(module, opt)
+        dec = decompile_bytes(compile_module(module, style=style).encode(), sf.identifier)
+        text = json.dumps(module_to_dict(dec))
+        assert hashlib.sha256(text.encode()).hexdigest() == SERIALIZED[coord]
+        again = json.dumps(module_to_dict(module_from_dict(json.loads(text))))
+        assert again == text

@@ -258,6 +258,29 @@ class TestErrors:
         assert stats.errors == 1
         assert "error" in responses[0]
 
+    def test_malformed_binaries_get_error_responses(self, trained, index, corpus):
+        """Trailing bytes, a truncated stream, an out-of-range function and
+        a bad register each fail their own request — never served hits."""
+        from repro.binary.isa import BinaryProgram
+
+        c, _ = corpus
+        raw = c[0].binary_bytes
+        past_end = BinaryProgram.decode(raw)
+        past_end.functions[-1].length += 4
+        bad_reg = BinaryProgram.decode(raw)
+        next(i for i in bad_reg.instructions if i.op == "LD").rd = 12
+        bad = [raw + b"\x00" * 8, raw[:-3], past_end.encode(), bad_reg.encode()]
+        requests = [
+            json.dumps({"id": f"bad{i}", "binary_b64": base64.b64encode(b).decode()})
+            for i, b in enumerate(bad)
+        ]
+        server = RetrievalServer(trained, index, batch_size=5, default_k=1)
+        responses, stats = _serve(server, requests + [_binary_request(c[0], id="ok")])
+        assert stats.errors == len(bad)
+        for resp in responses[:-1]:
+            assert "hits" not in resp and "does not decompile" in resp["error"]
+        assert responses[-1]["id"] == "ok" and "hits" in responses[-1]
+
     def test_uncompilable_source_is_an_error_response(self, trained, index):
         server = RetrievalServer(trained, index)
         responses, _ = _serve(
