@@ -174,6 +174,13 @@ if ! grep -q ", 0 misses" <<<"$warm_out"; then
   echo "verify: FAIL — warm corpus rebuild did not hit the artifact store" >&2
   exit 1
 fi
+# Both stores share one checksummed entry format: fsck must recognize
+# each store's kind from its entries and find every entry intact.
+python -m repro fsck "$tmp/artifacts" | tee "$tmp/fsck-artifacts.txt"
+if ! grep -q "^fsck artifacts at " "$tmp/fsck-artifacts.txt"; then
+  echo "verify: FAIL — fsck did not recognize the artifact store" >&2
+  exit 1
+fi
 
 echo "== smoke: experiment run cold -> warm model cache =="
 exp_args=(--binary-langs c --source-langs java --num-tasks 6 --variants 1 --epochs 2)
@@ -185,6 +192,11 @@ if ! grep -q "cache hit" <<<"$warm_exp"; then
   exit 1
 fi
 python -m repro experiment list "$tmp/models"
+python -m repro fsck "$tmp/models" | tee "$tmp/fsck-models.txt"
+if ! grep -q "^fsck models at " "$tmp/fsck-models.txt"; then
+  echo "verify: FAIL — fsck did not recognize the model store" >&2
+  exit 1
+fi
 
 echo "== smoke: robustness sweep (transform cache + clean-index reuse) =="
 rob_out="$(python -m repro robustness "$tmp/model.npz" --num-tasks 6 \

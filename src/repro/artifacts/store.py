@@ -12,20 +12,20 @@ pickle-free ``.npz`` per entry, addressed by a SHA-256 digest over the
 change any stage and every old entry silently misses instead of serving
 stale graphs.
 
-Entries are written atomically (temp file + ``os.replace``), so parallel
-corpus builders can share one store without locks; unreadable or
-mismatched entries are treated as misses, never as errors — but never
-*silent* misses: read failures are counted separately from plain absence
-(``read_errors``), so an injected or organic IO fault is observable.
+Entries use the store format of :mod:`repro.utils.fsio` (atomic
+``mkstemp`` + ``os.replace`` commit, ``payload_sha256`` recorded in each
+entry's metadata), so parallel corpus builders can share one store without
+locks.  Unreadable or mismatched entries are misses, never errors — but
+never *silent* misses: read failures are counted separately from plain
+absence (``read_errors``), so an injected or organic IO fault is
+observable.  Under ``verify_reads`` an entry whose payload does not match
+its checksum, or that records none (store format 1), is such a failure.
 
-Store format v2 adds two durability features (v1 entries keep opening
-unchanged): every entry's metadata records a sha256 over its array
-payload (``payload_sha256``, checked when ``verify_reads`` is on — see
-:mod:`docs/reliability`), and every ``put`` appends the entry's key to a
-``keys.jsonl`` journal at the store root.  The journal is what makes
-``repro fsck --repair`` possible: content addresses are one-way, so
-without it a corrupt entry's coordinates — needed to re-derive the
-artifact through the pipeline — would be unrecoverable.
+Every ``put`` also appends the entry's key to a ``keys.jsonl`` journal at
+the store root.  The journal is what makes ``repro fsck --repair``
+possible: content addresses are one-way, so without it a corrupt entry's
+coordinates — needed to re-derive the artifact through the pipeline —
+would be unrecoverable.
 """
 
 from __future__ import annotations
@@ -33,68 +33,30 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
-import zipfile
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Dict, Mapping, Optional, Union
+from typing import Dict, Optional, Union
 
 import numpy as np
 
-from repro import faults
 from repro.graphs.serialize import graph_from_arrays, graph_to_arrays
 from repro.ir.serialize import LazyModule, module_to_dict
 from repro.pipeline.staged import PIPELINE_VERSION, CompilationResult
 from repro.transform import chain_id, parse_transform_chain
 from repro.utils.fsio import (
-    TMP_SWEEP_AGE_SECONDS,
-    env_verify_reads as _env_verify_reads,
-    sweep_orphan_tmps,
+    READ_ERRORS,
+    EntryStore,
+    entry_meta,
+    verify_payload,
+    write_entry,
 )
 
 PathLike = Union[str, Path]
-
-_META_KEY = "__meta_json__"
 
 #: Entry metadata schema: 2 added ``payload_sha256`` + the key journal.
 STORE_FORMAT_VERSION = 2
 
 JOURNAL_NAME = "keys.jsonl"
-
-#: Everything a failed entry read can raise: IO faults (incl. injected
-#: ones — :class:`repro.faults.InjectedFault` is an ``OSError``),
-#: truncated/invalid zip containers, bad JSON or schema drift inside the
-#: payload.  Deliberately NOT a bare ``Exception``: a genuinely novel
-#: failure should surface, not be absorbed as a cache miss.
-READ_ERRORS = (
-    OSError,
-    EOFError,
-    ValueError,  # includes json.JSONDecodeError and numpy parse errors
-    KeyError,
-    IndexError,
-    TypeError,
-    zipfile.BadZipFile,
-)
-
-
-def payload_sha256(arrays: Mapping[str, np.ndarray]) -> str:
-    """Content hash over an entry's arrays (name + dtype + shape + bytes).
-
-    The metadata blob is excluded — the hash lives *inside* it — so the
-    digest covers exactly the payload a reader reconstructs results from.
-    Array order does not matter (names are hashed sorted).
-    """
-    digest = hashlib.sha256()
-    for name in sorted(arrays):
-        if name == _META_KEY:
-            continue
-        arr = np.ascontiguousarray(arrays[name])
-        digest.update(name.encode("utf-8"))
-        digest.update(arr.dtype.str.encode("ascii"))
-        digest.update(repr(tuple(arr.shape)).encode("ascii"))
-        digest.update(arr.tobytes())
-    return digest.hexdigest()
-
 
 def _json_payload(data: dict) -> np.ndarray:
     return np.frombuffer(json.dumps(data).encode("utf-8"), dtype=np.uint8)
@@ -166,52 +128,21 @@ class ArtifactKey:
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-class ArtifactStore:
+class ArtifactStore(EntryStore):
     """Directory of content-addressed compilation artifacts.
 
     ``get``/``put`` speak :class:`CompilationResult`; ``hits``/``misses``
     count lookups for reporting (the ``corpus`` CLI and the corpus-build
-    bench print them).
+    bench print them).  Layout, counters, ``get``'s miss accounting,
+    ``verify_reads`` and the orphan-temp sweep come from
+    :class:`~repro.utils.fsio.EntryStore`.
     """
 
-    def __init__(
-        self,
-        root: PathLike,
-        verify_reads: bool = False,
-        sweep_age_seconds: float = TMP_SWEEP_AGE_SECONDS,
-    ):
-        """Open (creating if needed) the store at ``root``.
+    SITE = "artifacts"
 
-        ``verify_reads`` recomputes each entry's ``payload_sha256`` on
-        ``get`` and treats mismatches as read errors (also switchable
-        store-wide via ``REPRO_VERIFY_READS=1``).  Opening sweeps temp
-        files older than ``sweep_age_seconds`` left by crashed writers.
-        """
-        self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
-        self.verify_reads = verify_reads or _env_verify_reads()
-        self.hits = 0
-        self.misses = 0
-        self.read_errors = 0
-        self.swept_tmps = sweep_orphan_tmps(self.root, sweep_age_seconds)
-
-    # ------------------------------------------------------------- layout
     def path_for(self, key: ArtifactKey) -> Path:
         """Entry path: two-hex-char shard directory + full digest."""
-        digest = key.digest
-        return self.root / digest[:2] / (digest + ".npz")
-
-    def __contains__(self, key: ArtifactKey) -> bool:
-        """True when an entry exists on disk (no validation, no counters)."""
-        return self.path_for(key).exists()
-
-    def __len__(self) -> int:
-        """Number of stored entries."""
-        return sum(1 for _ in self.root.glob("*/*.npz"))
-
-    def size_bytes(self) -> int:
-        """Total on-disk size of all entries."""
-        return sum(p.stat().st_size for p in self.root.glob("*/*.npz"))
+        return self._entry_path(key.digest)
 
     # -------------------------------------------------------------- write
     def put(self, key: ArtifactKey, result: CompilationResult) -> Path:
@@ -251,25 +182,11 @@ class ArtifactStore:
         arrays.update(graph_to_arrays(result.source_graph, prefix="sg."))
         arrays.update(graph_to_arrays(result.decompiled_graph, prefix="dg."))
         meta["store_format"] = STORE_FORMAT_VERSION
-        meta["payload_sha256"] = payload_sha256(arrays)
-        arrays[_META_KEY] = np.frombuffer(
-            json.dumps(meta).encode("utf-8"), dtype=np.uint8
+        # Uncompressed on purpose: entries are small and the store's whole
+        # point is load speed; zip-deflate made warm loads the bottleneck.
+        path = self._commit(
+            self.path_for(key), lambda fh: write_entry(fh, arrays, meta)
         )
-        path = self.path_for(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=str(path.parent), suffix=".tmp")
-        try:
-            faults.hit("artifacts.put.write")
-            with os.fdopen(fd, "wb") as handle:
-                # Uncompressed on purpose: entries are small and the store's
-                # whole point is load speed; zip-deflate made warm loads the
-                # bottleneck.
-                np.savez(handle, **arrays)
-            faults.replace(tmp, path, "artifacts.put")
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
         self._journal_append(key)
         return path
 
@@ -318,81 +235,34 @@ class ArtifactStore:
         return out
 
     # --------------------------------------------------------------- read
-    def get(self, key: ArtifactKey) -> Optional[CompilationResult]:
-        """Load an entry, or ``None`` on any miss (absent, corrupt, stale).
-
-        Misses stay misses by contract — the caller recompiles — but an
-        entry that *exists* and fails to read (IO error, truncated zip,
-        checksum mismatch under ``verify_reads``) additionally bumps
-        ``read_errors`` so corruption is never silently absorbed.
-        """
-        path = self.path_for(key)
-        try:
-            faults.hit("artifacts.get.read")
-            with np.load(str(path)) as archive:
-                meta = json.loads(
-                    bytes(np.asarray(archive[_META_KEY]).tobytes()).decode("utf-8")
-                )
-                if meta.get("key") != asdict(key):
-                    self.misses += 1
-                    return None
-                if self.verify_reads and meta.get("payload_sha256") is not None:
-                    actual = payload_sha256(
-                        {name: archive[name] for name in archive.files}
-                    )
-                    if actual != meta["payload_sha256"]:
-                        raise ValueError(
-                            f"checksum mismatch in {path.name}: entry records "
-                            f"{meta['payload_sha256'][:12]}…, payload hashes "
-                            f"to {actual[:12]}…"
-                        )
-                src_head = meta["source_module_head"]
-                dec_head = meta["decompiled_module_head"]
-                result = CompilationResult(
-                    name=meta["name"],
-                    language=meta["language"],
-                    opt_level=meta["opt_level"],
-                    compiler=meta["compiler"],
-                    source_text=meta["source_text"],
-                    stages_completed=list(meta["stages_completed"]),
-                    transforms=list(meta.get("transforms", [])),
-                    source_module=LazyModule(
-                        src_head[0], src_head[1],
-                        np.asarray(archive["source_module"]).tobytes(),
-                    ),
-                    decompiled_module=LazyModule(
-                        dec_head[0], dec_head[1],
-                        np.asarray(archive["decompiled_module"]).tobytes(),
-                    ),
-                    binary_bytes=bytes(np.asarray(archive["binary"], dtype=np.uint8).tobytes()),
-                    source_graph=graph_from_arrays(archive, prefix="sg."),
-                    decompiled_graph=graph_from_arrays(archive, prefix="dg."),
-                    from_cache=True,
-                )
-        except FileNotFoundError:
-            # Plain absence: the ordinary cold-cache miss.
-            self.misses += 1
-            return None
-        except READ_ERRORS:
-            # The entry exists but cannot be read back (truncated zip, bad
-            # JSON, schema drift, IO fault, checksum mismatch): still a
-            # miss by contract — the build recompiles — but counted so
-            # faults are observable, never silently swallowed.
-            self.read_errors += 1
-            self.misses += 1
-            return None
-        self.hits += 1
-        return result
-
-    # ---------------------------------------------------------- reporting
-    def stats(self) -> dict:
-        """Counters + on-disk footprint for status displays."""
-        return {
-            "root": str(self.root),
-            "entries": len(self),
-            "bytes": self.size_bytes(),
-            "hits": self.hits,
-            "misses": self.misses,
-            "read_errors": self.read_errors,
-            "swept_tmps": self.swept_tmps,
-        }
+    def _load(self, path: Path, key: ArtifactKey) -> Optional[CompilationResult]:
+        """Decode one entry into a :class:`CompilationResult` (modules lazy)."""
+        with np.load(str(path)) as archive:
+            meta = entry_meta(archive)
+            if meta.get("key") != asdict(key):
+                return None
+            if self.verify_reads:
+                verify_payload(archive, meta)
+            src_head = meta["source_module_head"]
+            dec_head = meta["decompiled_module_head"]
+            return CompilationResult(
+                name=meta["name"],
+                language=meta["language"],
+                opt_level=meta["opt_level"],
+                compiler=meta["compiler"],
+                source_text=meta["source_text"],
+                stages_completed=list(meta["stages_completed"]),
+                transforms=list(meta.get("transforms", [])),
+                source_module=LazyModule(
+                    src_head[0], src_head[1],
+                    np.asarray(archive["source_module"]).tobytes(),
+                ),
+                decompiled_module=LazyModule(
+                    dec_head[0], dec_head[1],
+                    np.asarray(archive["decompiled_module"]).tobytes(),
+                ),
+                binary_bytes=bytes(np.asarray(archive["binary"], dtype=np.uint8).tobytes()),
+                source_graph=graph_from_arrays(archive, prefix="sg."),
+                decompiled_graph=graph_from_arrays(archive, prefix="dg."),
+                from_cache=True,
+            )

@@ -322,8 +322,9 @@ def build_parser() -> argparse.ArgumentParser:
         "fsck",
         help="scan a store or index for corruption; quarantine and repair",
         description="Classify every entry of an artifact store, model "
-        "store or sharded index as ok / corrupt / orphaned-tmp, checking "
-        "recorded sha256 checksums where present.  --quarantine moves "
+        "store or sharded index as ok / corrupt / orphaned-tmp against its "
+        "recorded sha256 checksum; an entry that records none is corrupt "
+        "(older format: rebuild or retrain).  --quarantine moves "
         "corrupt entries aside and deletes writer residue; --repair "
         "additionally re-derives corrupt artifact-store entries through "
         "the content-addressed pipeline (bit-identical to the lost "

@@ -2,49 +2,33 @@
 
 Mirrors :class:`repro.artifacts.ArtifactStore`, one level up the stack:
 entries are finished :class:`~repro.core.trainer.MatchTrainer` checkpoints
-(weights + tokenizer + optimizer moments, via ``MatchTrainer.save``'s
+(weights + tokenizer + optimizer moments, via ``MatchTrainer.save_bytes``'s
 pickle-free ``.npz``) addressed by an experiment fingerprint computed in
-:mod:`repro.exec.runner`.  Writes are atomic (temp file + ``os.replace``),
-so parallel grid workers share one store without locks; unreadable or
-mismatched entries are misses, never errors — counted in ``read_errors``
-when the entry exists but cannot be read, so faults stay observable.
-
-Each checkpoint gains a ``<fingerprint>.npz.sha256`` sidecar recording
-the committed file's content hash (older sidecar-less entries keep
-opening unchanged); ``verify_reads`` / ``REPRO_VERIFY_READS=1`` checks
-it before deserializing, and ``repro fsck`` uses it to classify entries.
+:mod:`repro.exec.runner`.  Both stores share the entry format and body of
+:mod:`repro.utils.fsio`: atomic ``mkstemp`` + ``os.replace`` commits, so
+parallel grid workers share one store without locks, and a
+``payload_sha256`` recorded in every checkpoint's metadata, checked by
+``verify_reads`` / ``REPRO_VERIFY_READS=1`` and ``repro fsck``.
+Unreadable or mismatched entries are misses, never errors — counted in
+``read_errors`` when the entry exists but cannot be read, so faults stay
+observable.  Checkpoints without a checksum (written before it existed)
+still load on default reads; under ``verify_reads`` they are read errors.
 """
 
 from __future__ import annotations
 
-import os
-import zipfile
 from pathlib import Path
 from typing import List, Optional, Union
 
-from repro import faults
 from repro.core.trainer import MatchTrainer
 from repro.utils.fsio import (
-    TMP_SWEEP_AGE_SECONDS,
-    env_verify_reads as _env_verify_reads,
-    sha256_file,
-    sweep_orphan_tmps,
+    READ_ERRORS,
+    EntryStore,
+    entry_paths,
+    read_verified_meta,
 )
 
 PathLike = Union[str, Path]
-
-#: Everything a failed checkpoint read can raise: IO faults (including
-#: injected ones), truncated/invalid zip containers, bad JSON metadata,
-#: schema drift in the serialized trainer.  Not a bare ``Exception``.
-READ_ERRORS = (
-    OSError,
-    EOFError,
-    ValueError,
-    KeyError,
-    IndexError,
-    TypeError,
-    zipfile.BadZipFile,
-)
 
 # Pins the trainer implementation in every experiment fingerprint: bump
 # when training semantics change observably (optimizer math, batching,
@@ -53,63 +37,21 @@ READ_ERRORS = (
 RUNNER_VERSION = "train-1"
 
 
-class ModelStore:
+class ModelStore(EntryStore):
     """Directory of content-addressed trained-model checkpoints.
 
     ``get``/``put`` speak :class:`MatchTrainer`; ``hits``/``misses`` count
     lookups for reporting (the ``experiment`` CLI and ``bench_train``
-    print them).
+    print them).  Layout, counters, ``get``'s miss accounting,
+    ``verify_reads`` and the orphan-temp sweep come from
+    :class:`~repro.utils.fsio.EntryStore`.
     """
 
-    def __init__(
-        self,
-        root: PathLike,
-        verify_reads: bool = False,
-        sweep_age_seconds: float = TMP_SWEEP_AGE_SECONDS,
-    ):
-        """Open (creating if needed) the store at ``root``.
+    SITE = "models"
 
-        ``verify_reads`` checks each checkpoint's sha256 sidecar before
-        loading (also switchable via ``REPRO_VERIFY_READS=1``).  Opening
-        sweeps temp files older than ``sweep_age_seconds`` left behind by
-        crashed writers.
-        """
-        self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
-        self.verify_reads = verify_reads or _env_verify_reads()
-        self.hits = 0
-        self.misses = 0
-        self.read_errors = 0
-        self.swept_tmps = sweep_orphan_tmps(self.root, sweep_age_seconds)
-
-    # ------------------------------------------------------------- layout
     def path_for(self, fingerprint: str) -> Path:
         """Entry path: two-hex-char shard directory + full fingerprint."""
-        return self.root / fingerprint[:2] / (fingerprint + ".npz")
-
-    @staticmethod
-    def checksum_path(path: PathLike) -> Path:
-        """The sha256 sidecar recorded next to one checkpoint."""
-        path = Path(path)
-        return path.with_name(path.name + ".sha256")
-
-    def __contains__(self, fingerprint: str) -> bool:
-        """True when an entry exists on disk (no validation, no counters)."""
-        return self.path_for(fingerprint).exists()
-
-    def _entry_paths(self):
-        """Stored checkpoints, excluding in-flight ``.<fp>.<pid>.tmp.npz``
-        temps (pathlib's ``*`` matches dotfiles, and a killed writer can
-        leave one behind)."""
-        return (p for p in self.root.glob("*/*.npz") if not p.name.startswith("."))
-
-    def __len__(self) -> int:
-        """Number of stored checkpoints."""
-        return sum(1 for _ in self._entry_paths())
-
-    def size_bytes(self) -> int:
-        """Total on-disk size of all entries."""
-        return sum(p.stat().st_size for p in self._entry_paths())
+        return self._entry_path(fingerprint)
 
     # -------------------------------------------------------------- write
     def put(self, fingerprint: str, trainer: MatchTrainer, meta: dict) -> Path:
@@ -119,113 +61,29 @@ class ModelStore:
         runner records the fingerprint, spec name, report summary and
         timing there; ``get`` validates the fingerprint on the way back.
         """
-        path = self.path_for(fingerprint)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_name(f".{fingerprint}.{os.getpid()}.tmp.npz")
-        try:
-            faults.hit("models.put.write")
-            trainer.save(
-                str(tmp), extra_meta={"experiment": {**meta, "fingerprint": fingerprint}}
-            )
-            # Hash the temp (== committed) bytes *before* the rename: a
-            # commit-time fault that corrupts the entry then disagrees
-            # with the sidecar instead of blessing the damage.
-            digest = sha256_file(tmp)
-            faults.replace(tmp, path, "models.put")
-        except BaseException:
-            if tmp.exists():
-                tmp.unlink()
-            raise
-        self._commit_sidecar(path, fingerprint, digest)
-        return path
+        experiment = {**meta, "fingerprint": fingerprint}
+        return self.put_bytes(
+            fingerprint, trainer.save_bytes(extra_meta={"experiment": experiment})
+        )
 
     def put_bytes(self, fingerprint: str, payload: bytes) -> Path:
         """Persist an already-serialized checkpoint (``MatchTrainer.save_bytes``).
 
-        Same atomic commit protocol and fault sites as :meth:`put` — the
-        payload is staged to a temp file, hashed, renamed into place, then
-        the sidecar commits.  This is the sink of the grid pool's batched
-        writer: workers ship checkpoint bytes over a pipe and only the
+        The one model writer: the grid pool's batched writer lands here
+        too, since workers ship checkpoint bytes over a pipe and only the
         parent ever writes the store.
         """
-        path = self.path_for(fingerprint)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_name(f".{fingerprint}.{os.getpid()}.tmp.npz")
-        try:
-            faults.hit("models.put.write")
-            tmp.write_bytes(payload)
-            digest = sha256_file(tmp)
-            faults.replace(tmp, path, "models.put")
-        except BaseException:
-            if tmp.exists():
-                tmp.unlink()
-            raise
-        self._commit_sidecar(path, fingerprint, digest)
-        return path
-
-    def _commit_sidecar(self, path: Path, fingerprint: str, digest: str) -> None:
-        # Sidecar commits after the entry: the worst crash window leaves a
-        # checkpoint without (or with a stale) sidecar, which readers and
-        # fsck treat as "unverified", never as valid-but-wrong.
-        sidecar = self.checksum_path(path)
-        sidecar_tmp = sidecar.with_name(f".{fingerprint}.{os.getpid()}.sha.tmp")
-        try:
-            sidecar_tmp.write_text(digest + "\n")
-            os.replace(sidecar_tmp, sidecar)
-        except BaseException:
-            if sidecar_tmp.exists():
-                sidecar_tmp.unlink()
-            raise
+        return self._commit(self.path_for(fingerprint), lambda fh: fh.write(payload))
 
     # --------------------------------------------------------------- read
-    def get(self, fingerprint: str) -> Optional[MatchTrainer]:
-        """Load a trained model, or ``None`` on any miss (absent, corrupt, stale).
-
-        An entry that exists but fails to read (IO fault, truncated file,
-        sidecar checksum mismatch under ``verify_reads``) is still a miss
-        — grid runs retrain — but bumps ``read_errors`` so corruption is
-        observable, never silently swallowed.
-        """
-        path = self.path_for(fingerprint)
-        try:
-            faults.hit("models.get.read")
-            if self.verify_reads:
-                self.verify_checksum(path)
-            trainer = MatchTrainer.load(str(path))
-            meta = self.read_meta(path)
-            if meta.get("fingerprint") != fingerprint:
-                self.misses += 1
-                return None
-        except FileNotFoundError:
-            self.misses += 1
+    def _load(self, path: Path, fingerprint: str) -> Optional[MatchTrainer]:
+        """Restore one checkpoint; ``None`` when it records another fingerprint."""
+        if self.verify_reads:
+            read_verified_meta(path)
+        trainer = MatchTrainer.load(str(path))
+        if self.read_meta(path).get("fingerprint") != fingerprint:
             return None
-        except READ_ERRORS:
-            self.read_errors += 1
-            self.misses += 1
-            return None
-        self.hits += 1
         return trainer
-
-    @classmethod
-    def verify_checksum(cls, path: PathLike) -> Optional[bool]:
-        """Check one checkpoint against its sha256 sidecar.
-
-        Returns True on match, ``None`` when no sidecar exists (a
-        pre-sidecar entry: unverifiable, not wrong), and raises
-        ``ValueError`` on mismatch.
-        """
-        sidecar = cls.checksum_path(path)
-        try:
-            recorded = sidecar.read_text().strip()
-        except FileNotFoundError:
-            return None
-        actual = sha256_file(path)
-        if actual != recorded:
-            raise ValueError(
-                f"checksum mismatch for {Path(path).name}: sidecar records "
-                f"{recorded[:12]}…, file hashes to {actual[:12]}…"
-            )
-        return True
 
     @staticmethod
     def read_meta(path: PathLike) -> dict:
@@ -238,7 +96,7 @@ class ModelStore:
     def entries(self) -> List[dict]:
         """Experiment metadata of every stored checkpoint (for ``list``)."""
         out = []
-        for path in sorted(self._entry_paths()):
+        for path in entry_paths(self.root):
             try:
                 meta = self.read_meta(path)
             except READ_ERRORS:
@@ -251,19 +109,6 @@ class ModelStore:
             out.append(meta)
         return out
 
-    # ---------------------------------------------------------- reporting
-    def stats(self) -> dict:
-        """Counters + on-disk footprint for status displays."""
-        return {
-            "root": str(self.root),
-            "entries": len(self),
-            "bytes": self.size_bytes(),
-            "hits": self.hits,
-            "misses": self.misses,
-            "read_errors": self.read_errors,
-            "swept_tmps": self.swept_tmps,
-        }
-
 
 class BatchedModelWriter:
     """Buffer finished checkpoints and commit them in batches.
@@ -273,7 +118,7 @@ class BatchedModelWriter:
     ``max_pending``-th addition flushes the buffer through
     :meth:`ModelStore.put_bytes` — amortizing the directory churn of the
     per-run atomic round-trips without ever weakening them: each entry
-    still commits via temp file + ``os.replace`` + sidecar, so a crash
+    still commits via temp file + ``os.replace``, so a crash
     mid-flush loses only uncommitted buffers, never corrupts the store.
 
     Use as a context manager; exit flushes whatever is pending (also on

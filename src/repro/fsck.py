@@ -8,14 +8,15 @@ way, and — for the artifact store — undoes it.
 One scan walks a store or index directory and classifies every entry:
 
 ``ok``
-    Readable, and its recorded checksum (entry ``payload_sha256``, model
-    sidecar, or index-manifest ``sha256`` field) matches.  Store entries
-    from pre-checksum formats that read fine are ``ok`` with
-    ``"verified": false`` — unverifiable is not wrong.  Index files have
-    no such grace: every index writer records a checksum.
+    Readable, and its recorded checksum matches: an artifact entry's or
+    model checkpoint's ``payload_sha256`` (the one entry format of
+    :mod:`repro.utils.fsio`, checked by one entry checker for both stores),
+    or an index file's manifest ``sha256`` field.
 ``corrupt``
     Unreadable, structurally invalid, mislocated, checksum-mismatched, or
-    (index files) missing their recorded checksum.
+    missing its recorded checksum.  A store entry from an older format
+    without ``payload_sha256`` is reported as "no recorded checksum (older
+    format); rebuild/retrain": it cannot be told from a damaged one.
 ``orphaned-tmp``
     Residue of a crashed or fault-injected writer: a ``*.tmp`` /
     ``*.tmp.npz`` file nobody will ever rename into place.
@@ -41,22 +42,13 @@ files against the manifest, not against a checkpoint.
 
 from __future__ import annotations
 
-import json
 import os
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Dict, Optional, Union
 
 import numpy as np
 
-from repro.artifacts.store import (
-    _META_KEY,
-    JOURNAL_NAME,
-    READ_ERRORS,
-    ArtifactKey,
-    ArtifactStore,
-    payload_sha256,
-)
-from repro.exec.store import ModelStore
+from repro.artifacts.store import JOURNAL_NAME, ArtifactKey, ArtifactStore
 from repro.index.sharded import (
     MANIFEST_NAME,
     ShardCorruption,
@@ -64,7 +56,13 @@ from repro.index.sharded import (
     read_manifest,
 )
 from repro.pipeline.staged import PIPELINE_VERSION, StageFailure
-from repro.utils.fsio import find_orphan_tmps
+from repro.utils.fsio import (
+    READ_ERRORS,
+    entry_meta,
+    entry_paths,
+    find_orphan_tmps,
+    read_verified_meta,
+)
 
 PathLike = Union[str, Path]
 
@@ -79,8 +77,29 @@ STATUS_CORRUPT = "corrupt"
 STATUS_ORPHAN = "orphaned-tmp"
 
 
+#: Per store kind: the metadata field every entry of that kind carries.
+_ENTRY_FIELD = {"artifacts": "key", "models": "experiment"}
+
+
+def _entry_name(kind: str, meta: dict) -> str:
+    """The address an entry's own metadata gives it (its file stem)."""
+    field = _ENTRY_FIELD[kind]
+    if field not in meta:
+        raise ValueError(f"entry has no {field} metadata")
+    if kind == "artifacts":
+        return ArtifactKey(**meta["key"]).digest
+    return str(meta["experiment"].get("fingerprint"))
+
+
 def detect_kind(root: PathLike) -> str:
-    """Which store flavor lives at ``root`` (raises when undecidable)."""
+    """Which store flavor lives at ``root`` (raises when undecidable).
+
+    A store is classified by its entries' own metadata (an artifact's
+    ``key``, a checkpoint's ``experiment``), never by the shape of their
+    names: both are 64-hex sha256 digests.  When no entry is readable, a
+    store without a key journal is a model store — every artifact
+    ``put`` appends to the journal.
+    """
     root = Path(root)
     if not root.is_dir():
         raise ValueError(f"{root} is not a directory (nothing to fsck)")
@@ -88,14 +107,17 @@ def detect_kind(root: PathLike) -> str:
         return "index"
     if (root / JOURNAL_NAME).exists():
         return "artifacts"
-    for path in root.glob("*/*.npz"):
-        if path.name.startswith(".") or QUARANTINE_DIR in path.parts:
+    entries = entry_paths(root)
+    for path in entries:
+        try:
+            with np.load(str(path)) as archive:
+                meta = entry_meta(archive)
+        except READ_ERRORS:  # a damaged entry says nothing; try the next
             continue
-        # Artifact entries are named by a 64-hex sha256 digest; model
-        # checkpoints by a short experiment fingerprint.
-        stem = path.name[: -len(".npz")]
-        if len(stem) == 64 and all(c in "0123456789abcdef" for c in stem):
-            return "artifacts"
+        for kind, field in _ENTRY_FIELD.items():
+            if field in meta:
+                return kind
+    if entries:
         return "models"
     raise ValueError(
         f"cannot tell what {root} is: no index manifest, no key journal, "
@@ -152,43 +174,28 @@ def _finalize(report: dict) -> dict:
     return report
 
 
-# ----------------------------------------------------------- artifacts
-def _check_artifact_entry(path: Path) -> dict:
-    """Classify one artifact-store ``.npz`` entry."""
+# -------------------------------------------------------------- stores
+def _check_entry(path: Path, kind: str) -> dict:
+    """Classify one store entry: its checksum, then its address."""
     try:
-        with np.load(str(path)) as archive:
-            meta = json.loads(
-                bytes(np.asarray(archive[_META_KEY]).tobytes()).decode("utf-8")
-            )
-            key_fields = meta.get("key")
-            if key_fields is None:
-                return {"status": STATUS_CORRUPT, "detail": "entry has no key metadata"}
-            digest = ArtifactKey(**key_fields).digest
-            if digest + ".npz" != path.name:
-                return {
-                    "status": STATUS_CORRUPT,
-                    "detail": f"entry is mislocated: key digests to {digest[:12]}…",
-                }
-            recorded = meta.get("payload_sha256")
-            if recorded is None:
-                return {"status": STATUS_OK, "verified": False}
-            actual = payload_sha256({name: archive[name] for name in archive.files})
-            if actual != recorded:
-                return {
-                    "status": STATUS_CORRUPT,
-                    "detail": (
-                        f"payload checksum mismatch (recorded {recorded[:12]}…, "
-                        f"actual {actual[:12]}…)"
-                    ),
-                }
-            return {"status": STATUS_OK, "verified": True}
+        name = _entry_name(kind, read_verified_meta(path))
     except READ_ERRORS as exc:
-        return {"status": STATUS_CORRUPT, "detail": f"unreadable: {exc}"}
+        return {"status": STATUS_CORRUPT, "detail": str(exc)}
+    if name + ".npz" != path.name:
+        return {
+            "status": STATUS_CORRUPT,
+            "detail": f"entry is mislocated: its metadata names {name[:12]}…",
+        }
+    return {"status": STATUS_OK}
 
 
-def _rederive_artifact(store: ArtifactStore, key: ArtifactKey) -> Optional[str]:
+def _rederive_artifact(
+    store: ArtifactStore, key: Optional[ArtifactKey]
+) -> Optional[str]:
     """Rebuild one artifact entry through the pipeline; None on success,
     else the reason it cannot be re-derived."""
+    if key is None:
+        return "digest not in the key journal, cannot re-derive"
     if key.version != PIPELINE_VERSION:
         return (
             f"entry was built by pipeline {key.version!r}; the current "
@@ -234,19 +241,21 @@ def _rederive_artifact(store: ArtifactStore, key: ArtifactKey) -> Optional[str]:
     return None
 
 
-def fsck_artifact_store(
-    root: PathLike, quarantine: bool = False, repair: bool = False
+def fsck_store(
+    root: PathLike, kind: str, quarantine: bool = False, repair: bool = False
 ) -> dict:
-    """Scan (and optionally heal) one artifact store; returns the report."""
+    """Scan (and optionally heal) one artifact or model store.
+
+    Corrupt entries are quarantined; with ``repair`` each is then
+    re-derived where its kind allows (artifacts, via the key journal and
+    the pipeline) and reported ``unrepairable`` otherwise.
+    """
     root = Path(root)
-    report = _new_report(root, "artifacts")
+    report = _new_report(root, kind)
     quarantine = quarantine or repair
-    journal = None
-    store = None
-    for path in sorted(root.glob("*/*.npz")):
-        if path.name.startswith(".") or QUARANTINE_DIR in path.parts:
-            continue
-        entry = _check_artifact_entry(path)
+    store = journal = None
+    for path in entry_paths(root):
+        entry = _check_entry(path, kind)
         entry["file"] = str(path.relative_to(root))
         report["entries"].append(entry)
         if entry["status"] != STATUS_CORRUPT or not quarantine:
@@ -255,65 +264,19 @@ def fsck_artifact_store(
         entry["quarantined_to"] = _quarantine(root, path)
         if not repair:
             continue
-        if store is None:
-            # sweep_age -1 so fsck's own temp accounting below stays exact
-            store = ArtifactStore(root, sweep_age_seconds=float("inf"))
-            journal = store.journal_keys()
-        digest = path.name[: -len(".npz")]
-        key = journal.get(digest)
-        if key is None:
-            entry["action"] = "unrepairable"
-            entry["detail"] = (
-                (entry.get("detail") or "")
-                + "; digest not in the key journal, cannot re-derive"
-            ).lstrip("; ")
-            continue
-        reason = _rederive_artifact(store, key)
+        if kind == "models":
+            reason = "checkpoints are not re-derivable — retrain via `repro experiment`"
+        else:
+            if store is None:
+                # sweep_age inf so fsck's own temp accounting below stays exact
+                store = ArtifactStore(root, sweep_age_seconds=float("inf"))
+                journal = store.journal_keys()
+            reason = _rederive_artifact(store, journal.get(path.stem))
         if reason is None:
             entry["action"] = "repaired"
         else:
             entry["action"] = "unrepairable"
-            entry["detail"] = ((entry.get("detail") or "") + "; " + reason).lstrip("; ")
-    _sweep_tmps(root, report, act=quarantine)
-    return _finalize(report)
-
-
-# -------------------------------------------------------------- models
-def fsck_model_store(root: PathLike, quarantine: bool = False, repair: bool = False) -> dict:
-    """Scan one model store.  Corrupt checkpoints are quarantined, never
-    repaired — a trained model is not re-derivable from its fingerprint;
-    retrain via ``repro experiment``."""
-    root = Path(root)
-    report = _new_report(root, "models")
-    quarantine = quarantine or repair
-    for path in sorted(root.glob("*/*.npz")):
-        if path.name.startswith(".") or QUARANTINE_DIR in path.parts:
-            continue
-        entry: dict = {"file": str(path.relative_to(root))}
-        try:
-            verified = ModelStore.verify_checksum(path)
-            meta = ModelStore.read_meta(path)
-            if meta.get("fingerprint", path.name[: -len(".npz")]) != path.name[: -len(".npz")]:
-                raise ValueError(
-                    f"entry is mislocated: metadata records fingerprint "
-                    f"{meta.get('fingerprint')!r}"
-                )
-            entry.update(status=STATUS_OK, verified=bool(verified))
-        except READ_ERRORS as exc:
-            entry.update(status=STATUS_CORRUPT, detail=str(exc))
-            if quarantine:
-                entry["action"] = "quarantined"
-                entry["quarantined_to"] = _quarantine(root, path)
-                sidecar = ModelStore.checksum_path(path)
-                if sidecar.exists():
-                    _quarantine(root, sidecar)
-                if repair:
-                    entry["action"] = "unrepairable"
-                    entry["detail"] += (
-                        "; checkpoints are not re-derivable — retrain via "
-                        "`repro experiment`"
-                    )
-        report["entries"].append(entry)
+            entry["detail"] = f"{entry['detail']}; {reason}"
     _sweep_tmps(root, report, act=quarantine)
     return _finalize(report)
 
@@ -396,9 +359,6 @@ def fsck(
         raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
     if kind == "auto":
         kind = detect_kind(path)
-    scan = {
-        "artifacts": fsck_artifact_store,
-        "models": fsck_model_store,
-        "index": fsck_index,
-    }[kind]
-    return scan(path, quarantine=quarantine, repair=repair)
+    if kind == "index":
+        return fsck_index(path, quarantine=quarantine, repair=repair)
+    return fsck_store(path, kind, quarantine=quarantine, repair=repair)

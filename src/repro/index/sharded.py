@@ -58,7 +58,6 @@ import numbers
 import os
 import shutil
 import threading
-import zipfile
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
@@ -81,7 +80,11 @@ from repro.index.embedding_index import (
 from repro.index.quantizer import CoarseQuantizer
 from repro.nn.tensor import no_grad
 from repro.utils.fsio import (
+    _META_KEY,
+    READ_ERRORS,
     TMP_SWEEP_AGE_SECONDS,
+    commit,
+    entry_meta,
     env_verify_reads as _env_verify_reads,
     sha256_file,
     sweep_orphan_tmps,
@@ -93,9 +96,6 @@ PathLike = Union[str, Path]
 MANIFEST_NAME = "manifest.json"
 INDEX_FORMAT_VERSION = 3
 _FORMAT = "sharded-embedding-index-v3"
-
-#: Archive member holding a float32 shard's JSON metadata.
-_META_KEY = "__meta_json__"
 
 
 class ShardCorruption(ValueError):
@@ -494,22 +494,13 @@ class ShardedEmbeddingIndex:
     def _commit(self, name: str, write, site: str, write_fault: bool = True) -> str:
         """Atomically write one index file via ``write(fh)``; returns its sha256.
 
-        The one temp-write → hash → ``faults.replace`` → unlink sequence
-        behind every file this index writes.  Per-pid temp names let
-        concurrent writers each rename their own file (last replace wins).
-        ``write_fault`` fires the ``{site}.write`` fault site first.
+        Every file this index writes goes through :func:`repro.utils.fsio.commit`
+        (``write_fault`` fires the ``{site}.write`` fault site first), with
+        the digest taken from the temp file before the rename.
         """
-        tmp = self.root / f".{name}.{os.getpid()}.tmp"
-        try:
-            if write_fault:
-                faults.hit(f"{site}.write")
-            with open(tmp, "wb") as fh:
-                write(fh)
-            digest = sha256_file(tmp)
-            faults.replace(tmp, self.root / name, site)
-        finally:
-            tmp.unlink(missing_ok=True)
-        return digest
+        return commit(
+            self.root / name, write, site, write_fault=write_fault, digest=True
+        )
 
     def _write_manifest(self) -> None:
         text = json.dumps(self._manifest, indent=2, sort_keys=True)
@@ -545,9 +536,9 @@ class ShardedEmbeddingIndex:
         if self.codec == "float32":
             try:
                 with np.load(path) as archive:
-                    meta = json.loads(bytes(archive[_META_KEY].tobytes()).decode())
+                    meta = entry_meta(archive)
                     embeddings = archive["embeddings"].astype(np.float32, copy=False)
-            except (OSError, EOFError, ValueError, KeyError, zipfile.BadZipFile) as exc:
+            except READ_ERRORS as exc:
                 raise ShardCorruption(
                     f"{path} is corrupt, truncated or missing ({exc}); "
                     "rebuild the shard or run `repro fsck`"

@@ -3,23 +3,25 @@
 A checkpoint is a single compressed NumPy archive holding the flat
 state-dict (parameters + buffers) plus JSON-encoded metadata (model config,
 tokenizer state).  No pickle is involved, so checkpoints are portable and
-safe to load from untrusted sources.
+safe to load from untrusted sources.  It is an entry in the store format
+of :mod:`repro.utils.fsio`: the metadata member records ``payload_sha256``
+over the arrays, which ``verify_reads`` and ``repro fsck`` check.  The
+readers here return only the caller's metadata, without that field.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
 from pathlib import Path
 from typing import Dict, Optional, Union
 
 import numpy as np
 
 from repro.nn.module import Module
+from repro.utils.fsio import _META_KEY, entry_meta, write_entry
 
 PathLike = Union[str, Path]
 
-_META_KEY = "__meta_json__"
 _EXTRA_PREFIX = "extra:"
 
 
@@ -44,12 +46,8 @@ def save_state(
     if extra is not None:
         for key, arr in extra.items():
             payload[f"{_EXTRA_PREFIX}{key}"] = np.asarray(arr)
-    if meta is not None:
-        payload[_META_KEY] = np.frombuffer(
-            json.dumps(meta).encode("utf-8"), dtype=np.uint8
-        )
     target = path if hasattr(path, "write") else str(path)
-    np.savez_compressed(target, **payload)
+    write_entry(target, payload, meta or {}, compressed=True)
 
 
 def load_state(module: Module, path: PathLike) -> Optional[dict]:
@@ -67,9 +65,7 @@ def load_state(module: Module, path: PathLike) -> Optional[dict]:
             for k in archive.files
             if k != _META_KEY and not k.startswith(_EXTRA_PREFIX)
         }
-        meta = None
-        if _META_KEY in archive.files:
-            meta = json.loads(bytes(archive[_META_KEY].tobytes()).decode("utf-8"))
+        meta = _caller_meta(archive)
     module.load_state_dict(state)
     return meta
 
@@ -89,9 +85,16 @@ def read_meta(path: PathLike) -> Optional[dict]:
     """Read only the metadata of a checkpoint (cheap; no state is loaded)."""
     path = _resolve(path)
     with np.load(path) as archive:
-        if _META_KEY not in archive.files:
-            return None
-        return json.loads(bytes(archive[_META_KEY].tobytes()).decode("utf-8"))
+        return _caller_meta(archive)
+
+
+def _caller_meta(archive) -> Optional[dict]:
+    """The metadata passed to :func:`save_state`, minus the checksum field."""
+    if _META_KEY not in archive.files:
+        return None
+    meta = entry_meta(archive)
+    meta.pop("payload_sha256", None)
+    return meta or None
 
 
 def config_to_meta(config) -> dict:

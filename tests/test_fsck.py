@@ -17,7 +17,8 @@ from repro.config import DataConfig, cpu_config, scaled, tiny_data_config
 from repro.core.trainer import MatchTrainer
 from repro.data.corpus import CorpusBuilder
 from repro.data.pairs import build_pairs
-from repro.exec.store import ModelStore
+from repro.eval.experiments import build_crosslang_dataset
+from repro.exec import ExperimentSpec, ModelStore, run_experiment
 from repro.fsck import detect_kind, fsck
 from repro.index import EmbeddingIndex, ShardedEmbeddingIndex
 
@@ -44,6 +45,21 @@ def trained(built_store):
     return trainer, j
 
 
+@pytest.fixture(scope="module")
+def model_store(tmp_path_factory):
+    """A model store as `repro experiment run` writes it (pristine; tests
+    copy it): one checkpoint named by its full 64-hex experiment
+    fingerprint, the same shape as an artifact digest."""
+    root = tmp_path_factory.mktemp("fsck_models") / "models"
+    ds, _ = build_crosslang_dataset(tiny_data_config(seed=5), ["c"], ["java"])
+    config = scaled(
+        cpu_config(seed=5), epochs=1, hidden_dim=16, embed_dim=16, num_layers=1
+    )
+    run = run_experiment(ExperimentSpec("fsck", config), ds, store=ModelStore(root))
+    assert len(run.fingerprint) == 64
+    return root
+
+
 def copy_store(src, tmp_path):
     dst = tmp_path / "store"
     shutil.copytree(src, dst)
@@ -59,18 +75,38 @@ def corrupt_one(root):
 
 
 class TestDetectKind:
-    def test_detects_each_layout(self, built_store, tmp_path):
+    def test_detects_each_layout(self, built_store, model_store, tmp_path):
         assert detect_kind(built_store) == "artifacts"
         (tmp_path / "idx").mkdir()
         (tmp_path / "idx" / "manifest.json").write_text("{}")
         assert detect_kind(tmp_path / "idx") == "index"
-        entry = tmp_path / "models" / "ab" / ("ab" + "0" * 14 + ".npz")
-        entry.parent.mkdir(parents=True)
-        entry.write_bytes(b"")
-        assert detect_kind(tmp_path / "models") == "models"
+        assert detect_kind(model_store) == "models"
         with pytest.raises(ValueError, match="cannot tell"):
             (tmp_path / "empty").mkdir()
             detect_kind(tmp_path / "empty")
+
+    def test_kind_comes_from_entry_metadata_not_name_shape(
+        self, built_store, model_store, tmp_path
+    ):
+        """Artifact digests and experiment fingerprints are both 64-hex."""
+        models = copy_store(model_store, tmp_path)
+        artifacts = tmp_path / "artifacts"
+        shutil.copytree(built_store, artifacts)
+        (artifacts / "keys.jsonl").unlink()  # no journal to lean on
+        assert detect_kind(models) == "models"
+        assert detect_kind(artifacts) == "artifacts"
+
+    def test_unreadable_entries_without_journal_are_models(self, built_store, tmp_path):
+        """Every artifact put journals its key; a journal-less store whose
+        entries say nothing is a model store."""
+        entry = tmp_path / "models" / "ab" / ("ab" * 32 + ".npz")
+        entry.parent.mkdir(parents=True)
+        entry.write_bytes(b"")
+        assert detect_kind(tmp_path / "models") == "models"
+        artifacts = copy_store(built_store, tmp_path)
+        for path in artifacts.glob("*/*.npz"):
+            path.write_bytes(b"")
+        assert detect_kind(artifacts) == "artifacts"  # the journal decides
 
 
 class TestArtifactFsck:
@@ -124,11 +160,27 @@ class TestArtifactFsck:
 
 class TestModelFsck:
     @pytest.fixture()
-    def model_root(self, trained, tmp_path):
-        trainer, _ = trained
-        store = ModelStore(tmp_path / "models")
-        store.put("ab" + "0" * 14, trainer, {"name": "t"})
-        return tmp_path / "models"
+    def model_root(self, model_store, tmp_path):
+        return copy_store(model_store, tmp_path)
+
+    def test_experiment_store_scans_clean_as_models(self, model_root, capsys):
+        report = fsck(model_root)
+        assert report["kind"] == "models"
+        assert report["clean"] and report["counts"]["ok"] == 1
+        entries = sorted(model_root.glob("*/*.npz"))
+        assert main(["fsck", str(model_root), "--quarantine"]) == 0
+        assert capsys.readouterr().out.startswith(f"fsck models at {model_root}")
+        assert sorted(model_root.glob("*/*.npz")) == entries
+        assert not (model_root / "quarantine").exists()
+
+    def test_checkpoint_under_another_fingerprint_is_corrupt(self, model_root):
+        [path] = model_root.glob("*/*.npz")
+        other = "cd" * 32
+        (model_root / other[:2]).mkdir()
+        path.rename(model_root / other[:2] / (other + ".npz"))
+        report = fsck(model_root, kind="models")
+        [bad] = [e for e in report["entries"] if e["status"] == "corrupt"]
+        assert "mislocated" in bad["detail"]
 
     def test_healthy_then_corrupt(self, model_root):
         assert fsck(model_root)["clean"]

@@ -24,6 +24,7 @@ from repro.exec import (
     run_grid,
 )
 from repro.exec.pool import WORKER_JOB_SITE, SharedRef, ping
+from repro.utils.fsio import read_verified_meta
 from repro.utils.shm import SharedBlock, leaked_segments
 
 #: Every start method this platform offers that the pool must support.
@@ -213,10 +214,11 @@ class TestFaultTolerance:
             runs = run_grid(grid_jobs(dataset, (1, 2)), store=store, pool=pool)
             assert pool.respawns == 1
         assert_runs_bitwise_equal(reference, runs)
-        # Every committed entry verifies against its sidecar; the killed
-        # worker left no half-written temp and no shared-memory segment.
+        # Every committed entry verifies against its recorded checksum; the
+        # killed worker left no half-written temp and no shared-memory segment.
         for run in runs:
-            assert ModelStore.verify_checksum(store.path_for(run.fingerprint))
+            meta = read_verified_meta(store.path_for(run.fingerprint))
+            assert meta["experiment"]["fingerprint"] == run.fingerprint
         assert store_temp_files(store) == []
         assert set(leaked_segments()) == before
 
