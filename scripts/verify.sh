@@ -174,6 +174,14 @@ if ! grep -q ", 0 misses" <<<"$warm_out"; then
   echo "verify: FAIL — warm corpus rebuild did not hit the artifact store" >&2
   exit 1
 fi
+# Entries no longer carry IR modules (store format 3): a third rebuild
+# re-hashes every entry's payload on read and must still hit throughout.
+verified_out="$(REPRO_VERIFY_READS=1 python -m repro corpus build --num-tasks 4 --variants 1 --languages c,java --store "$tmp/artifacts")"
+echo "$verified_out"
+if ! grep -q ", 0 misses" <<<"$verified_out"; then
+  echo "verify: FAIL — checksum-verified warm rebuild missed the artifact store" >&2
+  exit 1
+fi
 # Both stores share one checksummed entry format: fsck must recognize
 # each store's kind from its entries and find every entry intact.
 python -m repro fsck "$tmp/artifacts" | tee "$tmp/fsck-artifacts.txt"

@@ -3,14 +3,17 @@
 Corpus builds and benchmark sweeps re-run the identical deterministic
 pipeline for the same (task, variant, language, opt level, compiler)
 coordinates in every process — the compilation cost dominates cold corpus
-construction.  The store persists everything a completed
+construction.  The store persists what a completed
 :class:`~repro.pipeline.CompilationResult` carries downstream — source
-text, both IR modules (via :mod:`repro.ir.serialize`), binary bytes, and
-both program graphs (via :mod:`repro.graphs.serialize`) — in one
-pickle-free ``.npz`` per entry, addressed by a SHA-256 digest over the
-:class:`ArtifactKey` fields *including the pipeline version fingerprint*:
-change any stage and every old entry silently misses instead of serving
-stale graphs.
+text, binary bytes and both program graphs (via
+:mod:`repro.graphs.serialize`) — in one pickle-free ``.npz`` per entry,
+addressed by a SHA-256 digest over the :class:`ArtifactKey` fields
+*including the pipeline version fingerprint*: change any stage and every
+old entry silently misses instead of serving stale graphs.  The two IR
+modules are not stored: both are functions of what is, so warm loads hand
+out lazy modules (:class:`~repro.pipeline.staged.LazyModule`) that re-run
+the pipeline's own parse + lower (source text) or decompile (binary)
+stages on first access.
 
 Entries use the store format of :mod:`repro.utils.fsio` (atomic
 ``mkstemp`` + ``os.replace`` commit, ``payload_sha256`` recorded in each
@@ -20,6 +23,9 @@ never *silent* misses: read failures are counted separately from plain
 absence (``read_errors``), so an injected or organic IO fault is
 observable.  Under ``verify_reads`` an entry whose payload does not match
 its checksum, or that records none (store format 1), is such a failure.
+Format-2 entries still carry serialized ``source_module`` /
+``decompiled_module`` members; the reader ignores them (the checksum
+still covers them), so stores written before format 3 keep hitting.
 
 Every ``put`` also appends the entry's key to a ``keys.jsonl`` journal at
 the store root.  The journal is what makes ``repro fsck --repair``
@@ -40,8 +46,7 @@ from typing import Dict, Optional, Union
 import numpy as np
 
 from repro.graphs.serialize import graph_from_arrays, graph_to_arrays
-from repro.ir.serialize import LazyModule, module_to_dict
-from repro.pipeline.staged import PIPELINE_VERSION, CompilationResult
+from repro.pipeline.staged import PIPELINE_VERSION, CompilationResult, LazyModule
 from repro.transform import chain_id, parse_transform_chain
 from repro.utils.fsio import (
     READ_ERRORS,
@@ -53,13 +58,11 @@ from repro.utils.fsio import (
 
 PathLike = Union[str, Path]
 
-#: Entry metadata schema: 2 added ``payload_sha256`` + the key journal.
-STORE_FORMAT_VERSION = 2
+#: Entry metadata schema: 2 added ``payload_sha256`` + the key journal;
+#: 3 dropped the serialized IR modules (rebuilt lazily on read).
+STORE_FORMAT_VERSION = 3
 
 JOURNAL_NAME = "keys.jsonl"
-
-def _json_payload(data: dict) -> np.ndarray:
-    return np.frombuffer(json.dumps(data).encode("utf-8"), dtype=np.uint8)
 
 
 def source_text_id(text: str) -> str:
@@ -161,24 +164,8 @@ class ArtifactStore(EntryStore):
             "source_text": result.source_text,
             "stages_completed": list(result.stages_completed),
             "transforms": list(result.transforms),
-            # (name, source_language) pairs so lazy modules can exist
-            # without parsing their payloads.
-            "source_module_head": [
-                result.source_module.name,
-                result.source_module.source_language,
-            ],
-            "decompiled_module_head": [
-                result.decompiled_module.name,
-                result.decompiled_module.source_language,
-            ],
         }
-        arrays = {
-            "binary": np.frombuffer(result.binary_bytes, dtype=np.uint8),
-            # Module payloads live outside the hot meta JSON: warm loads
-            # construct LazyModules and never parse these unless asked.
-            "source_module": _json_payload(module_to_dict(result.source_module)),
-            "decompiled_module": _json_payload(module_to_dict(result.decompiled_module)),
-        }
+        arrays = {"binary": np.frombuffer(result.binary_bytes, dtype=np.uint8)}
         arrays.update(graph_to_arrays(result.source_graph, prefix="sg."))
         arrays.update(graph_to_arrays(result.decompiled_graph, prefix="dg."))
         meta["store_format"] = STORE_FORMAT_VERSION
@@ -243,25 +230,20 @@ class ArtifactStore(EntryStore):
                 return None
             if self.verify_reads:
                 verify_payload(archive, meta)
-            src_head = meta["source_module_head"]
-            dec_head = meta["decompiled_module_head"]
+            name, language = meta["name"], meta["language"]
+            binary = np.asarray(archive["binary"], dtype=np.uint8).tobytes()
             return CompilationResult(
-                name=meta["name"],
-                language=meta["language"],
+                name=name,
+                language=language,
                 opt_level=meta["opt_level"],
                 compiler=meta["compiler"],
                 source_text=meta["source_text"],
                 stages_completed=list(meta["stages_completed"]),
                 transforms=list(meta.get("transforms", [])),
-                source_module=LazyModule(
-                    src_head[0], src_head[1],
-                    np.asarray(archive["source_module"]).tobytes(),
-                ),
-                decompiled_module=LazyModule(
-                    dec_head[0], dec_head[1],
-                    np.asarray(archive["decompiled_module"]).tobytes(),
-                ),
-                binary_bytes=bytes(np.asarray(archive["binary"], dtype=np.uint8).tobytes()),
+                # The names and languages the pipeline's stages give them.
+                source_module=LazyModule(name, language, meta["source_text"]),
+                decompiled_module=LazyModule(name + ".dec", "decompiled", binary),
+                binary_bytes=binary,
                 source_graph=graph_from_arrays(archive, prefix="sg."),
                 decompiled_graph=graph_from_arrays(archive, prefix="dg."),
                 from_cache=True,

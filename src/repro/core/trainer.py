@@ -309,20 +309,32 @@ class MatchTrainer:
     @classmethod
     def load(cls, path) -> "MatchTrainer":
         """Restore a trainer (model + tokenizer + optimizer state)."""
-        from repro.nn.serialize import load_state, read_extra, read_meta
+        from repro.nn.serialize import read_checkpoint
 
-        meta = read_meta(path)
+        meta, state, extra = read_checkpoint(path)
+        return cls.from_checkpoint(cls.require_meta(meta, path), state, extra)
+
+    @staticmethod
+    def require_meta(meta: Optional[dict], origin) -> dict:
+        """``meta`` when it is a matcher checkpoint's metadata, else ``ValueError``."""
         if meta is None or "config" not in meta or "tokenizer" not in meta:
-            raise ValueError(f"{path} has no GraphBinMatch metadata")
+            raise ValueError(f"{origin} has no GraphBinMatch metadata")
+        return meta
+
+    @classmethod
+    def from_checkpoint(
+        cls, meta: dict, state: Dict[str, np.ndarray], extra: Dict[str, np.ndarray]
+    ) -> "MatchTrainer":
+        """Build a trainer from a checkpoint already read by ``read_checkpoint``."""
         config = ModelConfig(**meta["config"])
         tokenizer = IRTokenizer.from_state(meta["tokenizer"])
         trainer = cls(config, tokenizer=tokenizer)
-        load_state(trainer._ensure_model(), path)
+        trainer._ensure_model().load_state_dict(state)
         opt_meta = meta.get("optimizer")
         if opt_meta is not None:
             arrays = {
                 key.split(".", 1)[1]: arr
-                for key, arr in read_extra(path).items()
+                for key, arr in extra.items()
                 if key.startswith("opt.")
             }
             trainer._restored_opt = {

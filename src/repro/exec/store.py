@@ -21,12 +21,8 @@ from pathlib import Path
 from typing import List, Optional, Union
 
 from repro.core.trainer import MatchTrainer
-from repro.utils.fsio import (
-    READ_ERRORS,
-    EntryStore,
-    entry_paths,
-    read_verified_meta,
-)
+from repro.nn.serialize import read_checkpoint, read_meta
+from repro.utils.fsio import READ_ERRORS, EntryStore, entry_paths
 
 PathLike = Union[str, Path]
 
@@ -77,19 +73,20 @@ class ModelStore(EntryStore):
 
     # --------------------------------------------------------------- read
     def _load(self, path: Path, fingerprint: str) -> Optional[MatchTrainer]:
-        """Restore one checkpoint; ``None`` when it records another fingerprint."""
-        if self.verify_reads:
-            read_verified_meta(path)
-        trainer = MatchTrainer.load(str(path))
-        if self.read_meta(path).get("fingerprint") != fingerprint:
+        """Restore one checkpoint; ``None`` when it records another fingerprint.
+
+        One read of the archive serves the checksum, the fingerprint check
+        and the model; no model is built for another fingerprint's entry.
+        """
+        meta, state, extra = read_checkpoint(path, verify=self.verify_reads)
+        meta = MatchTrainer.require_meta(meta, path)
+        if meta.get("experiment", {}).get("fingerprint") != fingerprint:
             return None
-        return trainer
+        return MatchTrainer.from_checkpoint(meta, state, extra)
 
     @staticmethod
     def read_meta(path: PathLike) -> dict:
         """The ``experiment`` metadata of one stored checkpoint."""
-        from repro.nn.serialize import read_meta
-
         meta = read_meta(str(path)) or {}
         return meta.get("experiment", {})
 

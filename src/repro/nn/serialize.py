@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import dataclasses
 from pathlib import Path
-from typing import Dict, Optional, Union
+from typing import Dict, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.nn.module import Module
-from repro.utils.fsio import _META_KEY, entry_meta, write_entry
+from repro.utils.fsio import _META_KEY, entry_meta, verify_payload, write_entry
 
 PathLike = Union[str, Path]
 
@@ -35,7 +35,8 @@ def save_state(
 
     ``extra`` arrays ride along under an ``extra:`` key prefix — outside
     the module state, so :func:`load_state`'s strict state check ignores
-    them (optimizer moments use this; see ``MatchTrainer.save``).  The
+    them (optimizer moments use this; see ``MatchTrainer.save``; read
+    them back with :func:`read_checkpoint`).  The
     ``.npz`` extension is appended by NumPy if missing.  ``path`` may also
     be a binary file object (e.g. ``BytesIO``): grid workers serialize
     checkpoints to bytes and ship them to the parent's batched store
@@ -50,35 +51,43 @@ def save_state(
     write_entry(target, payload, meta or {}, compressed=True)
 
 
+def read_checkpoint(
+    path: PathLike, verify: bool = False
+) -> Tuple[Optional[dict], Dict[str, np.ndarray], Dict[str, np.ndarray]]:
+    """Read a whole checkpoint in one pass: ``(meta, state, extra)``.
+
+    The archive is opened once and each member inflated once.  ``meta``
+    is the caller's metadata (or None), ``state`` the module state-dict
+    and ``extra`` the :func:`save_state` ``extra`` arrays.  With
+    ``verify`` the arrays must hash to the recorded ``payload_sha256``:
+    ``ValueError`` on a mismatch or a missing checksum, ``KeyError`` when
+    there is no metadata member at all.
+    """
+    with np.load(_resolve(path)) as archive:
+        members = {k: archive[k] for k in archive.files}
+    if verify:
+        verify_payload(members, entry_meta(members))
+    state: Dict[str, np.ndarray] = {}
+    extra: Dict[str, np.ndarray] = {}
+    for k, arr in members.items():
+        if k.startswith(_EXTRA_PREFIX):
+            extra[k[len(_EXTRA_PREFIX) :]] = arr
+        elif k != _META_KEY:
+            state[k] = arr
+    return _caller_meta(members), state, extra
+
+
 def load_state(module: Module, path: PathLike) -> Optional[dict]:
     """Load a checkpoint written by :func:`save_state` into ``module``.
 
     Returns the metadata dict (or None).  Raises ``KeyError``/``ValueError``
     on any parameter-name or shape mismatch — a checkpoint for a different
     architecture never half-loads.  ``extra:`` arrays are not part of the
-    module state; read them with :func:`read_extra`.
+    module state.
     """
-    path = _resolve(path)
-    with np.load(path) as archive:
-        state = {
-            k: archive[k]
-            for k in archive.files
-            if k != _META_KEY and not k.startswith(_EXTRA_PREFIX)
-        }
-        meta = _caller_meta(archive)
+    meta, state, _ = read_checkpoint(path)
     module.load_state_dict(state)
     return meta
-
-
-def read_extra(path: PathLike) -> Dict[str, np.ndarray]:
-    """Read the ``extra`` arrays of a checkpoint (empty dict when none)."""
-    path = _resolve(path)
-    out: Dict[str, np.ndarray] = {}
-    with np.load(path) as archive:
-        for k in archive.files:
-            if k.startswith(_EXTRA_PREFIX):
-                out[k[len(_EXTRA_PREFIX) :]] = archive[k]
-    return out
 
 
 def read_meta(path: PathLike) -> Optional[dict]:
@@ -90,7 +99,7 @@ def read_meta(path: PathLike) -> Optional[dict]:
 
 def _caller_meta(archive) -> Optional[dict]:
     """The metadata passed to :func:`save_state`, minus the checksum field."""
-    if _META_KEY not in archive.files:
+    if _META_KEY not in archive:
         return None
     meta = entry_meta(archive)
     meta.pop("payload_sha256", None)

@@ -34,7 +34,7 @@ from repro.binary.codegen import compile_module
 from repro.binary.decompiler import decompile_bytes
 from repro.graphs.programl import ProgramGraph, build_graph
 from repro.ir.lowering import lower_program
-from repro.ir.module import Module
+from repro.ir.module import Function, Module
 from repro.ir.passes import optimize
 from repro.ir.verifier import verify_all
 from repro.lang.minic import parse_minic
@@ -84,6 +84,50 @@ def normalize_transforms(transforms: TransformChain) -> Tuple[TransformSpec, ...
     )
 
 FRONTENDS = {"c": parse_minic, "cpp": parse_minicpp, "java": parse_minijava}
+
+
+def parse_source(source_text: str, language: str):
+    """The ``parse`` stage: front-end AST tagged with its language."""
+    if language not in FRONTENDS:
+        raise ValueError(f"unsupported language {language!r}")
+    program = FRONTENDS[language](source_text)
+    program.language = language
+    return program
+
+
+class LazyModule(Module):
+    """A module rebuilt by the pipeline's own stages on first access.
+
+    The artifact store hands these out on warm loads instead of storing
+    modules: a source module is ``parse`` + ``lower`` of its text, a
+    decompiled module is ``decompile`` of its binary, and the entry holds
+    both inputs.  Most consumers only read a sample's *graphs*, so the
+    rebuild is paid only when someone reads the functions.  ``origin`` is
+    plain data — the source text (a ``str``) or the binary (``bytes``) —
+    so lazy modules pickle like plain ones, before or after the rebuild.
+    """
+
+    def __init__(self, name: str, source_language: str, origin: Union[str, bytes]):  # noqa: D107
+        super().__init__(name, source_language=source_language)
+        self._origin: Union[str, bytes, None] = origin
+
+    @property
+    def functions(self) -> List[Function]:  # type: ignore[override]
+        """Function list, rebuilt from ``origin`` on first access."""
+        if self._origin is not None:
+            origin, self._origin = self._origin, None
+            if isinstance(origin, bytes):
+                module = decompile_bytes(origin, self.name)
+            else:
+                module = lower_program(
+                    parse_source(origin, self.source_language), name=self.name
+                )
+            self._functions = module.functions
+        return self._functions
+
+    @functions.setter
+    def functions(self, value: List[Function]) -> None:
+        self._functions = value
 
 
 @dataclass
@@ -227,10 +271,7 @@ class CompilationPipeline:
 
     def _parse(self, result: CompilationResult) -> None:
         if result.program is None:
-            if result.language not in FRONTENDS:
-                raise ValueError(f"unsupported language {result.language!r}")
-            result.program = FRONTENDS[result.language](result.source_text)
-            result.program.language = result.language
+            result.program = parse_source(result.source_text, result.language)
 
     def _lower(self, result: CompilationResult) -> None:
         # Two independent lowerings: ``optimize`` mutates in place, and the

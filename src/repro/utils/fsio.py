@@ -161,12 +161,15 @@ def entry_meta(archive) -> dict:
     )
 
 
-def verify_payload(archive, meta: dict) -> None:
-    """Raise ``ValueError`` unless the archive hashes to its ``payload_sha256``."""
+def verify_payload(archive: Mapping[str, np.ndarray], meta: dict) -> None:
+    """Raise ``ValueError`` unless the archive hashes to its ``payload_sha256``.
+
+    ``archive`` is an open entry or its members already read into a dict.
+    """
     recorded = meta.get("payload_sha256")
     if recorded is None:
         raise ValueError("no recorded checksum (older format); rebuild/retrain")
-    actual = payload_sha256({name: archive[name] for name in archive.files})
+    actual = payload_sha256(archive)
     if actual != recorded:
         raise ValueError(
             f"payload checksum mismatch (recorded {recorded[:12]}…, "

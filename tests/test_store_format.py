@@ -12,6 +12,7 @@ through keep their names and order.
 import json
 import shutil
 import zipfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,7 +25,13 @@ from repro.exec import ExperimentSpec, ModelStore, run_experiment
 from repro.fsck import fsck
 from repro.index import ShardedEmbeddingIndex
 from repro.index.sharded import ShardCorruption
+from repro.ir.printer import print_module
 from repro.pipeline import CompilationPipeline
+
+#: A store-format-2 entry for ``make_key()`` as the format-2 writer wrote
+#: it: ``SOURCE`` compiled with the default pipeline, with the serialized
+#: ``source_module``/``decompiled_module`` members format 3 dropped.
+FORMAT2_ENTRY = Path(__file__).resolve().parent / "data" / "artifact_entry_format2.npz"
 
 SOURCE = "int gcd(int a, int b) { while (b) { int t = b; b = a % b; a = t; } return a; }"
 META = "__meta_json__"
@@ -158,6 +165,31 @@ class TestModelCheckpointFormat:
         assert not report["clean"]
         assert "older format" in corrupt_detail(report)
 
+    @pytest.mark.parametrize("verify", [False, True])
+    def test_get_reads_the_checkpoint_once(self, store_copy, monkeypatch, verify):
+        fingerprint, root, path = store_copy
+        opened = []
+        real_load = np.load
+
+        def counting_load(file, *args, **kwargs):
+            opened.append(file)
+            return real_load(file, *args, **kwargs)
+
+        monkeypatch.setattr(np, "load", counting_load)
+        store = ModelStore(root, verify_reads=verify)
+        assert store.get(fingerprint) is not None and store.hits == 1
+        assert opened == [str(path)]
+        # Another fingerprint's entry is rejected before a model is built.
+        monkeypatch.setattr(
+            "repro.core.trainer.MatchTrainer.from_checkpoint",
+            lambda *a: pytest.fail("built a model for a foreign entry"),
+        )
+        other = "0" * 64
+        store.path_for(other).parent.mkdir(parents=True, exist_ok=True)
+        shutil.copyfile(path, store.path_for(other))
+        assert store.get(other) is None
+        assert (store.misses, store.read_errors) == (1, 0)
+
 
 class TestCompressedShardDamage:
     def test_damaged_float32_shard_is_shard_corruption(
@@ -207,6 +239,27 @@ class TestArtifactEntryFormat:
         report = fsck(root)
         assert report["counts"]["corrupt"] == 1
         assert "verified" not in json.dumps(report)
+
+    def test_format2_entry_still_hits(self, compiled, tmp_path):
+        key = make_key()
+        store = ArtifactStore(tmp_path / "artifacts")
+        store.path_for(key).parent.mkdir(parents=True)
+        shutil.copyfile(FORMAT2_ENTRY, store.path_for(key))
+        with np.load(str(FORMAT2_ENTRY)) as archive:
+            assert {"source_module", "decompiled_module"} <= set(archive.files)
+        for verify in (False, True):
+            checked = ArtifactStore(store.root, verify_reads=verify)
+            loaded = checked.get(key)
+            assert loaded is not None and (checked.hits, checked.read_errors) == (1, 0)
+            assert loaded.binary_bytes == compiled.binary_bytes
+            for warm, cold in (
+                (loaded.source_module, compiled.source_module),
+                (loaded.decompiled_module, compiled.decompiled_module),
+            ):
+                assert print_module(warm) == print_module(cold)
+        report = fsck(store.root)
+        assert report["counts"]["corrupt"] == 0
+        assert [e["status"] for e in report["entries"]] == ["ok"]
 
 
 class TestFaultSiteSequence:
