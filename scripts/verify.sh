@@ -224,26 +224,6 @@ if [ ! -s "$tmp/matrix.json" ]; then
   exit 1
 fi
 
-echo "== bench: training-throughput gates (smoke scale) =="
-# Gates: warm experiment ≥5x with identical rows, parallel grid identical
-# to serial, fused optimizer parity + step speedup.  Also refreshes the
-# perf record at benchmarks/perf/BENCH_train.json.
-REPRO_BENCH_SMOKE=1 python -m pytest benchmarks/bench_train.py -x -q
-if [ ! -f benchmarks/perf/BENCH_train.json ]; then
-  echo "verify: FAIL — bench_train did not write benchmarks/perf/BENCH_train.json" >&2
-  exit 1
-fi
-
-echo "== bench: robustness gates (smoke scale) =="
-# Gates: every transform bit-deterministic under a fixed seed, clean
-# baseline equal to the direct retrieval sweep, warm sweep ≥3x via the
-# cached clean embeddings + artifact store.  Writes BENCH_robustness.json.
-REPRO_BENCH_SMOKE=1 python -m pytest benchmarks/bench_robustness.py -x -q
-if [ ! -f benchmarks/perf/BENCH_robustness.json ]; then
-  echo "verify: FAIL — bench_robustness did not write benchmarks/perf/BENCH_robustness.json" >&2
-  exit 1
-fi
-
 echo "== bench: fault-tolerance gates (smoke scale) =="
 # Gates: every injected fault kind ends in a clean descriptive error, an
 # observable miss, or a bit-identical result (never wrong, never hung);
@@ -290,6 +270,31 @@ done
 
 echo "== docs: link check (no dangling files or anchors) =="
 python scripts/check_doc_links.py
+
+echo "== bench: training-throughput gates (smoke scale) =="
+# Gates: warm experiment ≥5x with identical rows, parallel grid identical
+# to serial, fused optimizer parity + step speedup.  Also refreshes the
+# perf record at benchmarks/perf/BENCH_train.json.  Runs late: its
+# parallel-grid speed floor currently fails on 2-core hosts (see
+# ROADMAP.md item 10), and the fault, index-scale and dataflow gates
+# above must still run.
+REPRO_BENCH_SMOKE=1 python -m pytest benchmarks/bench_train.py -x -q
+if [ ! -f benchmarks/perf/BENCH_train.json ]; then
+  echo "verify: FAIL — bench_train did not write benchmarks/perf/BENCH_train.json" >&2
+  exit 1
+fi
+
+echo "== bench: robustness gates (smoke scale) =="
+# Gates: every transform bit-deterministic under a fixed seed, clean
+# baseline equal to the direct retrieval sweep, warm sweep ≥3x via the
+# cached clean embeddings + artifact store.  Writes BENCH_robustness.json.
+# Runs late: its warm ≥3x floor currently fails on 2-core hosts (see
+# ROADMAP.md item 9), and every check above must still run.
+REPRO_BENCH_SMOKE=1 python -m pytest benchmarks/bench_robustness.py -x -q
+if [ ! -f benchmarks/perf/BENCH_robustness.json ]; then
+  echo "verify: FAIL — bench_robustness did not write benchmarks/perf/BENCH_robustness.json" >&2
+  exit 1
+fi
 
 echo "== bench: concurrent serving gates (smoke scale) =="
 # Gates: 8 pipelined socket clients at max_batch=8 ≥3x the same load at

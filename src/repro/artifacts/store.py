@@ -36,6 +36,7 @@ would be unrecoverable.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -112,9 +113,14 @@ class ArtifactKey:
                 "expected '' or 'dataflow'"
             )
 
-    @property
+    @functools.cached_property
     def digest(self) -> str:
-        """Content address: SHA-256 over every key field."""
+        """Content address: SHA-256 over every key field.
+
+        Computed once per key (``put`` and ``get`` each need it, the
+        journal too).  The cached value lives in the instance ``__dict__``
+        only, so ``asdict``, equality and hashing still see just the fields.
+        """
         payload = "\x1f".join(
             [
                 self.task,

@@ -20,7 +20,7 @@ from repro.artifacts import ArtifactKey, source_text_id
 from repro.core.trainer import MatchTrainer
 from repro.data.pairs import MatchingPair
 from repro.graphs.programl import ProgramGraph
-from repro.index import EmbeddingIndex, model_fingerprint
+from repro.index import EmbeddingIndex, ShardedEmbeddingIndex, model_fingerprint
 from repro.pipeline import CompilationPipeline
 
 
@@ -124,7 +124,9 @@ class MatcherPipeline:
             h.update(b"\x01")
         return h.hexdigest()[:16]
 
-    def source_index(self, candidates: Sequence[Tuple[str, str]]) -> EmbeddingIndex:
+    def source_index(
+        self, candidates: Sequence[Tuple[str, str]]
+    ) -> ShardedEmbeddingIndex:
         """Encode candidate ``(source_text, language)`` files into an index.
 
         Build this once and pass it to :meth:`rank_sources` to amortize the
@@ -148,13 +150,13 @@ class MatcherPipeline:
         self,
         raw: bytes,
         candidates: Sequence[Tuple[str, str]],
-        index: Optional[EmbeddingIndex] = None,
+        index: Optional[ShardedEmbeddingIndex] = None,
     ) -> List[Tuple[int, float]]:
         """Rank candidate ``(source_text, language)`` files for a binary.
 
         Returns ``(candidate_index, score)`` sorted by descending score —
         the reverse-engineering retrieval workflow from the paper's intro.
-        Candidates are encoded once into an :class:`EmbeddingIndex` (pass a
+        Candidates are encoded once into an in-memory index (pass a
         prebuilt one from :meth:`source_index` to reuse it across queries)
         and each query runs one encoder forward plus the vectorized pair
         head, instead of re-encoding every pair from scratch.
@@ -168,7 +170,7 @@ class MatcherPipeline:
         self,
         raws: Sequence[bytes],
         candidates: Sequence[Tuple[str, str]],
-        index: Optional[EmbeddingIndex] = None,
+        index: Optional[ShardedEmbeddingIndex] = None,
     ) -> List[List[Tuple[int, float]]]:
         """Rank the candidates for many binaries in one batched pass.
 
@@ -188,8 +190,8 @@ class MatcherPipeline:
     def _checked_index(
         self,
         candidates: Sequence[Tuple[str, str]],
-        index: Optional[EmbeddingIndex],
-    ) -> EmbeddingIndex:
+        index: Optional[ShardedEmbeddingIndex],
+    ) -> ShardedEmbeddingIndex:
         """Build (or validate a caller-supplied) candidate index."""
         if index is None:
             return self.source_index(candidates)

@@ -170,11 +170,10 @@ def evaluate_retrieval(
     per-pair path, so oracle/baseline score functions still work.
 
     ``index`` optionally supplies a prebuilt
-    :class:`~repro.index.EmbeddingIndex` or
-    :class:`~repro.index.ShardedEmbeddingIndex` whose entry *i* is
-    ``candidates[i]``; candidate embeddings then come straight from the
-    index (zero candidate encoder passes) and the query set is scored in
-    one batched pass.  ``score_fn`` may be None in that case.
+    :class:`~repro.index.ShardedEmbeddingIndex` (in memory or on disk)
+    whose entry *i* is ``candidates[i]``; candidate embeddings then come
+    straight from the index (zero candidate encoder passes) and the query
+    set is scored in one batched pass.  ``score_fn`` may be None in that case.
     ``candidate_keys`` optionally supplies the candidates' precomputed
     :func:`~repro.index.embedding_index.graph_fingerprint` list (entry
     *i* for ``candidates[i]``) so repeated sweeps over one corpus — the

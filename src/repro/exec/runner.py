@@ -169,15 +169,16 @@ def run_experiment(
     fingerprint = experiment_fingerprint(spec, dataset_fp)
     t0 = time.perf_counter()
     if store is not None:
-        trainer = store.get(fingerprint)
-        if trainer is not None:
+        found = store.get_with_meta(fingerprint)
+        if found is not None:
+            trainer, report_meta = found
             return ExperimentRun(
                 spec=spec,
                 fingerprint=fingerprint,
                 trainer=trainer,
                 from_cache=True,
                 seconds=time.perf_counter() - t0,
-                report_meta=ModelStore.read_meta(store.path_for(fingerprint)),
+                report_meta=report_meta,
             )
     trainer = MatchTrainer(spec.config)
     report = trainer.train(dataset, early_stopping=spec.early_stopping)

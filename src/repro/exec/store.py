@@ -18,7 +18,7 @@ still load on default reads; under ``verify_reads`` they are read errors.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import List, Optional, Union
+from typing import List, Optional, Tuple, Union
 
 from repro.core.trainer import MatchTrainer
 from repro.nn.serialize import read_checkpoint, read_meta
@@ -72,17 +72,31 @@ class ModelStore(EntryStore):
         return self._commit(self.path_for(fingerprint), lambda fh: fh.write(payload))
 
     # --------------------------------------------------------------- read
-    def _load(self, path: Path, fingerprint: str) -> Optional[MatchTrainer]:
-        """Restore one checkpoint; ``None`` when it records another fingerprint.
+    def _load(
+        self, path: Path, fingerprint: str
+    ) -> Optional[Tuple[MatchTrainer, dict]]:
+        """Restore one checkpoint and its ``experiment`` metadata; ``None``
+        when it records another fingerprint.
 
-        One read of the archive serves the checksum, the fingerprint check
-        and the model; no model is built for another fingerprint's entry.
+        One read of the archive serves the checksum, the fingerprint check,
+        the model and the metadata; no model is built for another
+        fingerprint's entry.
         """
         meta, state, extra = read_checkpoint(path, verify=self.verify_reads)
         meta = MatchTrainer.require_meta(meta, path)
-        if meta.get("experiment", {}).get("fingerprint") != fingerprint:
+        experiment = meta.get("experiment", {})
+        if experiment.get("fingerprint") != fingerprint:
             return None
-        return MatchTrainer.from_checkpoint(meta, state, extra)
+        return MatchTrainer.from_checkpoint(meta, state, extra), experiment
+
+    def get_with_meta(self, fingerprint: str) -> Optional[Tuple[MatchTrainer, dict]]:
+        """:meth:`get` plus the entry's ``experiment`` metadata, from one read."""
+        return super().get(fingerprint)
+
+    def get(self, fingerprint: str) -> Optional[MatchTrainer]:
+        """The stored trainer for ``fingerprint``, or ``None`` on any miss."""
+        found = self.get_with_meta(fingerprint)
+        return None if found is None else found[0]
 
     @staticmethod
     def read_meta(path: PathLike) -> dict:

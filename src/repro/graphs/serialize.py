@@ -77,7 +77,7 @@ def graph_from_arrays(arrays: Mapping[str, np.ndarray], prefix: str = "") -> Pro
         meta["name"],
         node_texts=list(meta["node_texts"]),
         node_full_texts=list(meta["node_full_texts"]),
-        node_types=[int(t) for t in arrays[prefix + "node_types"]],
+        node_types=np.asarray(arrays[prefix + "node_types"]).tolist(),
         source_language=meta["source_language"],
     )
     packed = np.asarray(arrays[prefix + "edges"], dtype=np.int64).reshape(3, -1)

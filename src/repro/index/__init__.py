@@ -1,8 +1,13 @@
-"""Encode-once / score-many retrieval over GraphBinMatch embeddings."""
+"""Encode-once / score-many retrieval over GraphBinMatch embeddings.
+
+One index class, :class:`ShardedEmbeddingIndex`: ``EmbeddingIndex(trainer)``
+builds a directory-less one in memory, ``open_index`` opens an index
+directory.
+"""
 
 from repro.index.embedding_index import (
-    EmbeddingIndex,
     Hit,
+    QueryCache,
     graph_fingerprint,
     model_fingerprint,
     ranked_hits,
@@ -13,6 +18,7 @@ from repro.index.quantizer import CoarseQuantizer
 from repro.index.sharded import (
     CODECS,
     INDEX_FORMAT_VERSION,
+    EmbeddingIndex,
     ShardedEmbeddingIndex,
     open_index,
 )
@@ -23,6 +29,7 @@ __all__ = [
     "EmbeddingIndex",
     "Hit",
     "INDEX_FORMAT_VERSION",
+    "QueryCache",
     "ShardedEmbeddingIndex",
     "graph_fingerprint",
     "model_fingerprint",

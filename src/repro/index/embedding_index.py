@@ -1,4 +1,4 @@
-"""The embedding index: corpus-scale retrieval without re-encoding.
+"""Encode-once retrieval helpers and the query-embedding cache.
 
 The paper's retrieval workflows (find the source for a binary fragment,
 find the binary for a vulnerable source, §I) score one query against many
@@ -7,21 +7,23 @@ independently and the pair head only consumes the two embeddings — yet the
 naive loop re-runs the full GNN encoder for every (query, candidate) pair:
 O(Q×C) encoder forwards for Q queries over C candidates.
 
-:class:`EmbeddingIndex` restructures that into encode-once / score-many:
+Retrieval here is encode-once / score-many:
 
-* every corpus graph is embedded **exactly once** through
-  :meth:`MatchTrainer.encode_graphs`, keyed by a content hash of the graph
-  so duplicate adds (and repeated queries) are cache hits, not forwards;
+* every graph is embedded **exactly once** through
+  :meth:`MatchTrainer.encode_graphs`, keyed by :func:`graph_fingerprint`,
+  a content hash, so duplicate adds and repeated queries are cache hits,
+  not forwards — :class:`QueryCache` is that cache;
 * a query runs one encoder forward, then the lightweight pair head —
   ``score_from_embeddings`` vectorized over the tiled query×candidate
-  embedding matrix, covering both ``pair_features`` modes — against the
-  whole corpus in a single call: O(Q + C) encoder forwards total.
+  embedding matrix (:func:`score_pairs_tiled`), covering both
+  ``pair_features`` modes — against the whole corpus in a single call:
+  O(Q + C) encoder forwards total.
 
-This index lives in memory.  To embed a corpus once per checkpoint rather
-than once per process, persist it with
-:meth:`~repro.index.sharded.ShardedEmbeddingIndex.from_index` — the
-sharded directory is the one on-disk index format, and it scores
-bit-identically to the in-memory index it came from.
+The index that holds entries and answers queries is the one class
+:class:`~repro.index.sharded.ShardedEmbeddingIndex`, either in memory
+(``EmbeddingIndex(trainer)``, every shard resident, no directory) or as an
+index directory.  This module holds what it shares with the evaluation
+fast paths: fingerprints, the pair-head tiling, ranking and the cache.
 
 Exactness: embeddings are produced in eval mode (BatchNorm running
 statistics, no dropout), so index scores match pairwise ``predict`` scores
@@ -67,8 +69,9 @@ def score_pairs_tiled(
 ) -> np.ndarray:
     """All query×candidate pair-head scores ``(Q, C)``, chunked.
 
-    The single tiling implementation shared by :meth:`EmbeddingIndex.scores`
-    and the fast paths in :mod:`repro.eval.retrieval`: queries are repeated
+    The single tiling implementation shared by the index's exact, streamed
+    and ANN scoring passes and the fast paths in
+    :mod:`repro.eval.retrieval`: queries are repeated
     and candidates tiled into the interleave-ready layout
     ``scorer.score_embeddings`` expects, processed in query chunks so the
     pair-head activation matrix never exceeds ~``row_budget`` rows no
@@ -134,19 +137,6 @@ class Hit:
     key: str = ""
 
 
-def _require_exact(mode: str) -> None:
-    """Shared mode guard for the in-memory (exact-only) index."""
-    if mode == "exact":
-        return
-    if mode == "ann":
-        raise ValueError(
-            "the in-memory EmbeddingIndex only supports mode='exact'; "
-            "build a sharded index with a coarse quantizer "
-            "(`repro index build --cells K`) for ANN queries"
-        )
-    raise ValueError(f"mode must be 'exact' or 'ann', got {mode!r}")
-
-
 def validate_k(k: Optional[int]) -> None:
     """Reject non-positive ``k`` loudly.
 
@@ -166,7 +156,7 @@ def normalize_query_batch(
     embeddings: Optional[np.ndarray],
     dim: int,
 ) -> "Tuple[Optional[np.ndarray], int]":
-    """Validate the graphs-xor-embeddings contract shared by both indexes.
+    """Validate the graphs-xor-embeddings contract of every query method.
 
     Returns ``(embedding matrix or None, query count)``; raises on
     both/neither arguments or an embedding-width mismatch.
@@ -185,7 +175,7 @@ def key_order(keys: Sequence[str]) -> np.ndarray:
     """Dense rank of each key in ascending key order (equal keys, equal rank).
 
     :func:`ranked_hits`' key tie-break as integers: computed once per
-    entry list and cached by both indexes, so ranking a query never sorts
+    entry list and cached by the index, so ranking a query never sorts
     C strings again.
     """
     return np.unique(np.asarray(keys), return_inverse=True)[1]
@@ -200,10 +190,9 @@ def ranked_hits(
 ) -> List[Hit]:
     """Descending-score :class:`Hit` list (all entries when ``k`` is None).
 
-    The one ranking implementation shared by :class:`EmbeddingIndex` and
-    :class:`~repro.index.sharded.ShardedEmbeddingIndex`, so the two always
-    break ties identically: descending score, then ascending entry key,
-    then entry position (``lexsort`` is stable).  Keying the tie-break on
+    The one ranking implementation of the exact query path (the ANN
+    merge breaks ties the same way): descending score, then ascending
+    entry key, then entry position (``lexsort`` is stable).  Keying the tie-break on
     content hashes — not positions alone — is what lets exact-vs-ANN
     recall gates and cross-process parity checks survive equal scores,
     where position order would depend on shard layout.
@@ -231,12 +220,15 @@ def ranked_hits(
     ]
 
 
-class EmbeddingIndex:
-    """Encode-once corpus of graph embeddings answering top-k queries.
+class QueryCache:
+    """The encode-once embedding cache every index queries through.
 
-    Entries keep insertion order, so :meth:`scores` is aligned with the
-    order graphs were :meth:`add`-ed — callers that rank an external
-    candidate list (``MatcherPipeline.rank_sources``) rely on this.
+    Two tiers, both keyed by :func:`graph_fingerprint`: a permanent corpus
+    cache of entry rows (filled by :meth:`seed_embedding_cache`, so a
+    query identical to an indexed entry skips the encoder) and a bounded
+    LRU of query rows (a long-lived index serving mostly-unique queries
+    would otherwise grow without bound).  ``cache_hits`` /
+    ``cache_misses`` count graphs served from either tier / encoded.
     """
 
     def __init__(self, trainer, query_cache_size: int = 256):  # noqa: D107
@@ -245,137 +237,19 @@ class EmbeddingIndex:
         self.trainer = trainer
         self.dim = 2 * trainer.config.hidden_dim
         self._cache: Dict[str, np.ndarray] = {}
-        # Query embeddings live in a separate bounded LRU: corpus entries
-        # must stay (they back `embeddings`), but a long-lived index serving
-        # mostly-unique queries would otherwise grow without bound.
         self._query_cache: "OrderedDict[str, np.ndarray]" = OrderedDict()
         self.query_cache_size = query_cache_size
-        self._keys: List[str] = []
-        self._metas: List[dict] = []
-        self._matrix: Optional[np.ndarray] = None
-        # key_order(self._keys), dropped with _matrix whenever entries change.
-        self._order: Optional[np.ndarray] = None
-        # Optional caller-set identity for the corpus behind the entries
-        # (e.g. MatcherPipeline stores a hash of its candidate list here);
-        # carried into the manifest by ShardedEmbeddingIndex.from_index and
-        # checked by callers, not by us.
-        self.tag: Optional[str] = None
         self.cache_hits = 0
         self.cache_misses = 0
-
-    # ------------------------------------------------------------- sizing
-    def __len__(self) -> int:
-        """Number of indexed entries."""
-        return len(self._keys)
-
-    @property
-    def keys(self) -> List[str]:
-        """Entry content-hash keys, in insertion order (a copy)."""
-        return list(self._keys)
-
-    @property
-    def metas(self) -> List[dict]:
-        """Per-entry metadata copies, in insertion order.
-
-        Copies, so callers can annotate freely without corrupting what
-        gets persisted or what integrity checks read.
-        """
-        return [dict(m) for m in self._metas]
-
-    @property
-    def embeddings(self) -> np.ndarray:
-        """Entry embeddings ``(C, 2H)`` in insertion order."""
-        if self._matrix is None:
-            if not self._keys:
-                self._matrix = np.zeros((0, self.dim), dtype=np.float32)
-            else:
-                self._matrix = np.stack([self._cache[k] for k in self._keys])
-        return self._matrix
-
-    def _key_order(self) -> np.ndarray:
-        if self._order is None:
-            self._order = key_order(self._keys)
-        return self._order
-
-    # ------------------------------------------------------------ loading
-    def add(
-        self,
-        graphs: Sequence[ProgramGraph],
-        metas: Optional[Sequence[dict]] = None,
-        batch_size: int = 32,
-    ) -> List[str]:
-        """Index graphs (with optional per-graph metadata); returns keys.
-
-        Only graphs whose fingerprint is not already cached hit the
-        encoder; duplicates — within this call or against earlier adds and
-        queries — reuse the cached embedding.
-        """
-        if metas is None:
-            metas = [{} for _ in graphs]
-        if len(metas) != len(graphs):
-            raise ValueError("metas must match graphs 1:1")
-        keys = [graph_fingerprint(g) for g in graphs]
-        fresh: Dict[str, ProgramGraph] = {}
-        for key, graph in zip(keys, graphs):
-            if key in self._cache or key in fresh:
-                continue
-            if key in self._query_cache:
-                # Seen as a query earlier: promote, don't re-encode.
-                self._cache[key] = self._query_cache.pop(key)
-                continue
-            fresh[key] = graph
-        if fresh:
-            embedded = self.trainer.embed_many(list(fresh.values()), batch_size)
-            for key, row in zip(fresh, embedded):
-                self._cache[key] = row
-        self.cache_misses += len(fresh)
-        self.cache_hits += len(graphs) - len(fresh)
-        self._keys.extend(keys)
-        self._metas.extend(dict(m) for m in metas)
-        self._matrix = None
-        self._order = None
-        return keys
-
-    def add_precomputed(
-        self,
-        keys: Sequence[str],
-        embeddings: np.ndarray,
-        metas: Optional[Sequence[dict]] = None,
-    ) -> None:
-        """Append entries whose embeddings were already computed.
-
-        Used when re-arranging existing indexes — sharding an in-memory
-        index, merging shards — where re-encoding would both waste encoder
-        passes and (because batch composition perturbs float accumulation
-        order) break bit-exact score parity with the original index.
-        """
-        embeddings = np.atleast_2d(np.asarray(embeddings, dtype=np.float32))
-        if metas is None:
-            metas = [{} for _ in keys]
-        if len(keys) != embeddings.shape[0] or len(keys) != len(metas):
-            raise ValueError(
-                f"{len(keys)} keys for {embeddings.shape[0]} embeddings "
-                f"and {len(metas)} metas"
-            )
-        if len(keys) and embeddings.shape[1] != self.dim:
-            raise ValueError(
-                f"embeddings have dim {embeddings.shape[1]}, index has {self.dim}"
-            )
-        for key, row in zip(keys, embeddings):
-            self._cache.setdefault(key, row)
-        self._keys.extend(keys)
-        self._metas.extend(dict(m) for m in metas)
-        self._matrix = None
-        self._order = None
 
     def seed_embedding_cache(self, keys: Sequence[str], embeddings: np.ndarray) -> None:
         """Register precomputed ``key → embedding row`` pairs in the cache.
 
-        Adds no entries — only the permanent content-hash cache consulted
-        by :meth:`embed_queries` is populated, so queries identical to
-        known graphs skip the encoder.  Rows replace
-        any prior binding for the same key; by contract the values must be
-        identical (same model, same graph), callers only swap storage.
+        Only the permanent corpus cache consulted by :meth:`embed_queries`
+        is populated, so queries identical to known graphs skip the
+        encoder.  Rows replace any prior binding for the same key; by
+        contract the values must be identical (same model, same graph),
+        callers only swap storage.
         """
         for key, row in zip(keys, embeddings):
             self._cache[key] = row
@@ -403,15 +277,14 @@ class EmbeddingIndex:
         batch_size: int = 32,
         keys: Optional[Sequence[str]] = None,
     ) -> np.ndarray:
-        """Query embeddings ``(Q, 2H)`` with every uncached graph batched.
+        """Embeddings ``(Q, 2H)`` with every uncached graph batched.
 
-        Queries matching a corpus entry reuse its embedding; other query
-        embeddings are kept in an LRU bounded by ``query_cache_size``.
-        All graphs not already cached (as corpus entries or earlier
-        queries) go through **one** :meth:`MatchTrainer.embed_many` call
-        instead of Q encoder invocations — tokenization, graph batching
-        and the segment sorts are per-call overheads, so batching them is
-        where :meth:`topk_batch`'s speedup comes from.
+        Graphs matching a cached row reuse it; the others go through
+        **one** :meth:`MatchTrainer.embed_many` call instead of Q encoder
+        invocations — tokenization, graph batching and the segment sorts
+        are per-call overheads, so batching them is where ``topk_batch``'s
+        speedup comes from — and land in the LRU bounded by
+        ``query_cache_size``.
 
         ``keys`` are the graphs' fingerprints when the caller already has
         them; they are computed here otherwise.
@@ -442,87 +315,3 @@ class EmbeddingIndex:
         while len(self._query_cache) > max(self.query_cache_size, 0):
             self._query_cache.popitem(last=False)
         return out
-
-    # ------------------------------------------------------------ queries
-    def scores(
-        self,
-        graph: Optional[ProgramGraph] = None,
-        *,
-        embedding: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        """Pair-head scores against every entry, in insertion order.
-
-        The query goes on the matcher's *left* (binary) side, entries on
-        the right (source) side — the orientation ``MatchingPair`` and the
-        training corpus use throughout.  Delegates to :meth:`scores_batch`
-        (one row), so validation, the empty-index short-circuit and
-        caching live in exactly one place.
-        """
-        if embedding is not None:
-            embedding = np.asarray(embedding, dtype=np.float32).reshape(1, -1)
-        return self.scores_batch(
-            None if graph is None else [graph], embeddings=embedding
-        )[0]
-
-    def scores_batch(
-        self,
-        graphs: Optional[Sequence[ProgramGraph]] = None,
-        *,
-        embeddings: Optional[np.ndarray] = None,
-        batch_size: int = 32,
-    ) -> np.ndarray:
-        """All pair-head scores ``(Q, C)`` for Q queries, one tiled pass.
-
-        The batched analogue of :meth:`scores`: queries are encoded
-        together (:meth:`embed_queries`) and scored against the whole
-        corpus in a single :func:`score_pairs_tiled` call.
-        """
-        q, num_q = normalize_query_batch(graphs, embeddings, self.dim)
-        if not self._keys:
-            return np.zeros((num_q, 0), dtype=np.float32)
-        if q is None:
-            if num_q == 0:
-                return np.zeros((0, len(self._keys)), dtype=np.float32)
-            q = self.embed_queries(graphs, batch_size)
-        return score_pairs_tiled(self.trainer, q, self.embeddings)
-
-    def topk(
-        self,
-        graph: Optional[ProgramGraph] = None,
-        k: Optional[int] = None,
-        *,
-        embedding: Optional[np.ndarray] = None,
-        mode: str = "exact",
-        nprobe: Optional[int] = None,
-    ) -> List[Hit]:
-        """Top-k entries by descending score (all entries when k is None).
-
-        ``mode``/``nprobe`` exist for signature parity with the sharded
-        index; the in-memory index is exact-only.
-        """
-        validate_k(k)
-        _require_exact(mode)
-        scores = self.scores(graph, embedding=embedding)
-        return ranked_hits(scores, self._keys, self._metas, k, self._key_order())
-
-    def topk_batch(
-        self,
-        graphs: Optional[Sequence[ProgramGraph]] = None,
-        k: Optional[int] = None,
-        *,
-        embeddings: Optional[np.ndarray] = None,
-        batch_size: int = 32,
-        mode: str = "exact",
-        nprobe: Optional[int] = None,
-    ) -> List[List[Hit]]:
-        """Per-query top-k hit lists for Q queries in one batched pass.
-
-        Rankings match Q separate :meth:`topk` calls (same scores, same
-        stable tie-breaks); the win is running one batched encoder pass
-        and one tiled pair-head pass instead of Q of each.
-        """
-        validate_k(k)
-        _require_exact(mode)
-        scores = self.scores_batch(graphs, embeddings=embeddings, batch_size=batch_size)
-        order = self._key_order()
-        return [ranked_hits(row, self._keys, self._metas, k, order) for row in scores]

@@ -1,11 +1,19 @@
-"""Sharded embedding index: the one on-disk index format.
+"""The embedding index: one class, in memory or on disk.
 
-:class:`~repro.index.embedding_index.EmbeddingIndex` is the in-memory,
-encode-once index; this module is how an index persists.  Corpora grow
-incrementally (new shards, merged indexes from other machines) and a
-long-lived retrieval service should not pay to materialize embeddings it
-never scores, so :class:`ShardedEmbeddingIndex` is a directory of lazily
-loaded shards.  A small corpus is simply a one-shard index (what
+:class:`ShardedEmbeddingIndex` is the only class that holds entries and
+answers queries.  It comes in two forms with one query path:
+
+* **directory-less** — ``EmbeddingIndex(trainer)`` (bound to
+  :meth:`ShardedEmbeddingIndex.in_memory`): every non-empty ``add`` /
+  ``add_precomputed`` appends one resident shard and nothing is written;
+* **on disk** — :meth:`~ShardedEmbeddingIndex.create` /
+  :meth:`~ShardedEmbeddingIndex.open` / :meth:`~ShardedEmbeddingIndex.from_index`:
+  a directory of lazily loaded shards, so corpora grow incrementally (new
+  shards, merged indexes from other machines) and a long-lived retrieval
+  service never pays to materialize embeddings it does not score.
+
+Either form encodes through one :class:`~repro.index.embedding_index.QueryCache`
+(``_encoder``).  A small corpus on disk is simply a one-shard index (what
 ``repro index build`` writes without ``--shard-size``)::
 
     index_dir/
@@ -25,7 +33,7 @@ Two scoring regimes share the directory layout:
 * **exact** (the reference) — every entry is scored by the pair head.
   The float32 codec keeps the flat-matrix hot path, so an index sharded
   with :meth:`from_index` returns **bit-identical** scores and rankings
-  to the in-memory index it came from.  Quantized codecs score
+  to the directory-less index it came from.  Quantized codecs score
   block-by-block straight off the memory map, fanned out across shards on
   a thread pool, so resident memory is bounded by the scoring blocks —
   not the corpus.
@@ -43,7 +51,7 @@ counts as corruption.  Manifests of the earlier v1/v2 formats (no
 checksums) are rejected with a rebuild instruction rather than read.
 
 Entry positions are global: ``Hit.index`` counts across shards in manifest
-order, matching the in-memory index the shards came from.  An index
+order, matching the directory-less index the shards came from.  An index
 opened with ``degraded=True`` quarantines shards whose load raises
 :class:`ShardCorruption` instead of failing the query: surviving shards
 keep answering, :meth:`coverage` reports the remaining corpus fraction,
@@ -67,8 +75,8 @@ import numpy as np
 from repro import faults
 from repro.graphs.programl import ProgramGraph
 from repro.index.embedding_index import (
-    EmbeddingIndex,
     Hit,
+    QueryCache,
     graph_fingerprint,
     key_order,
     model_fingerprint,
@@ -195,6 +203,25 @@ def checked_sha256(path: Path, recorded: Optional[str]) -> str:
     return actual
 
 
+def _fresh_manifest(trainer, codec: str, tag: Optional[str]) -> dict:
+    """The manifest of an index with no shards yet."""
+    if codec not in CODECS:
+        raise ValueError(f"unknown codec {codec!r} (expected one of {CODECS})")
+    if trainer.model is None:
+        raise ValueError("trainer has no trained model")
+    return {
+        "format": _FORMAT,
+        "format_version": INDEX_FORMAT_VERSION,
+        "codec": codec,
+        "quantizer": None,
+        "dim": 2 * trainer.config.hidden_dim,
+        "pair_features": trainer.config.pair_features,
+        "model_sha": model_fingerprint(trainer),
+        "tag": tag,
+        "shards": [],
+    }
+
+
 def read_manifest(root: PathLike) -> dict:
     """Parse ``root``'s manifest, rejecting every format but the current one.
 
@@ -252,17 +279,24 @@ class _Shard:
 
 
 class ShardedEmbeddingIndex:
-    """Multi-shard, lazily-loaded, persistent :class:`EmbeddingIndex`."""
+    """Encode-once corpus of embeddings in shards, answering top-k queries.
+
+    Entries keep insertion order, so :meth:`scores` is aligned with the
+    order they were added — callers that rank an external candidate list
+    (``MatcherPipeline.rank_sources``) rely on this.  ``root`` is None for
+    a directory-less index, whose shards are all resident.
+    """
 
     def __init__(
         self,
         trainer,
-        root: PathLike,
+        root: Optional[PathLike],
         manifest: dict,
         degraded: bool = False,
         verify_reads: bool = False,
     ):
-        """Wrap an already-parsed manifest (use :meth:`create`/:meth:`open`).
+        """Wrap an already-parsed manifest (use :meth:`create`/:meth:`open`
+        or :meth:`in_memory`).
 
         ``degraded`` opts in to quarantine-and-continue behavior for
         corrupt shards and a corrupt quantizer payload (strict mode — the
@@ -270,10 +304,11 @@ class ShardedEmbeddingIndex:
         each file's manifest sha256 as its shard loads (also switchable
         via ``REPRO_VERIFY_READS=1``).
         """
-        if trainer.model is None:
-            raise ValueError("trainer has no trained model")
+        # The query-embedding cache: embed_queries, the bounded LRU,
+        # duplicate batching and the hit/miss counters.
+        self._encoder = QueryCache(trainer)
         self.trainer = trainer
-        self.root = Path(root)
+        self.root = None if root is None else Path(root)
         self.dim = 2 * trainer.config.hidden_dim
         self._manifest = manifest
         self.degraded = degraded
@@ -330,10 +365,6 @@ class ShardedEmbeddingIndex:
         self._dequant_now = 0
         self.last_peak_dequant_bytes = 0
         self.last_peak_block_bytes = 0
-        # Query embeddings are cached exactly like the in-memory index's:
-        # an entry-less EmbeddingIndex is that cache (embed_queries,
-        # bounded LRU, duplicate batching) verbatim.
-        self._encoder = EmbeddingIndex(trainer)
 
     # ------------------------------------------------------- construction
     @classmethod
@@ -353,8 +384,7 @@ class ShardedEmbeddingIndex:
         ``root`` is an error unless ``overwrite`` is set, in which case
         its manifest and shard files (and nothing else) are removed first.
         """
-        if codec not in CODECS:
-            raise ValueError(f"unknown codec {codec!r} (expected one of {CODECS})")
+        manifest = _fresh_manifest(trainer, codec, tag)
         root = Path(root)
         root.mkdir(parents=True, exist_ok=True)
         if (root / MANIFEST_NAME).exists():
@@ -363,22 +393,21 @@ class ShardedEmbeddingIndex:
             for shard in root.glob(_SHARD_GLOB):
                 shard.unlink()
             (root / MANIFEST_NAME).unlink()
-        index = cls(
-            trainer,
-            root,
-            {
-                "format": _FORMAT,
-                "format_version": INDEX_FORMAT_VERSION,
-                "codec": codec,
-                "quantizer": None,
-                "dim": 2 * trainer.config.hidden_dim,
-                "pair_features": trainer.config.pair_features,
-                "model_sha": model_fingerprint(trainer),
-                "tag": tag,
-                "shards": [],
-            },
-        )
+        index = cls(trainer, root, manifest)
         index._write_manifest()
+        return index
+
+    @classmethod
+    def in_memory(
+        cls, trainer, query_cache_size: int = 256
+    ) -> "ShardedEmbeddingIndex":
+        """An empty directory-less float32 index (bound as ``EmbeddingIndex``).
+
+        Its shards are all resident and it writes nothing; persist it with
+        :meth:`from_index`.  ``query_cache_size`` bounds the query LRU.
+        """
+        index = cls(trainer, None, _fresh_manifest(trainer, "float32", None))
+        index.query_cache_size = query_cache_size
         return index
 
     @classmethod
@@ -426,7 +455,7 @@ class ShardedEmbeddingIndex:
     @classmethod
     def from_index(
         cls,
-        index: EmbeddingIndex,
+        index: "ShardedEmbeddingIndex",
         root: PathLike,
         shard_entries: int,
         tag: Optional[str] = None,
@@ -435,12 +464,13 @@ class ShardedEmbeddingIndex:
         cells: int = 0,
         quantizer_seed: int = 0,
     ) -> "ShardedEmbeddingIndex":
-        """Persist an in-memory index as ``shard_entries``-sized shards.
+        """Write ``index``'s entries to ``root`` as ``shard_entries``-sized shards.
 
-        With the default float32 codec, embeddings are copied, never
-        re-encoded, so the sharded index scores bit-identically to
-        ``index``.  Quantized codecs (``int8``/``fp16``) trade that bit
-        parity for memory-mapped storage.  ``cells > 0`` additionally
+        ``index`` is usually a directory-less one.  With the default
+        float32 codec, embeddings are copied, never re-encoded, so the
+        written index scores bit-identically to ``index``.  Quantized
+        codecs (``int8``/``fp16``) trade that bit parity for
+        memory-mapped storage.  ``cells > 0`` additionally
         trains a coarse quantizer over the corpus (see
         :meth:`train_quantizer`), enabling ``mode="ann"`` queries.
         ``overwrite`` replaces an existing sharded index at ``root``
@@ -455,12 +485,10 @@ class ShardedEmbeddingIndex:
             overwrite=overwrite,
             codec=codec,
         )
-        keys, metas, matrix = index._keys, index._metas, index.embeddings
+        keys, metas, matrix = index.keys, index.metas, index.embeddings
         for start in range(0, len(keys), shard_entries):
             stop = start + shard_entries
-            piece = EmbeddingIndex(index.trainer)
-            piece.add_precomputed(keys[start:stop], matrix[start:stop], metas[start:stop])
-            sharded.add_shard(index=piece)
+            sharded.add_precomputed(keys[start:stop], matrix[start:stop], metas[start:stop])
         if cells > 0:
             sharded.train_quantizer(cells, seed=quantizer_seed)
         return sharded
@@ -482,8 +510,16 @@ class ShardedEmbeddingIndex:
 
     @property
     def tag(self) -> Optional[str]:
-        """Caller-set corpus identity, persisted in the manifest."""
+        """Caller-set corpus identity, persisted in the manifest.
+
+        ``MatcherPipeline.source_index`` stores a hash of its candidate
+        list here and checks it on reuse.
+        """
         return self._manifest.get("tag")
+
+    @tag.setter
+    def tag(self, tag: Optional[str]) -> None:
+        self.set_tag(tag)
 
     def set_tag(self, tag: Optional[str]) -> None:
         """Update the persisted tag."""
@@ -491,13 +527,19 @@ class ShardedEmbeddingIndex:
         self._write_manifest()
 
     # ------------------------------------------------------------ disk IO
-    def _commit(self, name: str, write, site: str, write_fault: bool = True) -> str:
+    def _commit(
+        self, name: str, write, site: str, write_fault: bool = True
+    ) -> Optional[str]:
         """Atomically write one index file via ``write(fh)``; returns its sha256.
 
         Every file this index writes goes through :func:`repro.utils.fsio.commit`
         (``write_fault`` fires the ``{site}.write`` fault site first), with
-        the digest taken from the temp file before the rename.
+        the digest taken from the temp file before the rename.  A
+        directory-less index writes nothing, fires no fault site and
+        returns None.
         """
+        if self.root is None:
+            return None
         return commit(
             self.root / name, write, site, write_fault=write_fault, digest=True
         )
@@ -506,7 +548,7 @@ class ShardedEmbeddingIndex:
         text = json.dumps(self._manifest, indent=2, sort_keys=True)
         self._commit(MANIFEST_NAME, lambda fh: fh.write(text.encode()), "index.manifest")
 
-    def _save_array(self, name: str, arr: np.ndarray) -> str:
+    def _save_array(self, name: str, arr: np.ndarray) -> Optional[str]:
         """Atomically write one ``.npy``; returns the committed sha256."""
         return self._commit(
             name, lambda fh: np.save(fh, np.ascontiguousarray(arr)), "index.array"
@@ -632,6 +674,9 @@ class ShardedEmbeddingIndex:
         """
         if not 0 <= position < self.num_shards:
             raise ValueError(f"no shard {position} (index has {self.num_shards})")
+        if self.root is None:
+            # Its resident rows are the only copy: nothing could reload them.
+            raise ValueError("a directory-less index has no shard to quarantine")
         self.quarantined[position] = reason
         self._shards[position] = None
         self._flat = None
@@ -691,8 +736,9 @@ class ShardedEmbeddingIndex:
     def _gather(self, shards: Optional[Sequence[int]], rows: bool = False) -> _Gathered:
         """Keys, metas and key order over the selected shards (+ rows).
 
-        ``rows`` adds the float32 matrix — the exact hot path whose flat
-        matmul keeps bit parity with the in-memory index.  The
+        ``rows`` adds the float32 matrix — the exact hot path, one flat
+        matmul whatever the shard layout, so a directory scores
+        bit-identically to the directory-less index it came from.  The
         whole-corpus case (``shards=None`` — the serving hot path) is
         cached until the shard set changes.
         """
@@ -713,8 +759,7 @@ class ShardedEmbeddingIndex:
                 # The flat matrix becomes the one canonical copy: re-point
                 # each shard's rows at views into it (freeing the per-shard
                 # arrays) and seed the query-encoder cache so queries
-                # identical to indexed entries skip the encoder, like the
-                # in-memory index.
+                # identical to indexed entries skip the encoder.
                 offset = 0
                 for shard in loaded:
                     n = shard.embeddings.shape[0]
@@ -726,39 +771,76 @@ class ShardedEmbeddingIndex:
         return flat
 
     # ------------------------------------------------------------ growing
+    def add(
+        self,
+        graphs: Sequence[ProgramGraph],
+        metas: Optional[Sequence[dict]] = None,
+        batch_size: int = 32,
+    ) -> List[str]:
+        """Index graphs (with optional per-graph metadata); returns their keys.
+
+        A non-empty call appends one shard; ``add([])`` is a no-op.
+        Only graphs whose fingerprint is not already cached hit the
+        encoder; duplicates — within this call or against earlier adds and
+        queries — reuse the cached embedding.
+        """
+        if metas is None:
+            metas = [{} for _ in graphs]
+        if len(metas) != len(graphs):
+            raise ValueError("metas must match graphs 1:1")
+        keys = [graph_fingerprint(g) for g in graphs]
+        if keys:
+            rows = self._encoder.embed_queries(list(graphs), batch_size, keys)
+            self._append_shard(keys, rows, metas)
+        return keys
+
+    def add_precomputed(
+        self,
+        keys: Sequence[str],
+        embeddings: np.ndarray,
+        metas: Optional[Sequence[dict]] = None,
+    ) -> None:
+        """Append entries whose embeddings were already computed (one shard).
+
+        Used when re-arranging existing indexes — sharding, merging,
+        persisting a directory-less index — where re-encoding would both
+        waste encoder passes and (because batch composition perturbs float
+        accumulation order) break bit-exact score parity with the original.
+        """
+        embeddings = np.atleast_2d(np.asarray(embeddings, dtype=np.float32))
+        if metas is None:
+            metas = [{} for _ in keys]
+        if len(keys) != embeddings.shape[0] or len(keys) != len(metas):
+            raise ValueError(
+                f"{len(keys)} keys for {embeddings.shape[0]} embeddings "
+                f"and {len(metas)} metas"
+            )
+        if len(keys):
+            self._append_shard(keys, embeddings, metas)
+
     def add_shard(
         self,
         graphs: Optional[Sequence[ProgramGraph]] = None,
         metas: Optional[Sequence[dict]] = None,
         *,
-        index: Optional[EmbeddingIndex] = None,
+        index: Optional["ShardedEmbeddingIndex"] = None,
         batch_size: int = 32,
     ) -> str:
         """Append one shard and return its file name.
 
-        Pass either ``graphs`` (encoded here, through the shared query
-        cache so duplicates of already-seen graphs skip the encoder) or a
-        prebuilt ``index`` whose embeddings are written in this index's
-        codec.  If a coarse quantizer is trained, the new shard's cell
-        assignments are computed and persisted alongside it.
+        Pass either ``graphs`` (encoded as :meth:`add` does) or another
+        ``index`` whose entries are copied in this index's codec.  An
+        empty shard is an error.
         """
         if (graphs is None) == (index is None):
             raise ValueError("pass exactly one of graphs / index")
         if graphs is not None:
             if len(graphs) == 0:
                 raise ValueError("a shard needs at least one entry")
-            if metas is None:
-                metas = [{} for _ in graphs]
-            if len(metas) != len(graphs):
-                raise ValueError("metas must match graphs 1:1")
-            keys = [graph_fingerprint(g) for g in graphs]
-            rows = self._encoder.embed_queries(list(graphs), batch_size)
-            index = EmbeddingIndex(self.trainer)
-            index.add_precomputed(keys, rows, list(metas))
-        elif metas is not None:
+            self.add(graphs, metas, batch_size)
+            return self._manifest["shards"][-1]["file"]
+        if metas is not None:
             raise ValueError("metas only applies to the graphs form")
-        if len(index) == 0:
-            raise ValueError("a shard needs at least one entry")
         if index.trainer is not self.trainer and (
             model_fingerprint(index.trainer) != self._manifest["model_sha"]
         ):
@@ -766,13 +848,25 @@ class ShardedEmbeddingIndex:
                 "shard was built by a different model (weight/tokenizer "
                 "fingerprint mismatch)"
             )
-        if index.dim != self.dim:
-            raise ValueError(f"shard has dim {index.dim}, index has {self.dim}")
+        return self._append_shard(index.keys, index.embeddings, index.metas)
+
+    def _append_shard(
+        self, keys: Sequence[str], rows: np.ndarray, metas: Sequence[dict]
+    ) -> str:
+        """Store aligned entries as one resident shard (written when on disk).
+
+        If a coarse quantizer is trained, the new shard's cell assignments
+        are computed (and persisted) alongside it.
+        """
+        if len(keys) == 0:
+            raise ValueError("a shard needs at least one entry")
+        if rows.shape[1] != self.dim:
+            raise ValueError(f"shard has dim {rows.shape[1]}, index has {self.dim}")
         position = self.num_shards
         name = _shard_name(position, self.codec)
-        entry: Dict[str, object] = {"file": name, "entries": len(index)}
-        shard_keys = list(index._keys)
-        shard_metas = [dict(m) for m in index._metas]
+        entry: Dict[str, object] = {"file": name, "entries": len(keys)}
+        shard_keys = list(keys)
+        shard_metas = [dict(m) for m in metas]
         scale = None
         sidecar = {
             "keys": shard_keys,
@@ -782,7 +876,7 @@ class ShardedEmbeddingIndex:
         if self.codec == "float32":
             # The archive _load_shard reads: the rows plus the sidecar
             # fields as a uint8 JSON member (no pickle).
-            store = index.embeddings.copy()
+            store = np.array(rows, dtype=np.float32)
             payload = np.frombuffer(json.dumps(sidecar).encode(), dtype=np.uint8)
             entry["sha256"] = self._commit(
                 name,
@@ -792,7 +886,7 @@ class ShardedEmbeddingIndex:
                 "index.array",
             )
         else:
-            store, scale = _quantize(index.embeddings, self.codec)
+            store, scale = _quantize(rows, self.codec)
             entry["sha256"] = self._save_array(name, store)
             if scale is not None:
                 sidecar["scale"] = [float(v) for v in scale]
@@ -825,8 +919,15 @@ class ShardedEmbeddingIndex:
         quantizer, the absorbed entries are assigned to *self's* cells
         (other's assignments, if any, belong to different centroids).
         A source file whose copy does not match its recorded checksum
-        raises :class:`ShardCorruption` and leaves self unchanged.
+        raises :class:`ShardCorruption` and leaves self unchanged.  Both
+        indexes must be on disk: persist a directory-less one with
+        :meth:`from_index` first.
         """
+        if self.root is None or other.root is None:
+            raise ValueError(
+                "cannot merge a directory-less index; persist it with "
+                "ShardedEmbeddingIndex.from_index first"
+            )
         if other is self or other.root.resolve() == self.root.resolve():
             raise ValueError("cannot merge a sharded index into itself")
         if other._manifest["model_sha"] != self._manifest["model_sha"]:
@@ -1057,8 +1158,8 @@ class ShardedEmbeddingIndex:
         The single implementation behind :meth:`scores`,
         :meth:`scores_batch`, :meth:`topk` and :meth:`topk_batch`, so the
         shard concatenation and metadata flattening happen once per call.
-        Float32 keeps the flat-matrix pass (bit parity with the in-memory
-        index); quantized codecs stream blocks off the memory maps.
+        Float32 keeps the flat-matrix pass (bit parity across shard
+        layouts); quantized codecs stream blocks off the memory maps.
         """
         q, num_q = normalize_query_batch(graphs, embeddings, self.dim)
         if len(self) == 0:
@@ -1076,12 +1177,17 @@ class ShardedEmbeddingIndex:
 
     @property
     def query_cache_size(self) -> int:
-        """Bound of the query-embedding LRU (the inner encoder's)."""
+        """Bound of the query-embedding LRU (the query cache's)."""
         return self._encoder.query_cache_size
 
-    def cached_embedding(self, key: str) -> Optional[np.ndarray]:
-        """See :meth:`EmbeddingIndex.cached_embedding` (the query cache's)."""
-        return self._encoder.cached_embedding(key)
+    @query_cache_size.setter
+    def query_cache_size(self, size: int) -> None:
+        self._encoder.query_cache_size = size
+
+    # The query cache's own surface (see QueryCache).
+    cached_embedding = property(lambda self: self._encoder.cached_embedding)
+    cache_hits = property(lambda self: self._encoder.cache_hits)
+    cache_misses = property(lambda self: self._encoder.cache_misses)
 
     def embed_queries(
         self,
@@ -1106,7 +1212,12 @@ class ShardedEmbeddingIndex:
         embedding: Optional[np.ndarray] = None,
         shards: Optional[Sequence[int]] = None,
     ) -> np.ndarray:
-        """Pair-head scores against every (selected-shard) entry."""
+        """Pair-head scores against every (selected-shard) entry, in order.
+
+        The query goes on the matcher's *left* (binary) side, entries on
+        the right (source) side — the orientation ``MatchingPair`` and the
+        training corpus use throughout.
+        """
         if embedding is not None:
             embedding = np.asarray(embedding, dtype=np.float32).reshape(1, -1)
         scores, _ = self._scored_batch(
@@ -1152,7 +1263,8 @@ class ShardedEmbeddingIndex:
         if self.quantizer is None:
             raise ValueError(
                 "mode='ann' needs a trained coarse quantizer; call "
-                "train_quantizer() or build with `repro index build --cells N`"
+                "train_quantizer(), build with `repro index build --cells N`, "
+                "or query with mode='exact'"
             )
         if not isinstance(nprobe, numbers.Integral) or isinstance(nprobe, bool) or nprobe < 1:
             raise ValueError(f"nprobe must be a positive integer, got {nprobe!r}")
@@ -1293,3 +1405,8 @@ class ShardedEmbeddingIndex:
 #: directory (a model checkpoint, an old single-file ``.npz`` index) raises
 #: ``ValueError`` saying it is not a sharded index.
 open_index = ShardedEmbeddingIndex.open
+
+#: The in-memory index: a directory-less :class:`ShardedEmbeddingIndex`
+#: whose shards are all resident (``EmbeddingIndex(trainer,
+#: query_cache_size=256)``).
+EmbeddingIndex = ShardedEmbeddingIndex.in_memory

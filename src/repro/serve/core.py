@@ -3,12 +3,12 @@
 The paper's end product is a matcher that ranks source candidates for
 binary queries; this module turns the retrieval stack into a service. One
 warm :class:`~repro.core.pipeline.MatcherPipeline` (compilation pipeline +
-optional artifact store) and one warm index — the lazily-loaded
-:class:`~repro.index.ShardedEmbeddingIndex` an index directory opens as,
-or an in-memory :class:`~repro.index.EmbeddingIndex` — are shared across
-every request of the process lifetime, and pipelined requests are batched so Q
+optional artifact store) and one warm
+:class:`~repro.index.ShardedEmbeddingIndex` — opened lazily from an index
+directory, or built in memory — are shared across every request of the
+process lifetime, and pipelined requests are batched so Q
 queued queries cost one batched encoder pass plus one tiled pair-head
-pass instead of Q of each (see :meth:`EmbeddingIndex.topk_batch`).
+pass instead of Q of each (see :meth:`ShardedEmbeddingIndex.topk_batch`).
 
 A repeated query skips the front end.  The server keeps a bounded LRU
 from a digest of the request payload to the query graph's

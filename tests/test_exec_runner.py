@@ -125,6 +125,25 @@ class TestRunExperiment:
         warm_row = run_graphbinmatch(dataset, spec.config, trainer=warm.trainer).row
         assert cold_row == warm_row
 
+    def test_warm_hit_reads_the_checkpoint_once(self, dataset, tmp_path, monkeypatch):
+        spec = ExperimentSpec("one-read", tiny_config())
+        cold = run_experiment(spec, dataset, store=ModelStore(tmp_path))
+        path = ModelStore(tmp_path).path_for(cold.fingerprint)
+        want = ModelStore.read_meta(path)
+        opened = []
+        real_load = np.load
+
+        def counting_load(file, *args, **kwargs):
+            opened.append(str(file))
+            return real_load(file, *args, **kwargs)
+
+        monkeypatch.setattr(np, "load", counting_load)
+        warm = run_experiment(spec, dataset, store=ModelStore(tmp_path))
+        assert warm.from_cache
+        assert opened == [str(path)]
+        assert warm.report_meta == want
+        assert warm.report_meta["name"] == "one-read"
+
     def test_no_store_always_trains(self, dataset):
         spec = ExperimentSpec("storeless", tiny_config())
         run = run_experiment(spec, dataset)

@@ -354,7 +354,7 @@ class TestIndexCache:
         index.add([j[0].source_graph])
         for sample in c[:4]:
             index.scores(sample.decompiled_graph)
-        assert len(index._query_cache) <= 2
+        assert len(index._encoder._query_cache) <= 2
         assert len(index) == 1  # corpus entries unaffected
 
     def test_query_cache_size_zero_disables_caching(self, trained, corpus):
@@ -363,7 +363,7 @@ class TestIndexCache:
         index.add([j[0].source_graph])
         scores = index.scores(c[0].decompiled_graph)
         assert scores.shape == (1,)
-        assert len(index._query_cache) == 0
+        assert len(index._encoder._query_cache) == 0
 
     def test_cached_embedding_counts_hits_only(self, trained, corpus):
         c, j = corpus

@@ -76,7 +76,7 @@ class TestQuantizedCodecs:
         # Quantization noise only: int8 keeps ~2 decimal places on these
         # magnitudes, fp16 ~3.
         np.testing.assert_allclose(got, want, atol=0.05 if codec == "int8" else 0.01)
-        assert reopened.keys == mono._keys
+        assert reopened.keys == mono.keys
         assert reopened.metas == mono.metas
 
     def test_shards_stay_memory_mapped(self, trained, mono, tmp_path):
@@ -117,11 +117,11 @@ class TestQuantizedCodecs:
         half = len(j) // 2
         left = EmbeddingIndex(trained)
         left.add_precomputed(
-            mono._keys[:half], mono.embeddings[:half], mono._metas[:half]
+            mono.keys[:half], mono.embeddings[:half], mono.metas[:half]
         )
         right = EmbeddingIndex(trained)
         right.add_precomputed(
-            mono._keys[half:], mono.embeddings[half:], mono._metas[half:]
+            mono.keys[half:], mono.embeddings[half:], mono.metas[half:]
         )
         a = ShardedEmbeddingIndex.from_index(left, tmp_path / "a", 2, codec="fp16")
         b = ShardedEmbeddingIndex.from_index(right, tmp_path / "b", 2, codec="fp16")

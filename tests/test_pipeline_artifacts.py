@@ -1,6 +1,7 @@
 """Tests for the staged compilation pipeline, serializers, and artifact store."""
 
 import pickle
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -257,7 +258,34 @@ class TestArtifactStore:
             dict(opt_level="O0"), dict(compiler="gcc"), dict(source_id="sha:zzz"),
         ):
             assert self._key(**change).digest != base.digest
-        assert ArtifactKey(**{**base.__dict__, "version": "other"}).digest != base.digest
+        assert replace(base, version="other").digest != base.digest
+
+    def test_digest_bytes_pinned(self):
+        key = self._key(version="staged-test", transforms="deadcode",
+                        graph_features="dataflow")
+        assert key.digest == (
+            "8dd5680423d554f7b651560046e633aa3004e0d12dda2b517b35fe0f03e94c72"
+        )
+        assert "digest" not in asdict(key)
+
+    def test_digest_hashed_once_per_key(self, compiled, tmp_path, monkeypatch):
+        """put's path_for, the journal append and get's path_for share one hash."""
+        import hashlib
+
+        key = self._key(source_id=source_text_id(compiled.source_text))
+        payload = "\x1f".join(str(v) for v in asdict(key).values()).encode()
+        calls = []
+        real = hashlib.sha256
+
+        def spy(data=b"", *args, **kwargs):
+            calls.append(data)
+            return real(data, *args, **kwargs)
+
+        monkeypatch.setattr(hashlib, "sha256", spy)
+        store = ArtifactStore(tmp_path / "store")
+        store.put(key, compiled)
+        assert store.get(key) is not None
+        assert calls.count(payload) == 1
 
     def test_version_defaults_to_pipeline_fingerprint(self):
         assert self._key().version == PIPELINE_VERSION

@@ -94,7 +94,7 @@ class TestFromIndexParity:
 
     def test_keys_metas_embeddings_aligned(self, trained, mono, tmp_path):
         sharded = ShardedEmbeddingIndex.from_index(mono, tmp_path / "idx", 3)
-        assert sharded.keys == mono._keys
+        assert sharded.keys == mono.keys
         assert sharded.metas == mono.metas
         np.testing.assert_array_equal(sharded.embeddings, mono.embeddings)
 
@@ -177,11 +177,11 @@ class TestGrowth:
         half = len(j) // 2
         left = EmbeddingIndex(trained)
         left.add_precomputed(
-            mono._keys[:half], mono.embeddings[:half], mono._metas[:half]
+            mono.keys[:half], mono.embeddings[:half], mono.metas[:half]
         )
         right = EmbeddingIndex(trained)
         right.add_precomputed(
-            mono._keys[half:], mono.embeddings[half:], mono._metas[half:]
+            mono.keys[half:], mono.embeddings[half:], mono.metas[half:]
         )
         a = ShardedEmbeddingIndex.from_index(left, tmp_path / "a", 2)
         b = ShardedEmbeddingIndex.from_index(right, tmp_path / "b", 2)
@@ -280,7 +280,7 @@ class TestOpenIndex:
         trained.save(ckpt)
         # The single-archive layout earlier builds wrote for unsharded indexes.
         legacy = tmp_path / "index.npz"
-        meta = json.dumps({"keys": mono._keys, "metas": mono._metas, "dim": mono.dim})
+        meta = json.dumps({"keys": mono.keys, "metas": mono.metas, "dim": mono.dim})
         np.savez_compressed(
             legacy,
             embeddings=mono.embeddings,
@@ -358,7 +358,7 @@ class TestTieBreaking:
     def equal_corpus(self, trained, mono):
         # Every entry carries the same embedding row, so every query
         # scores every entry identically — the pure tie-break case.
-        keys = sorted(mono._keys, reverse=True)  # insertion order != key order
+        keys = sorted(mono.keys, reverse=True)  # insertion order != key order
         row = np.tile(mono.embeddings[:1], (len(keys), 1))
         index = EmbeddingIndex(trained)
         index.add_precomputed(keys, row, [{"key": k} for k in keys])
@@ -474,6 +474,68 @@ class TestGatherCache:
         assert len(hits) == len(mono) - 3
         assert set(h.key for h in hits) == set(mono.keys[3:])
         assert sharded.keys == mono.keys[3:]
+
+
+class TestDirectoryLess:
+    """The in-memory index is a ShardedEmbeddingIndex with no directory."""
+
+    def test_one_class_and_query_cache(self, trained, mono):
+        from repro.index import QueryCache
+
+        assert isinstance(mono, ShardedEmbeddingIndex)
+        assert mono.root is None
+        assert type(mono._encoder) is QueryCache
+
+    def test_each_add_is_one_resident_shard(self, trained, corpus, mono):
+        c, _ = corpus
+        index = EmbeddingIndex(trained)
+        index.add_precomputed(mono.keys[:3], mono.embeddings[:3], mono.metas[:3])
+        index.add_precomputed(mono.keys[3:], mono.embeddings[3:], mono.metas[3:])
+        assert index.num_shards == index.resident_shards == 2
+        query = c[0].decompiled_graph
+        full = mono.scores(query)
+        np.testing.assert_array_equal(index.scores(query), full)
+        np.testing.assert_array_equal(index.scores(query, shards=[0]), full[:3])
+        np.testing.assert_array_equal(index.scores(query, shards=[1]), full[3:])
+        assert [h.key for h in index.topk(query, k=None, shards=[1])] == [
+            h.key for h in mono.topk(query, k=None) if h.key in mono.keys[3:]
+        ]
+
+    def test_empty_add_is_a_no_op(self, trained):
+        index = EmbeddingIndex(trained)
+        assert index.add([]) == []
+        index.add_precomputed([], np.zeros((0, index.dim), dtype=np.float32))
+        assert index.num_shards == 0 and len(index) == 0
+
+    def test_writes_nothing_and_fires_no_fault_site(self, trained, corpus, tmp_path):
+        from repro import faults
+
+        _, j = corpus
+        graphs = [s.source_graph for s in j[:3]]
+        with faults.active("eio-write"):
+            index = EmbeddingIndex(trained)
+            index.add(graphs)
+            index.tag = "t"
+            with pytest.raises(OSError):
+                ShardedEmbeddingIndex.create(trained, tmp_path / "idx").add(graphs)
+        assert len(index) == 3 and index.tag == "t"
+
+    def test_ann_needs_a_quantizer(self, trained, corpus, mono):
+        c, _ = corpus
+        with pytest.raises(ValueError, match="needs a trained coarse quantizer"):
+            mono.topk(c[0].decompiled_graph, k=1, mode="ann")
+
+    def test_quarantine_refused(self, trained, mono):
+        with pytest.raises(ValueError, match="directory-less"):
+            mono.quarantine_shard(0, "test")
+        assert mono.quarantined == {} and mono.resident_shards == 1
+
+    def test_merge_refuses_directory_less(self, trained, mono, tmp_path):
+        on_disk = ShardedEmbeddingIndex.from_index(mono, tmp_path / "idx", 3)
+        with pytest.raises(ValueError, match="directory-less"):
+            on_disk.merge(mono)
+        with pytest.raises(ValueError, match="directory-less"):
+            mono.merge(on_disk)
 
 
 def _subset(index, start, stop):
