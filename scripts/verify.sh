@@ -73,7 +73,7 @@ with open(f"{tmp}/requests.jsonl", "w") as fh:
         "source": source.text, "language": "java"}) + "\n")
 EOF
 python -m repro serve "$tmp/model.npz" "$tmp/sharded" --batch 2 \
-  < "$tmp/requests.jsonl" > "$tmp/responses.jsonl"
+  < "$tmp/requests.jsonl" > "$tmp/responses.jsonl" 2> "$tmp/serve-stdin.log"
 python - "$tmp" <<'EOF'
 import json, sys
 lines = [json.loads(l) for l in open(f"{sys.argv[1]}/responses.jsonl")]
@@ -81,6 +81,14 @@ assert [l.get("id") for l in lines] == ["bin", "src"], lines
 assert all(len(l["hits"]) == 3 for l in lines), lines
 print("serve smoke: OK")
 EOF
+# Like the socket smoke's log check below: the summary line must report
+# both requests and no errors, and nothing may have logged a traceback.
+if grep -q "Traceback" "$tmp/serve-stdin.log" \
+    || ! grep -q "^served 2 requests in .* batches (0 errors)$" "$tmp/serve-stdin.log"; then
+  echo "verify: FAIL — stdin server logged a traceback or a wrong summary" >&2
+  cat "$tmp/serve-stdin.log" >&2
+  exit 1
+fi
 
 echo "== smoke: repro serve --socket (concurrent unix-socket service) =="
 python -m repro serve "$tmp/model.npz" "$tmp/sharded" \

@@ -211,8 +211,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="score up to N pipelined requests per batched pass")
     sv.add_argument("--top-k", type=int, default=5,
                     help="default hit-list size (requests override with 'k')")
-    sv.add_argument("--store", default=None, metavar="DIR",
-                    help="artifact store root shared across requests")
     sv.add_argument("--socket", default=None, metavar="ADDR",
                     help="serve concurrent clients on a socket instead of "
                          "stdin: HOST:PORT (port 0 picks a free one) or "
@@ -595,7 +593,6 @@ def cmd_corpus_stats(args) -> int:
 
 def cmd_serve(args) -> int:
     """Serve JSON-lines retrieval requests: stdin until EOF, or a socket."""
-    from repro.artifacts import ArtifactStore
     from repro.core.trainer import MatchTrainer
     from repro.index import open_index
     from repro.serve import RetrievalServer
@@ -604,13 +601,11 @@ def cmd_serve(args) -> int:
         return _serve_socket(args)
     trainer = MatchTrainer.load(args.checkpoint)
     index = open_index(args.index, trainer)
-    store = ArtifactStore(args.store) if args.store else None
     server = RetrievalServer(
         trainer,
         index,
         batch_size=args.batch,
         default_k=args.top_k,
-        store=store,
         mode=args.mode,
         nprobe=args.nprobe,
     )
@@ -622,8 +617,8 @@ def cmd_serve(args) -> int:
     )
     stats = server.serve(sys.stdin, sys.stdout)
     print(
-        f"served {stats.requests} requests in {stats.batches} batches "
-        f"({stats.errors} errors)",
+        f"served {stats['requests']} requests in {stats['batches']} batches "
+        f"({stats['errors']} errors)",
         file=sys.stderr,
     )
     return 0
@@ -655,7 +650,6 @@ def _serve_socket(args) -> int:
         default_k=args.top_k,
         mode=args.mode,
         nprobe=args.nprobe,
-        store_root=args.store,
         batch_timeout_s=args.deadline_ms / 1000.0 if args.deadline_ms > 0 else None,
     )
     if addr.startswith("unix:"):

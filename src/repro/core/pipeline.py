@@ -24,16 +24,6 @@ from repro.index import EmbeddingIndex, ShardedEmbeddingIndex, model_fingerprint
 from repro.pipeline import CompilationPipeline
 
 
-def source_graph_of(source_text: str, language: str, name: str = "unit") -> ProgramGraph:
-    """Source text → source-IR graph, skipping the binary half entirely.
-
-    ``compile_to_views`` exists for callers that need both views; building
-    only the source graph must not pay for codegen + decompilation of a
-    binary that is immediately discarded.
-    """
-    return CompilationPipeline().source_graph(source_text, language, name=name)
-
-
 @dataclass
 class CompiledViews:
     """Both views of one program: source-IR graph and binary."""
@@ -72,15 +62,9 @@ def compile_to_views(
 
 
 class MatcherPipeline:
-    """Score raw (binary, source) inputs with a trained matcher.
+    """Score raw (binary, source) inputs with a trained matcher."""
 
-    ``store`` optionally attaches an :class:`~repro.artifacts.ArtifactStore`
-    to the internal :class:`CompilationPipeline`, so a long-lived pipeline
-    (e.g. the ``repro serve`` process) reuses persisted compilation
-    artifacts across requests instead of recompiling repeats.
-    """
-
-    def __init__(self, trainer: MatchTrainer, store=None):  # noqa: D107
+    def __init__(self, trainer: MatchTrainer):  # noqa: D107
         if trainer.model is None:
             raise ValueError("trainer has no trained model")
         self.trainer = trainer
@@ -88,7 +72,7 @@ class MatcherPipeline:
         # configured with the analysis-derived relations needs query
         # graphs that actually carry them.
         dataflow = "dataflow" in tuple(getattr(trainer.config, "relations", ()))
-        self.compiler = CompilationPipeline(store=store, dataflow_edges=dataflow)
+        self.compiler = CompilationPipeline(dataflow_edges=dataflow)
         # Trainers whose weight fingerprint already matched ours; hashing
         # every weight tensor is too expensive to repeat per query.
         self._trusted_trainer_ids: set = set()

@@ -142,8 +142,6 @@ class BatchedModelWriter:
         self.store = store
         self.max_pending = int(max_pending)
         self.pending: List[tuple] = []
-        self.committed = 0
-        self.flushes = 0
 
     def add(self, fingerprint: str, payload: bytes) -> None:
         """Queue one checkpoint; flushes when the buffer fills."""
@@ -156,10 +154,8 @@ class BatchedModelWriter:
         if not self.pending:
             return 0
         batch, self.pending = self.pending, []
-        self.flushes += 1
         for fingerprint, payload in batch:
             self.store.put_bytes(fingerprint, payload)
-            self.committed += 1
         return len(batch)
 
     def __enter__(self) -> "BatchedModelWriter":

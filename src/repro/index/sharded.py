@@ -124,6 +124,11 @@ _SHARD_GLOB = "shard-*"
 #: Rows dequantized per scoring block on the streamed exact path.
 _SCORE_BLOCK_ROWS = 4096
 
+#: Shard fan-out: exact streaming and ANN probing dispatch per-shard work
+#: on a thread pool this wide (numpy releases the GIL in the pair head's
+#: matmuls).
+_FANOUT_THREADS = min(8, os.cpu_count() or 1)
+
 
 class _Gathered(NamedTuple):
     """The entries of a shard selection, concatenated in global order."""
@@ -350,13 +355,6 @@ class ShardedEmbeddingIndex:
         # matrix: quantized codecs never flatten the corpus.
         self._flat: Optional[_Gathered] = None
         self._load_lock = threading.Lock()
-        # Shard fan-out: exact streaming and ANN probing dispatch per-shard
-        # work on a thread pool (numpy releases the GIL in the pair head's
-        # matmuls).  Overridable per instance or via REPRO_INDEX_THREADS.
-        env_threads = os.environ.get("REPRO_INDEX_THREADS")
-        self.fanout_threads = (
-            max(1, int(env_threads)) if env_threads else min(8, os.cpu_count() or 1)
-        )
         self.score_block_rows = _SCORE_BLOCK_ROWS
         # Working-set accounting for the streamed paths: the peak number of
         # concurrently-held dequantized bytes, and the largest single block.
@@ -1086,7 +1084,7 @@ class ShardedEmbeddingIndex:
         """
         if count == 0:
             return
-        workers = min(self.fanout_threads, count)
+        workers = min(_FANOUT_THREADS, count)
         if workers <= 1:
             for i in range(count):
                 fn(i)

@@ -139,14 +139,6 @@ class ReachingDefinitions(DataflowAnalysis):
                 self._slot_of[instr.uid] = slot
                 self._stores_of.setdefault(slot, []).append(instr.uid)
 
-    def defs_in(self, block: BasicBlock) -> List[Instruction]:
-        """The definitions a block generates, in program order."""
-        return [
-            i
-            for i in block.instructions
-            if i.type != VOID or is_memory_def(i)
-        ]
-
     def transfer(self, block: BasicBlock, facts: FactSet) -> FactSet:
         live = set(facts)
         for instr in block.instructions:

@@ -10,7 +10,7 @@ shortcuts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.lang import ast
 from repro.lang.minic import MiniCRenderer, parse_minic
@@ -100,12 +100,3 @@ class SolutionGenerator:
                     files.append(self.generate(task, variant, language))
         return files
 
-    def corpus_by_task(
-        self, tasks: Optional[List[str]] = None, variants: int = 4,
-        languages: Optional[List[str]] = None,
-    ) -> Dict[str, List[SourceFile]]:
-        """Like :meth:`generate_many`, grouped by task name."""
-        grouped: Dict[str, List[SourceFile]] = {}
-        for f in self.generate_many(tasks, variants, languages):
-            grouped.setdefault(f.task, []).append(f)
-        return grouped

@@ -11,9 +11,8 @@ now the single owner of that chain, decomposed into named stages:
 :mod:`repro.transform` — only runs when a transform chain is configured;
 clean compilations are byte-identical to the pre-transform pipeline.)
 
-Each stage is individually timed (per-compile in
-:attr:`CompilationResult.stage_seconds`, cumulatively in the pipeline's
-:class:`~repro.utils.timing.Timer`), and a failing stage raises
+Each stage is individually timed (cumulatively, in the pipeline's
+:class:`~repro.utils.timing.Stats`), and a failing stage raises
 :class:`StageFailure` carrying the partial result — so callers can report
 exactly which artifacts exist instead of assuming all-or-nothing.
 
@@ -26,9 +25,8 @@ processes near-free.
 from __future__ import annotations
 
 import os
-import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 from repro.binary.codegen import compile_module
 from repro.binary.decompiler import decompile_bytes
@@ -41,7 +39,7 @@ from repro.lang.minic import parse_minic
 from repro.lang.minicpp import parse_minicpp
 from repro.lang.minijava import parse_minijava
 from repro.transform import TransformSpec, chain_id, parse_transform_chain, split_by_level
-from repro.utils.timing import Timer
+from repro.utils.timing import Stats
 
 #: Bump when any stage's observable output changes; part of every artifact
 #: key, so stale cache entries from an older pipeline never hit.
@@ -136,8 +134,7 @@ class CompilationResult:
 
     Field presence tracks :attr:`stages_completed`: a result rescued from a
     :class:`StageFailure` only populates the fields its completed stages
-    own.  ``from_cache`` marks artifact-store hits, whose only recorded
-    span is ``store.load``.
+    own.  ``from_cache`` marks artifact-store hits.
     """
 
     name: str
@@ -146,7 +143,6 @@ class CompilationResult:
     compiler: str
     source_text: str
     stages_completed: List[str] = field(default_factory=list)
-    stage_seconds: Dict[str, float] = field(default_factory=dict)
     from_cache: bool = False
     #: Canonical spec strings of the transforms applied (empty = clean).
     transforms: List[str] = field(default_factory=list)
@@ -193,8 +189,9 @@ class CompilationPipeline:
         :meth:`compile` is given a ``cache_key``, complete results are
         read from / written to it.
     timer:
-        Shared :class:`Timer` accumulating per-stage wall clock across
-        every compile this pipeline runs (one is created if omitted).
+        Shared :class:`~repro.utils.timing.Stats` accumulating per-stage
+        wall clock and call counts across every compile this pipeline
+        runs (one is created if omitted).
     fail_stage:
         Deterministic failure injection: every compile raises
         :class:`StageFailure` when it reaches this stage.  Models the
@@ -226,14 +223,14 @@ class CompilationPipeline:
     def __init__(
         self,
         store=None,
-        timer: Optional[Timer] = None,
+        timer: Optional[Stats] = None,
         fail_stage: Optional[str] = None,
         transforms: TransformChain = None,
         dataflow_edges: bool = False,
         verify_passes: Optional[bool] = None,
     ):  # noqa: D107
         self.store = store
-        self.timer = timer or Timer()
+        self.timer = timer or Stats()
         self.fail_stage = fail_stage
         self.transforms = normalize_transforms(transforms)
         self.dataflow_edges = dataflow_edges
@@ -258,7 +255,6 @@ class CompilationPipeline:
     def _run_stage(self, stage: str, result: CompilationResult, fn: Callable[[], None]) -> None:
         if self.fail_stage == stage:
             raise StageFailure(stage, result)
-        start = time.perf_counter()
         try:
             with self.timer.span(stage):
                 fn()
@@ -266,7 +262,6 @@ class CompilationPipeline:
             raise
         except Exception as exc:  # noqa: BLE001 - rewrapped with stage context
             raise StageFailure(stage, result, exc) from exc
-        result.stage_seconds[stage] = time.perf_counter() - start
         result.stages_completed.append(stage)
 
     def _parse(self, result: CompilationResult) -> None:
@@ -369,11 +364,9 @@ class CompilationPipeline:
                     "with the same features"
                 )
         if cache_lookup and cache_key is not None and self.store is not None:
-            start = time.perf_counter()
             with self.timer.span("store.load"):
                 cached = self.store.get(cache_key)
             if cached is not None:
-                cached.stage_seconds = {"store.load": time.perf_counter() - start}
                 cached.from_cache = True
                 return cached
         result = CompilationResult(

@@ -12,31 +12,18 @@ Two ways to run the same protocol:
 See ``docs/serving.md`` for the protocol and operational semantics.
 """
 
-from repro.serve.app import (
-    ConcurrentServer,
-    ServerConfig,
-    ServerStats,
-    create_server,
-)
-from repro.serve.core import (
-    RetrievalServer,
-    ServeStats,
-    parse_request,
-    request_id_of,
-)
+from repro.serve.app import ConcurrentServer, ServerConfig, create_server
+from repro.serve.core import RetrievalServer, parse_request, request_id_of
 from repro.serve.frontend import Connection, SocketFrontend
 from repro.serve.pool import WorkerPool
-from repro.serve.scheduler import MicroBatchScheduler, SchedulerStats
+from repro.serve.scheduler import MicroBatchScheduler
 
 __all__ = [
     "ConcurrentServer",
     "Connection",
     "MicroBatchScheduler",
     "RetrievalServer",
-    "SchedulerStats",
-    "ServeStats",
     "ServerConfig",
-    "ServerStats",
     "SocketFrontend",
     "WorkerPool",
     "create_server",

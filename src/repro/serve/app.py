@@ -19,7 +19,9 @@ delivery.  Control requests (``{"control": "reload" | "stats"}``)
 bypass the scheduler: ``reload`` flushes buffered queries (they are
 served on the old index), hot-swaps every worker onto the re-read
 manifest, and acks with worker counts; ``stats`` reports the live
-counters.
+counters.  The server owns one :class:`~repro.utils.timing.Stats` and
+shares it with its scheduler and pool, so each event is counted in
+exactly one place.
 """
 
 from __future__ import annotations
@@ -27,14 +29,19 @@ from __future__ import annotations
 import json
 import threading
 import time
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence
 
 from repro.index import validate_k
 from repro.serve.core import parse_request, request_id_of
 from repro.serve.frontend import Connection, SocketFrontend
-from repro.serve.pool import WorkerPool
-from repro.serve.scheduler import MicroBatchScheduler
+from repro.serve.pool import POOL_COUNTERS, WorkerPool
+from repro.serve.scheduler import SCHEDULER_COUNTERS, MicroBatchScheduler
+from repro.utils.timing import Stats
+
+#: Counters the server itself keeps; the scheduler's and pool's join them
+#: in the one shared :class:`Stats`.
+SERVER_COUNTERS = ("requests", "responses", "errors", "crashed_batches", "swaps")
 
 
 @dataclass
@@ -53,7 +60,6 @@ class ServerConfig:
     default_k: Optional[int] = 5
     mode: str = "exact"  # "exact" | "ann" (needs an index with a quantizer)
     nprobe: int = 8  # cells probed per query in ann mode
-    store_root: Optional[str] = None
     max_line_bytes: int = 1 << 20
     enable_test_hooks: bool = False  # fault-injection requests, tests only
     # Per-request deadline, measured from dispatch: a batch not answered in
@@ -63,19 +69,6 @@ class ServerConfig:
     # How long close() waits for in-flight batches to finish before the
     # stragglers are answered with a shutdown error.
     drain_timeout_s: float = 10.0
-
-
-@dataclass
-class ServerStats:
-    """Live counters (the ``{"control": "stats"}`` payload)."""
-
-    requests: int = 0
-    responses: int = 0
-    errors: int = 0
-    shed: int = 0
-    batches: int = 0
-    crashed_batches: int = 0
-    swaps: int = 0
 
 
 class _Entry:
@@ -99,8 +92,7 @@ class ConcurrentServer:
                 f"mode must be 'exact' or 'ann', got {config.mode!r}"
             )
         self.config = config
-        self.stats = ServerStats()
-        self._stats_lock = threading.Lock()
+        self.stats = Stats(SERVER_COUNTERS + SCHEDULER_COUNTERS + POOL_COUNTERS)
         self._batch_ids = iter(range(1, 1 << 62))
         self._inflight: Dict[int, List[_Entry]] = {}
         self._inflight_lock = threading.Lock()
@@ -110,6 +102,7 @@ class ConcurrentServer:
             on_batch_done=self._on_batch_done,
             on_batch_failed=self._on_batch_failed,
             on_worker_ready=self._on_worker_ready,
+            stats=self.stats,
         )
         self.scheduler = MicroBatchScheduler(
             self._dispatch,
@@ -117,6 +110,7 @@ class ConcurrentServer:
             max_delay_ms=config.max_delay_ms,
             max_pending=config.queue_depth,
             idle=self.pool.has_idle_worker,
+            stats=self.stats,
         )
         address = config.unix_socket or (config.host, config.port)
         self.frontend = SocketFrontend(
@@ -176,8 +170,7 @@ class ConcurrentServer:
 
     # ------------------------------------------------------------- intake
     def _on_line(self, conn: Connection, seq: int, line: str) -> None:
-        with self._stats_lock:
-            self.stats.requests += 1
+        self.stats.inc("requests")
         try:
             obj = json.loads(line)
         except json.JSONDecodeError:
@@ -188,13 +181,11 @@ class ConcurrentServer:
         try:
             request = parse_request(line, self.config.default_k)
         except ValueError as exc:
-            self._count_error()
+            self.stats.inc("errors")
             conn.deliver(seq, {"id": request_id_of(line), "error": str(exc)})
             return
         entry = _Entry(conn, seq, request)
-        if not self.scheduler.offer(entry):
-            with self._stats_lock:
-                self.stats.shed += 1
+        if not self.scheduler.offer(entry):  # counted as shed by the scheduler
             conn.deliver(
                 seq,
                 {
@@ -216,12 +207,12 @@ class ConcurrentServer:
                 # What a swap can raise here: the barrier timeout.
                 # Per-worker open failures travel back as strings inside
                 # the ack, not as exceptions.
-                self._count_error()
+                self.stats.inc("errors")
                 conn.deliver(seq, {"id": rid, "error": f"reload failed: {exc}"})
                 return
             conn.deliver(seq, dict({"id": rid, "reloaded": True}, **result))
         else:
-            self._count_error()
+            self.stats.inc("errors")
             conn.deliver(
                 seq,
                 {"id": rid, "error": f"unknown control {command!r}"},
@@ -239,8 +230,7 @@ class ConcurrentServer:
         with self._swap_lock:
             self.scheduler.flush_now()
             result = self.pool.swap(path)
-        with self._stats_lock:
-            self.stats.swaps += 1
+        self.stats.inc("swaps")
         result["index"] = path
         return result
 
@@ -249,8 +239,6 @@ class ConcurrentServer:
         batch_id = next(self._batch_ids)
         with self._inflight_lock:
             self._inflight[batch_id] = list(entries)
-        with self._stats_lock:
-            self.stats.batches += 1
         self.pool.submit(batch_id, [e.request for e in entries])
 
     def _take_inflight(self, batch_id: int) -> List[_Entry]:
@@ -268,17 +256,16 @@ class ConcurrentServer:
                     "error": "worker returned no response for this request",
                 }
             if "error" in response:
-                self._count_error()
+                self.stats.inc("errors")
             self._finish(entry, response)
 
     def _on_batch_failed(
         self, batch_id: int, message: str, retryable: bool = False
     ) -> None:
         entries = self._take_inflight(batch_id)
-        with self._stats_lock:
-            self.stats.crashed_batches += 1
+        self.stats.inc("crashed_batches")
+        self.stats.inc("errors", len(entries))
         for entry in entries:
-            self._count_error()
             response = {"id": entry.request.get("id"), "error": message}
             if retryable:
                 # Deadline misses: the request itself was fine, the server
@@ -294,29 +281,12 @@ class ConcurrentServer:
     def _finish(self, entry: _Entry, response: dict) -> None:
         entry.conn.deliver(entry.seq, response)
         self.scheduler.release(1)
-        with self._stats_lock:
-            self.stats.responses += 1
-
-    # ------------------------------------------------------------- helpers
-    def _count_error(self) -> None:
-        with self._stats_lock:
-            self.stats.errors += 1
+        self.stats.inc("responses")
 
     def stats_snapshot(self) -> Dict[str, int]:
-        """Copy of the counters plus scheduler/pool detail."""
-        with self._stats_lock:
-            snap = dict(self.stats.__dict__)
-        sched = self.scheduler.stats
-        snap.update(
-            workers=self.config.workers,
-            worker_crashes=self.pool.crashes,
-            deadline_timeouts=self.pool.timeouts,
-            pending=self.scheduler.pending,
-            flushed_on_idle=sched.flushed_on_idle,
-            flushed_on_size=sched.flushed_on_size,
-            flushed_on_deadline=sched.flushed_on_deadline,
-            flushed_on_barrier=sched.flushed_on_barrier,
-        )
+        """The ``{"control": "stats"}`` payload: every counter, two gauges."""
+        snap = self.stats.snapshot()
+        snap.update(workers=self.config.workers, pending=self.scheduler.pending)
         return snap
 
 

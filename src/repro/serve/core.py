@@ -2,8 +2,8 @@
 
 The paper's end product is a matcher that ranks source candidates for
 binary queries; this module turns the retrieval stack into a service. One
-warm :class:`~repro.core.pipeline.MatcherPipeline` (compilation pipeline +
-optional artifact store) and one warm
+warm :class:`~repro.core.pipeline.MatcherPipeline` (the compilation
+pipeline's query front end) and one warm
 :class:`~repro.index.ShardedEmbeddingIndex` — opened lazily from an index
 directory, or built in memory — are shared across every request of the
 process lifetime, and pipelined requests are batched so Q
@@ -52,7 +52,6 @@ import json
 import os
 import select
 from collections import OrderedDict
-from dataclasses import dataclass
 from typing import IO, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -61,8 +60,12 @@ from repro.core.pipeline import MatcherPipeline
 from repro.core.trainer import MatchTrainer
 from repro.graphs.programl import ProgramGraph
 from repro.index import embedding_index, validate_k
+from repro.utils.timing import Stats
 
 _QUERY_FIELDS = ("binary_b64", "source")
+
+#: The counters every :class:`RetrievalServer` keeps (see its ``stats``).
+SERVE_COUNTERS = ("requests", "batches", "errors", "memo_hits", "memo_misses")
 
 
 def parse_request(line: str, default_k: Optional[int]) -> dict:
@@ -158,15 +161,6 @@ def _lines_with_pending(stream) -> Iterator[Tuple[str, bool]]:
             eof = True
 
 
-@dataclass
-class ServeStats:
-    """What one :meth:`RetrievalServer.serve` loop handled."""
-
-    requests: int = 0
-    batches: int = 0
-    errors: int = 0
-
-
 class RetrievalServer:
     """Batched request loop over one warm pipeline + index pair."""
 
@@ -177,7 +171,6 @@ class RetrievalServer:
         *,
         batch_size: int = 8,
         default_k: Optional[int] = 5,
-        store=None,
         mode: str = "exact",
         nprobe: int = 8,
         allow_degraded: bool = False,
@@ -214,14 +207,14 @@ class RetrievalServer:
         self.default_k = default_k
         self.mode = mode
         self.nprobe = nprobe
-        self.pipeline = MatcherPipeline(trainer, store=store)
-        self.stats = ServeStats()
+        self.pipeline = MatcherPipeline(trainer)
+        # Lifetime counters: requests, batches and errors count what the
+        # server handled, memo_hits/memo_misses the payload memo's lookups.
+        self.stats = Stats(SERVE_COUNTERS)
         # Payload digest → graph fingerprint, bounded like the index's
         # query-embedding LRU it points into.
         self._memo: "OrderedDict[bytes, str]" = OrderedDict()
         self.memo_size = index.query_cache_size
-        self.memo_hits = 0
-        self.memo_misses = 0
 
     # ----------------------------------------------------------- requests
     def _parse(self, line: str) -> dict:
@@ -269,10 +262,10 @@ class RetrievalServer:
         key = self._memo.get(digest)
         row = None if key is None else self.index.cached_embedding(key)
         if row is None:
-            self.memo_misses += 1
+            self.stats.inc("memo_misses")
             return None
         self._memo.move_to_end(digest)
-        self.memo_hits += 1
+        self.stats.inc("memo_hits")
         return row
 
     def _build(
@@ -358,7 +351,7 @@ class RetrievalServer:
                 query = self._resolve(req, built)
             except ValueError as exc:
                 responses[i] = {"id": req.get("id"), "error": str(exc)}
-                self.stats.errors += 1
+                self.stats.inc("errors")
                 continue
             if isinstance(query, np.ndarray):
                 rows.append((len(slots), query))
@@ -409,7 +402,7 @@ class RetrievalServer:
                 }
         return [r for r in responses if r is not None]
 
-    def serve(self, in_stream: IO[str], out_stream: IO[str]) -> ServeStats:
+    def serve(self, in_stream: IO[str], out_stream: IO[str]) -> Dict[str, int]:
         """Read JSON-lines requests until EOF, writing JSON-lines responses.
 
         Requests are buffered and flushed ``batch_size`` at a time — and
@@ -424,10 +417,11 @@ class RetrievalServer:
         so lines another reader already pulled into a Python-level stream
         buffer would be skipped.
 
-        Returns the stats for this loop alone; ``self.stats`` is reset on
-        entry.
+        Returns what this loop alone handled (``self.stats`` keeps
+        counting across loops): its ``requests``, ``batches`` and
+        ``errors``, and the memo lookups it made.
         """
-        self.stats = ServeStats()
+        before = self.stats.snapshot()
         batch: List[dict] = []
 
         def flush() -> None:
@@ -436,7 +430,7 @@ class RetrievalServer:
             for response in self.handle_batch(batch):
                 out_stream.write(json.dumps(response) + "\n")
             out_stream.flush()
-            self.stats.batches += 1
+            self.stats.inc("batches")
             batch.clear()
 
         for line, pending in _lines_with_pending(in_stream):
@@ -445,7 +439,7 @@ class RetrievalServer:
                 if not pending:
                     flush()
                 continue
-            self.stats.requests += 1
+            self.stats.inc("requests")
             try:
                 batch.append(self._parse(line))
             except ValueError as exc:
@@ -453,9 +447,10 @@ class RetrievalServer:
                 rid = request_id_of(line)
                 out_stream.write(json.dumps({"id": rid, "error": str(exc)}) + "\n")
                 out_stream.flush()
-                self.stats.errors += 1
+                self.stats.inc("errors")
                 continue
             if len(batch) >= self.batch_size or not pending:
                 flush()
         flush()
-        return self.stats
+        after = self.stats.snapshot()
+        return {name: after[name] - before[name] for name in SERVE_COUNTERS}

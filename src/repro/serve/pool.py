@@ -35,6 +35,11 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.exec.pool import STOP_GRACE_SECONDS, Supervisor, Worker
 from repro.serve.worker import open_server, run_batch, swap_index
+from repro.utils.timing import Stats
+
+#: The counters a pool keeps: worker deaths, and batches answered with a
+#: deadline error.
+POOL_COUNTERS = ("worker_crashes", "deadline_timeouts")
 
 #: Consecutive failed starts (death or open error) that retire a slot.
 START_ATTEMPTS = 3
@@ -63,6 +68,8 @@ class WorkerPool:
 
     ``config`` is the server's :class:`~repro.serve.app.ServerConfig`;
     ``self.index_path`` starts as its index and follows every swap.
+    ``stats`` (shared with the owning server, if given) counts
+    ``worker_crashes`` and ``deadline_timeouts``.
     """
 
     def __init__(
@@ -72,6 +79,7 @@ class WorkerPool:
         on_batch_done: Callable[[int, List[dict]], None],
         on_batch_failed: Callable[..., None],
         on_worker_ready: Callable[[], None],
+        stats: Optional[Stats] = None,
     ):  # noqa: D107
         if config.workers < 1:
             raise ValueError(f"workers must be >= 1, got {config.workers}")
@@ -83,8 +91,7 @@ class WorkerPool:
         # Unanswered batch id → monotonic deadline (None without a
         # watchdog), ticking from submission: queue wait + execution.
         self._open: Dict[int, Optional[float]] = {}
-        self.timeouts = 0
-        self.crashes = 0
+        self.stats = stats or Stats(POOL_COUNTERS)
         self._on_batch_done = on_batch_done
         self._on_batch_failed = on_batch_failed
         self._on_worker_ready = on_worker_ready
@@ -272,7 +279,7 @@ class WorkerPool:
 
     def _on_death(self, slot: _Slot, kind, key, calls: List) -> None:
         """The worker died: fail the job in flight, restart the slot."""
-        self.crashes += 1
+        self.stats.inc("worker_crashes")
         if kind == "batch":
             self._fail(key, "worker crashed mid-batch; request not served", calls)
         elif kind == "swap":
@@ -346,7 +353,7 @@ class WorkerPool:
                 calls,
                 retryable=True,
             )
-        self.timeouts += len(expired)
+        self.stats.inc("deadline_timeouts", len(expired))
         dead = {("batch", b) for b in expired}
         for slot in self._slots:
             # An answered batch still queued is dropped, not run for nobody.

@@ -21,7 +21,8 @@ rules:
   turns true rather than at its deadline;
 * :meth:`flush_now` (index reload, close drain) flushes everything at
   once as a barrier, so every batch is counted under exactly one reason:
-  idle, size, deadline or barrier;
+  idle, size, deadline or barrier (``flushed_on_*`` in :attr:`stats`,
+  next to ``batches`` and ``shed``);
 * admission is bounded end-to-end: at most ``max_pending`` entries may be
   admitted-but-unanswered at once.  :meth:`offer` returns False beyond
   that — the caller sheds the request immediately (an ``overloaded``
@@ -41,21 +42,20 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass
-from typing import Callable, List, Sequence
+from typing import Callable, List, Optional, Sequence
 
+from repro.utils.timing import Stats
 
-@dataclass
-class SchedulerStats:
-    """Counters for one scheduler lifetime (guarded by the scheduler lock)."""
-
-    admitted: int = 0
-    shed: int = 0
-    batches: int = 0
-    flushed_on_idle: int = 0
-    flushed_on_size: int = 0
-    flushed_on_deadline: int = 0
-    flushed_on_barrier: int = 0
+#: The counters a scheduler keeps: ``batches`` splits into the four
+#: ``flushed_on_*`` reasons, and ``shed`` counts refused offers.
+SCHEDULER_COUNTERS = (
+    "shed",
+    "batches",
+    "flushed_on_idle",
+    "flushed_on_size",
+    "flushed_on_deadline",
+    "flushed_on_barrier",
+)
 
 
 class MicroBatchScheduler:
@@ -69,6 +69,7 @@ class MicroBatchScheduler:
         max_delay_ms: float = 10.0,
         max_pending: int = 64,
         idle: Callable[[], bool],
+        stats: Optional[Stats] = None,
     ):  # noqa: D107
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
@@ -85,7 +86,8 @@ class MicroBatchScheduler:
         self._pending = 0
         self._closed = False
         self._cond = threading.Condition()
-        self.stats = SchedulerStats()
+        # Shared with the server that owns it, if any.
+        self.stats = stats or Stats(SCHEDULER_COUNTERS)
         self._thread = threading.Thread(
             target=self._loop, name="serve-scheduler", daemon=True
         )
@@ -110,10 +112,9 @@ class MicroBatchScheduler:
         """Admit one entry; False when the server is at ``max_pending``."""
         with self._cond:
             if self._closed or self._pending >= self.max_pending:
-                self.stats.shed += 1
+                self.stats.inc("shed")
                 return False
             self._pending += 1
-            self.stats.admitted += 1
             self._buf.append((time.monotonic(), entry))
             self._cond.notify_all()
         return True
@@ -137,12 +138,12 @@ class MicroBatchScheduler:
             return self._pending
 
     # ------------------------------------------------------ batch forming
-    def _pop_batch_locked(self) -> List[object]:
+    def _pop_batch_locked(self, reason: str) -> List[object]:
         batch = []
         while self._buf and len(batch) < self.max_batch:
             batch.append(self._buf.popleft()[1])
-        if batch:
-            self.stats.batches += 1
+        self.stats.inc(reason)
+        self.stats.inc("batches")
         return batch
 
     def flush_now(self) -> int:
@@ -158,8 +159,7 @@ class MicroBatchScheduler:
             with self._cond:
                 if not self._buf:
                     return flushed
-                batch = self._pop_batch_locked()
-                self.stats.flushed_on_barrier += 1
+                batch = self._pop_batch_locked("flushed_on_barrier")
             flushed += len(batch)
             self._flush_cb(batch)
 
@@ -173,17 +173,17 @@ class MicroBatchScheduler:
                         self._cond.wait()
                         continue
                     if len(self._buf) >= self.max_batch:
-                        self.stats.flushed_on_size += 1
+                        reason = "flushed_on_size"
                         break
                     if self._idle():
-                        self.stats.flushed_on_idle += 1
+                        reason = "flushed_on_idle"
                         break
                     remaining = self._buf[0][0] + self.max_delay - time.monotonic()
                     if remaining <= 0:
-                        self.stats.flushed_on_deadline += 1
+                        reason = "flushed_on_deadline"
                         break
                     # Woken early by offer() (size), release()/wake() (idle)
                     # or close().
                     self._cond.wait(remaining)
-                batch = self._pop_batch_locked()
+                batch = self._pop_batch_locked(reason)
             self._flush_cb(batch)

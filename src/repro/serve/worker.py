@@ -18,7 +18,6 @@ import os
 import time
 
 from repro import faults
-from repro.artifacts import ArtifactStore
 from repro.core.trainer import MatchTrainer
 from repro.index import open_index
 from repro.serve.core import RetrievalServer
@@ -37,13 +36,11 @@ def open_server(config, index_path: str) -> None:
     # start, and a corrupt quantizer payload records why so the server can
     # fall back from ANN to the exact path (allow_degraded below).
     index = open_index(index_path, _trainer, degraded=True)
-    store = ArtifactStore(config.store_root) if config.store_root else None
     _server = RetrievalServer(
         _trainer,
         index,
         batch_size=config.max_batch,
         default_k=config.default_k,
-        store=store,
         mode=config.mode,
         nprobe=config.nprobe,
         allow_degraded=True,

@@ -1,8 +1,8 @@
-"""Shared utilities: deterministic RNG, timing, and table rendering."""
+"""Shared utilities: deterministic RNG, stats and timing, table rendering."""
 
 from repro.utils.rng import SeedSequence, derive_rng, global_rng, set_global_seed
 from repro.utils.tables import Table, format_float
-from repro.utils.timing import Timer, timed
+from repro.utils.timing import Stats, timed
 
 __all__ = [
     "SeedSequence",
@@ -11,6 +11,6 @@ __all__ = [
     "set_global_seed",
     "Table",
     "format_float",
-    "Timer",
+    "Stats",
     "timed",
 ]

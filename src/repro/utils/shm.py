@@ -22,7 +22,7 @@ are done; :func:`leaked_segments` is the test-facing audit.
 from __future__ import annotations
 
 import os
-from typing import List, Optional
+from typing import List
 
 #: Every segment this module creates starts with this (see /dev/shm).
 SHM_PREFIX = "repro-shm-"
@@ -121,18 +121,3 @@ def leaked_segments(prefix: str = SHM_PREFIX) -> List[str]:
         return []  # boundary: no /dev/shm (non-Linux) — nothing to audit
     return sorted(e for e in entries if e.startswith(prefix))
 
-
-def unlink_stale(prefix: str = SHM_PREFIX) -> Optional[int]:
-    """Best-effort unlink of every matching segment (test teardown helper)."""
-    from multiprocessing import shared_memory
-
-    removed = 0
-    for name in leaked_segments(prefix):
-        try:
-            seg = shared_memory.SharedMemory(name=name)
-            seg.close()
-            seg.unlink()
-            removed += 1
-        except OSError:
-            continue  # boundary: someone else unlinked it first
-    return removed

@@ -6,7 +6,7 @@ Each benchmark prints the same rows the paper's corresponding table reports;
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence
+from typing import List, Sequence
 
 
 def format_float(value: float, digits: int = 2) -> str:
@@ -55,7 +55,3 @@ class Table:
     def __str__(self) -> str:
         return self.render()
 
-
-def render_rows(rows: Iterable[Sequence[object]]) -> str:
-    """Quick helper: render anonymous rows without a header."""
-    return "\n".join("  ".join(str(c) for c in row) for row in rows)

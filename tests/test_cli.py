@@ -148,7 +148,14 @@ class TestServeParser:
         assert args.command == "serve"
         assert args.batch == 8
         assert args.top_k == 5
-        assert args.store is None
+        assert not hasattr(args, "store")
+
+    def test_store_flag_rejected(self):
+        # The query front end never touches an artifact store.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(
+                ["serve", "model.npz", "index", "--store", "art"]
+            )
 
     def test_index_build_shard_size(self):
         args = build_parser().parse_args(

@@ -66,7 +66,7 @@ class TestRequests:
         c, j = corpus
         server = RetrievalServer(trained, index, default_k=3)
         responses, stats = _serve(server, [_binary_request(c[0], id="q1")])
-        assert stats.requests == 1 and stats.errors == 0
+        assert stats["requests"] == 1 and stats["errors"] == 0
         (resp,) = responses
         assert resp["id"] == "q1"
         assert len(resp["hits"]) == 3
@@ -83,7 +83,7 @@ class TestRequests:
         server = RetrievalServer(trained, index, default_k=2)
         req = json.dumps({"id": "s", "source": j[0].source_text, "language": "java"})
         responses, stats = _serve(server, [req])
-        assert stats.errors == 0
+        assert stats["errors"] == 0
         assert len(responses[0]["hits"]) == 2
         # Hits mirror the index's own ranking of the compiled source graph.
         want = index.topk(
@@ -117,7 +117,7 @@ class TestRequests:
         ]
         responses, stats = _serve(server, requests)
         assert [r["id"] for r in responses] == ["q0", "q1", "q2"]
-        assert stats.batches == 2  # 2 + 1
+        assert stats["batches"] == 2  # 2 + 1
 
 
 class TestBatching:
@@ -131,7 +131,7 @@ class TestBatching:
         responses, stats = _serve(
             server, [_binary_request(s, id=s.identifier) for s in distinct]
         )
-        assert stats.batches == 1
+        assert stats["batches"] == 1
         # All four query graphs went through the encoder in one batch.
         assert trained.model.encoder_graph_count == 4
         assert len(responses) == 4
@@ -140,7 +140,7 @@ class TestBatching:
         c, _ = corpus
         server = RetrievalServer(trained, index, batch_size=64, default_k=1)
         responses, stats = _serve(server, [_binary_request(c[0])])
-        assert stats.batches == 1 and len(responses) == 1
+        assert stats["batches"] == 1 and len(responses) == 1
 
     def test_pipe_input_batches_pipelined_requests(self, trained, index, corpus):
         """A real pipe with queued requests must batch them, not serve 1-by-1
@@ -159,8 +159,8 @@ class TestBatching:
         out = io.StringIO()
         with os.fdopen(read_fd, "r") as in_stream:
             stats = server.serve(in_stream, out)
-        assert stats.requests == 4
-        assert stats.batches == 1  # all four scored in one pass
+        assert stats["requests"] == 4
+        assert stats["batches"] == 1  # all four scored in one pass
         assert len(out.getvalue().splitlines()) == 4
 
     def test_pipe_input_flushes_partial_batch(self, trained, index, corpus):
@@ -176,7 +176,7 @@ class TestBatching:
         out = io.StringIO()
         with os.fdopen(read_fd, "r") as in_stream:
             stats = server.serve(in_stream, out)
-        assert stats.batches == 1
+        assert stats["batches"] == 1
         assert json.loads(out.getvalue())["id"] == "solo"
 
     def test_blank_lines_ignored(self, trained, index, corpus):
@@ -186,7 +186,7 @@ class TestBatching:
         stats = server.serve(
             io.StringIO("\n\n" + _binary_request(c[0]) + "\n\n"), out
         )
-        assert stats.requests == 1
+        assert stats["requests"] == 1
 
     def test_stats_reset_per_serve_loop(self, trained, index, corpus):
         """A reused warm server reports per-loop stats, not lifetime totals."""
@@ -194,7 +194,7 @@ class TestBatching:
         server = RetrievalServer(trained, index, default_k=1)
         _serve(server, [_binary_request(c[0])])
         stats = server.serve(io.StringIO(_binary_request(c[1]) + "\n"), io.StringIO())
-        assert stats.requests == 1
+        assert stats["requests"] == 1
 
     def test_bad_batch_size_rejected(self, trained, index):
         with pytest.raises(ValueError):
@@ -215,7 +215,7 @@ class TestErrors:
         responses, stats = _serve(
             server, ["{not json", _binary_request(c[0], id="ok")]
         )
-        assert stats.errors == 1
+        assert stats["errors"] == 1
         assert "bad JSON" in responses[0]["error"]
         assert responses[1]["id"] == "ok"
 
@@ -236,7 +236,7 @@ class TestErrors:
                 _binary_request(c[1], id="good2"),
             ],
         )
-        assert stats.errors == 1
+        assert stats["errors"] == 1
         assert [r["id"] for r in responses] == ["good1", "bad", "good2"]
         assert "error" in responses[1] and "hits" in responses[0]
 
@@ -255,7 +255,7 @@ class TestErrors:
     def test_malformed_requests_get_error_responses(self, trained, index, req):
         server = RetrievalServer(trained, index)
         responses, stats = _serve(server, [json.dumps(req)])
-        assert stats.errors == 1
+        assert stats["errors"] == 1
         assert "error" in responses[0]
 
     def test_malformed_binaries_get_error_responses(self, trained, index, corpus):
@@ -276,7 +276,7 @@ class TestErrors:
         ]
         server = RetrievalServer(trained, index, batch_size=5, default_k=1)
         responses, stats = _serve(server, requests + [_binary_request(c[0], id="ok")])
-        assert stats.errors == len(bad)
+        assert stats["errors"] == len(bad)
         for resp in responses[:-1]:
             assert "hits" not in resp and "does not decompile" in resp["error"]
         assert responses[-1]["id"] == "ok" and "hits" in responses[-1]
@@ -312,7 +312,7 @@ class TestInputEdgeCases:
         server = RetrievalServer(trained, index, default_k=1)
         out = io.StringIO()
         stats = server.serve(io.StringIO(_binary_request(c[0], id="last")), out)
-        assert stats.requests == 1
+        assert stats["requests"] == 1
         assert json.loads(out.getvalue())["id"] == "last"
 
     def test_final_request_without_trailing_newline_pipe(
@@ -333,7 +333,7 @@ class TestInputEdgeCases:
         out = io.StringIO()
         with os.fdopen(read_fd, "r") as in_stream:
             stats = server.serve(in_stream, out)
-        assert stats.requests == 2
+        assert stats["requests"] == 2
         assert [json.loads(l)["id"] for l in out.getvalue().splitlines()] == [
             "first",
             "last",
@@ -361,7 +361,7 @@ class TestShardedServing:
         req = [_binary_request(c[0], id="q")]
         first, _ = _serve(server, req)
         again, _ = _serve(server, req)
-        assert server.memo_hits == 1
+        assert server.stats.counts["memo_hits"] == 1
         fresh = RetrievalServer(
             trained, ShardedEmbeddingIndex.open(tmp_path / "idx", trained), default_k=4
         )
@@ -398,9 +398,10 @@ class TestQueryMemo:
         c, _ = corpus
         server = RetrievalServer(trained, _copy_index(index), default_k=3)
         (first,), _ = _serve(server, [_binary_request(c[0], id="q")])
-        assert (server.memo_hits, server.memo_misses, len(decompiles)) == (0, 1, 1)
+        memo = server.stats.counts
+        assert (memo["memo_hits"], memo["memo_misses"], len(decompiles)) == (0, 1, 1)
         (again,), _ = _serve(server, [_binary_request(c[0], id="q")])
-        assert (server.memo_hits, len(decompiles)) == (1, 1)
+        assert (memo["memo_hits"], len(decompiles)) == (1, 1)
         fresh = RetrievalServer(trained, _copy_index(index), default_k=3)
         (cold,), _ = _serve(fresh, [_binary_request(c[0], id="q")])
         assert first == again == cold
@@ -412,7 +413,7 @@ class TestQueryMemo:
         server = RetrievalServer(trained, _copy_index(index), default_k=3)
         (first,), _ = _serve(server, [req])
         (again,), _ = _serve(server, [req])
-        assert server.memo_hits == 1
+        assert server.stats.counts["memo_hits"] == 1
         fresh = RetrievalServer(trained, _copy_index(index), default_k=3)
         (cold,), _ = _serve(fresh, [req])
         assert first == again == cold
@@ -439,7 +440,7 @@ class TestQueryMemo:
             _binary_request(c[1], id="b"),
             _binary_request(c[0], id="c"),
         ])
-        assert stats.batches == 1
+        assert stats["batches"] == 1
         assert decompiles == ["a", "b"]
         assert responses[0]["hits"] == responses[2]["hits"]
         plain = RetrievalServer(trained, _copy_index(index), batch_size=3, default_k=3)
@@ -461,7 +462,7 @@ class TestQueryMemo:
         _serve(server, [_binary_request(c[1], id="other")])
         assert len(server._memo) == 2
         (again,), _ = _serve(server, [_binary_request(c[0], id="q")])
-        assert server.memo_hits == 0
+        assert server.stats.counts["memo_hits"] == 0
         assert decompiles == ["q", "other", "q"]
         assert again == first
 
@@ -470,9 +471,9 @@ class TestQueryMemo:
         junk = json.dumps({"id": "j", "binary_b64": base64.b64encode(b"\x00junk").decode()})
         for _ in range(2):
             (resp,), stats = _serve(server, [junk])
-            assert stats.errors == 1 and "does not decompile" in resp["error"]
+            assert stats["errors"] == 1 and "does not decompile" in resp["error"]
         assert len(decompiles) == 2
-        assert len(server._memo) == 0 and server.memo_hits == 0
+        assert len(server._memo) == 0 and server.stats.counts["memo_hits"] == 0
 
     def test_memo_is_bounded(self, trained, index, corpus):
         c, _ = corpus

@@ -253,6 +253,27 @@ class TestConcurrency:
         for key in ("requests", "shed", "batches", "flushed_on_idle",
                     "flushed_on_size", "flushed_on_deadline"):
             assert key in stats
+        flushes = [k for k in stats if k.startswith("flushed_on_")]
+        assert sum(stats[k] for k in flushes) == stats["batches"]
+
+    def test_stats_of_a_fresh_server_carry_every_key(self, assets):
+        """Every counter is present from start-up, zeros included."""
+        config = ServerConfig(checkpoint=assets["checkpoint"],
+                              index_path=assets["A"], port=0, workers=1)
+        with create_server(config) as srv:
+            with Client(srv.address) as client:
+                client.send({"control": "stats", "id": "st"})
+                stats = client.recv()["stats"]
+        assert set(stats) == {
+            "requests", "responses", "errors", "shed", "batches",
+            "crashed_batches", "swaps", "workers", "worker_crashes",
+            "deadline_timeouts", "pending", "flushed_on_idle",
+            "flushed_on_size", "flushed_on_deadline", "flushed_on_barrier",
+        }
+        # The stats request itself is the one request counted so far.
+        assert stats == dict.fromkeys(stats, 0) | {"requests": 1, "workers": 1}
+        flushes = [k for k in stats if k.startswith("flushed_on_")]
+        assert sum(stats[k] for k in flushes) == stats["batches"]
 
     def test_unknown_control_is_an_error(self, server):
         with Client(server.address) as client:
@@ -335,7 +356,7 @@ class TestFaults:
 
     def test_worker_crash_fails_batch_not_server(self, server, corpus):
         c, _ = corpus
-        before = server.pool.crashes
+        before = server.stats.counts["worker_crashes"]
         with Client(server.address) as client:
             client.send(_binary_request(c[0], id="boom", test_crash=True))
             resp = client.recv()
@@ -343,7 +364,7 @@ class TestFaults:
             client.send(_binary_request(c[1], id="alive"))
             resp = client.recv()
         assert resp["id"] == "alive" and "hits" in resp
-        assert server.pool.crashes == before + 1
+        assert server.stats.counts["worker_crashes"] == before + 1
 
     def test_worker_crash_spares_other_clients_batches(self, server, corpus):
         c, _ = corpus
@@ -387,12 +408,12 @@ class TestSingleWorkerFaults:
                 queued.send(_binary_request(c[1], id="queued"))
                 # Dispatched while the only worker is still busy: it waits
                 # in the parent-side FIFO, not on the dying worker's pipe.
-                _wait_until(lambda: srv.stats.batches >= 2)
+                _wait_until(lambda: srv.stats.counts["batches"] >= 2)
                 boom = victim.recv()
                 ok = queued.recv()
             assert boom["id"] == "boom" and "crashed" in boom["error"]
             assert ok["id"] == "queued" and "hits" in ok
-            assert srv.pool.crashes == 1
+            assert srv.stats.counts["worker_crashes"] == 1
 
     def test_retired_worker_fails_requests_instead_of_stranding_them(
         self, trained, assets, corpus, tmp_path
@@ -489,7 +510,7 @@ class TestStress:
                     [h["score"] for h in expected], abs=1e-6
                 )
         # Read after close(): a response is counted just after delivery.
-        assert srv.stats.responses == per_client + clients * per_client
+        assert srv.stats.counts["responses"] == per_client + clients * per_client
 
 
 class TestBackpressure:
@@ -542,9 +563,9 @@ class TestBackpressure:
         with Client(bp_server.address) as client:
             client.send(_binary_request(c[0], id="held", test_sleep_ms=600))
             _wait_until(lambda: not bp_server.pool.has_idle_worker())
-            before = stats.flushed_on_deadline
+            before = stats.counts["flushed_on_deadline"]
             client.send(_binary_request(c[1], id="lone"))
-            _wait_until(lambda: stats.flushed_on_deadline > before)
+            _wait_until(lambda: stats.counts["flushed_on_deadline"] > before)
             held, lone = client.recv_all(2)
         assert held["id"] == "held" and "hits" in held
         assert lone["id"] == "lone" and "hits" in lone
@@ -554,14 +575,14 @@ class TestBackpressure:
         idle flush) instead of waiting out the deadline."""
         c, _ = corpus
         stats = bp_server.scheduler.stats
-        idle_before = stats.flushed_on_idle
-        deadline_before = stats.flushed_on_deadline
+        idle_before = stats.counts["flushed_on_idle"]
+        deadline_before = stats.counts["flushed_on_deadline"]
         with Client(bp_server.address) as client:
             client.send(_binary_request(c[0], id="lone"))
             resp = client.recv()
         assert resp["id"] == "lone" and "hits" in resp
-        assert stats.flushed_on_idle == idle_before + 1
-        assert stats.flushed_on_deadline == deadline_before
+        assert stats.counts["flushed_on_idle"] == idle_before + 1
+        assert stats.counts["flushed_on_deadline"] == deadline_before
 
 
 class TestHotSwap:
@@ -606,7 +627,7 @@ class TestHotSwap:
             assert self._tags(inflight) == {"A"}  # finished on the old index
             steady.send(_binary_request(c[3], id="after"))
             assert self._tags(steady.recv()) == {"B"}
-        assert swap_server.stats.swaps == 1
+        assert swap_server.stats.counts["swaps"] == 1
 
     def test_reload_missing_index_is_an_error_service_survives(
         self, swap_server, corpus

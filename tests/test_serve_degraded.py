@@ -231,7 +231,7 @@ class TestDeadlines:
                         break
                     assert resp["retryable"] is True
                 assert "hits" in resp, resp
-            timeouts = server.pool.timeouts
+            timeouts = server.pool.stats.counts["deadline_timeouts"]
             assert timeouts >= 1
             assert server.stats_snapshot()["deadline_timeouts"] == timeouts
 
@@ -271,7 +271,7 @@ class TestDeadlines:
                         break
                     assert resp["retryable"] is True
                 assert "hits" in resp, resp
-            assert server.pool.timeouts >= 2
+            assert server.pool.stats.counts["deadline_timeouts"] >= 2
 
     def test_no_deadline_means_no_watchdog(self, assets):
         config = ServerConfig(
@@ -282,7 +282,7 @@ class TestDeadlines:
         )
         with create_server(config) as server:
             assert server.pool.batch_timeout_s is None
-            assert server.pool.timeouts == 0
+            assert server.pool.stats.counts["deadline_timeouts"] == 0
 
 
 # Minimal socket helpers (the full Client lives in test_serve_concurrent).

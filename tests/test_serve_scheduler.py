@@ -74,9 +74,9 @@ class TestWorkConservingScheduler:
         assert sink.wait_for(1)
         assert time.monotonic() - start < WAIT_S < LONG_DELAY_MS / 1000
         assert sink.batches == [["a"]]
-        assert sched.stats.flushed_on_idle == 1
-        assert sched.stats.flushed_on_deadline == 0
-        assert sched.stats.flushed_on_size == 0
+        assert sched.stats.counts["flushed_on_idle"] == 1
+        assert sched.stats.counts["flushed_on_deadline"] == 0
+        assert sched.stats.counts["flushed_on_size"] == 0
 
     def test_busy_workers_flush_on_size(self, make_scheduler):
         sched, sink = make_scheduler(
@@ -86,8 +86,8 @@ class TestWorkConservingScheduler:
             assert sched.offer(entry)
         assert sink.wait_for(1)
         assert sink.batches == [["a", "b", "c"]]
-        assert sched.stats.flushed_on_size == 1
-        assert sched.stats.flushed_on_idle == 0
+        assert sched.stats.counts["flushed_on_size"] == 1
+        assert sched.stats.counts["flushed_on_idle"] == 0
 
     def test_busy_workers_flush_on_deadline(self, make_scheduler):
         delay_ms = 50.0
@@ -97,8 +97,8 @@ class TestWorkConservingScheduler:
         assert sink.wait_for(1)
         assert time.monotonic() - start >= delay_ms / 1000
         assert sink.batches == [["a"]]
-        assert sched.stats.flushed_on_deadline == 1
-        assert sched.stats.flushed_on_idle == 0
+        assert sched.stats.counts["flushed_on_deadline"] == 1
+        assert sched.stats.counts["flushed_on_idle"] == 0
 
     def test_release_dispatches_buffered_entry_when_worker_frees(
         self, make_scheduler
@@ -116,8 +116,8 @@ class TestWorkConservingScheduler:
         assert sink.wait_for(2)
         assert time.monotonic() - start < WAIT_S < LONG_DELAY_MS / 1000
         assert sink.batches == [["first"], ["second"]]
-        assert sched.stats.flushed_on_idle == 2
-        assert sched.stats.flushed_on_deadline == 0
+        assert sched.stats.counts["flushed_on_idle"] == 2
+        assert sched.stats.counts["flushed_on_deadline"] == 0
         assert sched.pending == 1
 
     def test_wake_dispatches_buffered_entry_when_worker_comes_up(
@@ -131,7 +131,7 @@ class TestWorkConservingScheduler:
         sched.wake()
         assert sink.wait_for(1)
         assert sink.batches == [["a"]]
-        assert sched.stats.flushed_on_idle == 1
+        assert sched.stats.counts["flushed_on_idle"] == 1
 
     def test_every_batch_has_exactly_one_flush_reason(self, make_scheduler):
         sched, sink = make_scheduler(
@@ -142,13 +142,13 @@ class TestWorkConservingScheduler:
         assert sink.wait_for(1)  # "a", "b" flush on size; "c" stays buffered
         assert sched.flush_now() == 1  # reload / close-drain barrier
         assert sink.batches == [["a", "b"], ["c"]]
-        stats = sched.stats
-        assert (stats.flushed_on_size, stats.flushed_on_barrier) == (1, 1)
+        stats = sched.stats.snapshot()
+        assert (stats["flushed_on_size"], stats["flushed_on_barrier"]) == (1, 1)
         reasons = (
-            stats.flushed_on_idle + stats.flushed_on_size
-            + stats.flushed_on_deadline + stats.flushed_on_barrier
+            stats["flushed_on_idle"] + stats["flushed_on_size"]
+            + stats["flushed_on_deadline"] + stats["flushed_on_barrier"]
         )
-        assert reasons == stats.batches == 2
+        assert reasons == stats["batches"] == 2
 
 
 class _FakeConn:

@@ -243,9 +243,10 @@ class TestStoreCommute:
 
 class TestPipelineStage:
     def test_transform_stage_recorded(self):
-        result = compile_probe(transforms="pad@1~3")
+        pipeline = CompilationPipeline(transforms="pad@1~3")
+        result = pipeline.compile(PROBE, "c", name="det-probe", opt_level="O1")
         assert STAGE_TRANSFORM in result.stages_completed
-        assert STAGE_TRANSFORM in result.stage_seconds
+        assert STAGE_TRANSFORM in pipeline.timer.counts
         assert result.complete
         assert result.transforms == ["pad@1~3"]
 
