@@ -18,23 +18,14 @@ Quickstart::
     print(result.metrics.f1)
 """
 
-from repro.config import (
-    DataConfig,
-    ModelConfig,
-    bench_data_config,
-    cpu_config,
-    paper_config,
-    tiny_data_config,
-)
+from repro.config import DataConfig, ModelConfig, cpu_config, tiny_data_config
 
 __version__ = "1.0.0"
 
 __all__ = [
     "ModelConfig",
     "DataConfig",
-    "paper_config",
     "cpu_config",
-    "bench_data_config",
     "tiny_data_config",
     "__version__",
 ]

@@ -1,10 +1,11 @@
 """Experiment and model presets.
 
-``paper_config`` matches the hyper-parameters reported in §IV-D (embedding
-128, five GATv2 layers of 256, Adam lr 6.6e-5, vocab 2048).  ``cpu_config``
-is the scaled preset the benchmark harness trains on a CPU in seconds; the
-scaling preserves architecture shape (same layer types, same ratios), which
-is what the relative comparisons in the tables depend on.
+``ModelConfig()``'s defaults are the hyper-parameters reported in §IV-D
+(embedding 128, five GATv2 layers of 256, Adam lr 6.6e-5, vocab 2048).
+``cpu_config`` is the scaled preset the benchmark harness trains on a CPU
+in seconds; the scaling preserves architecture shape (same layer types,
+same ratios), which is what the relative comparisons in the tables depend
+on.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ EXTENDED_RELATIONS: Tuple[str, ...] = BASE_RELATIONS + ("dataflow", "callsummary
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """GraphBinMatch hyper-parameters."""
+    """GraphBinMatch hyper-parameters; the defaults are the paper's (§IV-D)."""
 
     embed_dim: int = 128
     hidden_dim: int = 256
@@ -86,11 +87,6 @@ class DataConfig:
     dataflow_edges: bool = False
 
 
-def paper_config() -> ModelConfig:
-    """The configuration reported in the paper (GPU-scale)."""
-    return ModelConfig()
-
-
 def cpu_config(seed: int = 0) -> ModelConfig:
     """CPU-scale preset used by tests and benches.
 
@@ -111,11 +107,6 @@ def cpu_config(seed: int = 0) -> ModelConfig:
         pair_features="interaction",
         seed=seed,
     )
-
-
-def bench_data_config(seed: int = 0) -> DataConfig:
-    """Small-but-representative corpus preset for the benchmark harness."""
-    return DataConfig(num_tasks=14, variants=3, seed=seed, max_pairs_per_task=8)
 
 
 def tiny_data_config(seed: int = 0) -> DataConfig:

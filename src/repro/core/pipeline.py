@@ -18,7 +18,6 @@ import numpy as np
 
 from repro.artifacts import ArtifactKey, source_text_id
 from repro.core.trainer import MatchTrainer
-from repro.data.pairs import MatchingPair
 from repro.graphs.programl import ProgramGraph
 from repro.index import EmbeddingIndex, ShardedEmbeddingIndex, model_fingerprint
 from repro.pipeline import CompilationPipeline
@@ -85,19 +84,6 @@ class MatcherPipeline:
         """Binary bytes → decompiled-IR program graph."""
         return self.compiler.binary_graph(raw, name=name)
 
-    def score_graphs(self, left: ProgramGraph, right: ProgramGraph) -> float:
-        """Matching probability for one (binary-graph, source-graph) pair."""
-        pair = MatchingPair(left, right, 0, "?", "?")
-        return float(self.trainer.predict([pair])[0])
-
-    def match_binary_to_source(
-        self, raw: bytes, source_text: str, language: str
-    ) -> float:
-        """Score binary bytes against a source file."""
-        return self.score_graphs(
-            self.graph_of_binary(raw), self.graph_of_source(source_text, language)
-        )
-
     @staticmethod
     def _candidates_tag(candidates: Sequence[Tuple[str, str]]) -> str:
         h = hashlib.sha256()
@@ -149,27 +135,6 @@ class MatcherPipeline:
         scores = index.scores(self.graph_of_binary(raw))
         order = np.argsort(-scores, kind="stable")
         return [(int(i), float(scores[i])) for i in order]
-
-    def rank_sources_batch(
-        self,
-        raws: Sequence[bytes],
-        candidates: Sequence[Tuple[str, str]],
-        index: Optional[ShardedEmbeddingIndex] = None,
-    ) -> List[List[Tuple[int, float]]]:
-        """Rank the candidates for many binaries in one batched pass.
-
-        Like a loop of :meth:`rank_sources`, but all query binaries are
-        decompiled up front, encoded through the GNN in one batch and
-        scored in one tiled pair-head pass — the serving layer's hot path.
-        """
-        index = self._checked_index(candidates, index)
-        graphs = [self.graph_of_binary(raw) for raw in raws]
-        all_scores = index.scores_batch(graphs)
-        out: List[List[Tuple[int, float]]] = []
-        for row in all_scores:
-            order = np.argsort(-row, kind="stable")
-            out.append([(int(i), float(row[i])) for i in order])
-        return out
 
     def _checked_index(
         self,

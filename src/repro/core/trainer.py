@@ -375,12 +375,6 @@ class MatchTrainer:
             return np.zeros((0, 2 * self.config.hidden_dim), dtype=np.float32)
         return np.concatenate(out, axis=0)
 
-    def embed_many(
-        self, graphs: Sequence["ProgramGraph"], batch_size: int = 32
-    ) -> np.ndarray:
-        """Alias for :meth:`encode_graphs` (the retrieval-facing name)."""
-        return self.encode_graphs(graphs, batch_size=batch_size)
-
     def score_embeddings(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
         """Pair-head scores for pre-computed embedding rows, vectorized.
 

@@ -2,12 +2,7 @@
 
 from repro.graphs.batch import GraphBatch, batch_graphs
 from repro.graphs.programl import CALL, CONTROL, DATA, ProgramGraph, build_graph
-from repro.graphs.serialize import (
-    graph_from_arrays,
-    graph_to_arrays,
-    load_graph,
-    save_graph,
-)
+from repro.graphs.serialize import graph_from_arrays, graph_to_arrays
 
 __all__ = [
     "ProgramGraph",
@@ -19,6 +14,4 @@ __all__ = [
     "batch_graphs",
     "graph_to_arrays",
     "graph_from_arrays",
-    "save_graph",
-    "load_graph",
 ]

@@ -12,14 +12,11 @@ array.  Round-trips are exact: the restored graph has an identical
 from __future__ import annotations
 
 import json
-from pathlib import Path
-from typing import Dict, Mapping, Union
+from typing import Dict, Mapping
 
 import numpy as np
 
 from repro.graphs.programl import ProgramGraph
-
-PathLike = Union[str, Path]
 
 _META = "meta"
 
@@ -89,17 +86,3 @@ def graph_from_arrays(arrays: Mapping[str, np.ndarray], prefix: str = "") -> Pro
         graph.positions[rel] = block[2]
     return graph
 
-
-def save_graph(path: PathLike, graph: ProgramGraph) -> str:
-    """Persist one graph to a standalone ``.npz``; returns the written path."""
-    path = str(path)
-    if not path.endswith(".npz"):
-        path += ".npz"
-    np.savez_compressed(path, **graph_to_arrays(graph))
-    return path
-
-
-def load_graph(path: PathLike) -> ProgramGraph:
-    """Load a graph saved by :func:`save_graph`."""
-    with np.load(str(path)) as archive:
-        return graph_from_arrays(archive)

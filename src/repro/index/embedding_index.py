@@ -280,7 +280,7 @@ class QueryCache:
         """Embeddings ``(Q, 2H)`` with every uncached graph batched.
 
         Graphs matching a cached row reuse it; the others go through
-        **one** :meth:`MatchTrainer.embed_many` call instead of Q encoder
+        **one** :meth:`MatchTrainer.encode_graphs` call instead of Q encoder
         invocations — tokenization, graph batching and the segment sorts
         are per-call overheads, so batching them is where ``topk_batch``'s
         speedup comes from — and land in the LRU bounded by
@@ -299,7 +299,7 @@ class QueryCache:
                 continue
             fresh[key] = graph
         if fresh:
-            embedded = self.trainer.embed_many(list(fresh.values()), batch_size)
+            embedded = self.trainer.encode_graphs(list(fresh.values()), batch_size)
             for key, row in zip(fresh, embedded):
                 self._query_cache[key] = row
         self.cache_misses += len(fresh)

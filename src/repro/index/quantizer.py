@@ -151,24 +151,6 @@ class CoarseQuantizer:
         assign, _ = _nearest(x, self.centroids)
         return assign
 
-    def nearest_cells(self, query: np.ndarray, nprobe: int) -> np.ndarray:
-        """The ``nprobe`` cells nearest to each query row by L2, ``(Q, P)``.
-
-        A geometric fallback; the index's ANN path ranks cells with the
-        pair head instead, so retrieval pruning agrees with the scorer.
-        """
-        if nprobe < 1:
-            raise ValueError(f"nprobe must be >= 1, got {nprobe}")
-        q = np.atleast_2d(np.asarray(query, dtype=np.float32)).astype(np.float64)
-        c64 = self.centroids.astype(np.float64)
-        d2 = (
-            np.einsum("qd,qd->q", q, q)[:, None]
-            - 2.0 * (q @ c64.T)
-            + np.einsum("kd,kd->k", c64, c64)[None, :]
-        )
-        order = np.argsort(d2, axis=1, kind="stable")
-        return order[:, : min(nprobe, self.num_cells)].astype(np.int32)
-
     # ------------------------------------------------------- serialization
     def to_manifest(self) -> dict:
         """JSON-safe manifest payload; float64 lists round-trip exactly."""

@@ -349,7 +349,7 @@ class ShardedEmbeddingIndex:
             self.quantizer = None
             self.quantizer_error = str(exc)
         self._shards: List[Optional[_Shard]] = [None] * len(manifest["shards"])
-        # Whole-corpus gather cache — dropped by add_shard, merge and
+        # Whole-corpus gather cache — dropped by add, merge and
         # quarantine_shard — so queries pay the flattening and the key
         # order once, not per call.  Only the float32 codec ever adds the
         # matrix: quantized codecs never flatten the corpus.
@@ -517,10 +517,6 @@ class ShardedEmbeddingIndex:
 
     @tag.setter
     def tag(self, tag: Optional[str]) -> None:
-        self.set_tag(tag)
-
-    def set_tag(self, tag: Optional[str]) -> None:
-        """Update the persisted tag."""
         self._manifest["tag"] = tag
         self._write_manifest()
 
@@ -816,41 +812,9 @@ class ShardedEmbeddingIndex:
         if len(keys):
             self._append_shard(keys, embeddings, metas)
 
-    def add_shard(
-        self,
-        graphs: Optional[Sequence[ProgramGraph]] = None,
-        metas: Optional[Sequence[dict]] = None,
-        *,
-        index: Optional["ShardedEmbeddingIndex"] = None,
-        batch_size: int = 32,
-    ) -> str:
-        """Append one shard and return its file name.
-
-        Pass either ``graphs`` (encoded as :meth:`add` does) or another
-        ``index`` whose entries are copied in this index's codec.  An
-        empty shard is an error.
-        """
-        if (graphs is None) == (index is None):
-            raise ValueError("pass exactly one of graphs / index")
-        if graphs is not None:
-            if len(graphs) == 0:
-                raise ValueError("a shard needs at least one entry")
-            self.add(graphs, metas, batch_size)
-            return self._manifest["shards"][-1]["file"]
-        if metas is not None:
-            raise ValueError("metas only applies to the graphs form")
-        if index.trainer is not self.trainer and (
-            model_fingerprint(index.trainer) != self._manifest["model_sha"]
-        ):
-            raise ValueError(
-                "shard was built by a different model (weight/tokenizer "
-                "fingerprint mismatch)"
-            )
-        return self._append_shard(index.keys, index.embeddings, index.metas)
-
     def _append_shard(
         self, keys: Sequence[str], rows: np.ndarray, metas: Sequence[dict]
-    ) -> str:
+    ) -> None:
         """Store aligned entries as one resident shard (written when on disk).
 
         If a coarse quantizer is trained, the new shard's cell assignments
@@ -908,7 +872,6 @@ class ShardedEmbeddingIndex:
             # float32 codec registers entry embeddings as known queries.
             self._encoder.seed_embedding_cache(resident.keys, resident.embeddings)
         self._flat = None
-        return name
 
     def merge(self, other: "ShardedEmbeddingIndex") -> None:
         """Absorb every shard of ``other`` (copied, renumbered) into self.

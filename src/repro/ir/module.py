@@ -109,11 +109,6 @@ class Instruction(Value):
         """True for br/condbr/ret/unreachable."""
         return self.opcode in TERMINATORS
 
-    @property
-    def has_side_effects(self) -> bool:
-        """True if the instruction cannot be removed even when unused."""
-        return self.opcode in ("store", "call", "br", "condbr", "ret", "unreachable")
-
     def short(self) -> str:
         return f"%{self.uid}"
 

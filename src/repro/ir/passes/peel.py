@@ -4,53 +4,34 @@ The O3 pipeline's "aggressive control-flow tuning".  Runs on pre-mem2reg IR
 (loop state still lives in memory), so no SSA values cross the peeled
 boundary and the transform reduces to block cloning plus branch rewiring.
 
-Loop discovery is the textbook construction: dominators by iterative
-dataflow, back edges (tail → head where head dominates tail), natural loop
-bodies by backward reachability from the tail.
+Loop discovery is the textbook construction: dominators from the shared
+:class:`~repro.ir.analysis.cfg.DominatorTree`, back edges (tail → head
+where head dominates tail), natural loop bodies by backward reachability
+from the tail.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Set
 
-from repro.ir.module import BasicBlock, Function, Instruction, Module, Value
-from repro.ir.passes.common import clone_blocks, phi_incoming_replace
-
-
-def compute_dominators(fn: Function) -> Dict[BasicBlock, Set[BasicBlock]]:
-    """Dominator sets via the classic iterative bitvector algorithm."""
-    blocks = [b for b in fn.blocks if b in fn.reachable_blocks()]
-    preds = fn.predecessors()
-    entry = fn.entry
-    dom: Dict[BasicBlock, Set[BasicBlock]] = {b: set(blocks) for b in blocks}
-    dom[entry] = {entry}
-    changed = True
-    while changed:
-        changed = False
-        for blk in blocks:
-            if blk is entry:
-                continue
-            ps = [p for p in preds[blk] if p in dom]
-            new = set(blocks)
-            for p in ps:
-                new &= dom[p]
-            new.add(blk)
-            if new != dom[blk]:
-                dom[blk] = new
-                changed = True
-    return dom
+from repro.ir.module import BasicBlock, Function, Module, Value
+from repro.ir.passes.common import clone_blocks
 
 
 def find_natural_loops(fn: Function) -> List[Dict]:
     """All natural loops as dicts {header, body (set incl. header), latches}."""
-    dom = compute_dominators(fn)
+    # Imported here: the analysis package loads five modules that only O3
+    # builds need, and every process imports the pass pipeline.
+    from repro.ir.analysis.cfg import DominatorTree
+
+    dom = DominatorTree(fn)
     preds = fn.predecessors()
     loops: Dict[BasicBlock, Dict] = {}
     for blk in fn.blocks:
-        if blk not in dom:
+        if not dom.reachable(blk):
             continue
         for succ in blk.successors():
-            if succ in dom.get(blk, set()):  # back edge blk → succ
+            if dom.dominates(succ, blk):  # back edge blk → succ
                 header = succ
                 body: Set[BasicBlock] = {header, blk}
                 stack = [blk]

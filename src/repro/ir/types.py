@@ -77,13 +77,3 @@ VOID = VoidType()
 LABEL = LabelType()
 PTR_I32 = PtrType(I32)
 PTR_I64 = PtrType(I64)
-
-
-def is_int(t: IRType) -> bool:
-    """True for integer types."""
-    return isinstance(t, IntType)
-
-
-def is_ptr(t: IRType) -> bool:
-    """True for pointer types."""
-    return isinstance(t, PtrType)

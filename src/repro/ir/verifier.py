@@ -21,10 +21,7 @@ look at:
 
 from __future__ import annotations
 
-from typing import List
-
 from repro.ir.module import (
-    Argument,
     BasicBlock,
     Constant,
     Function,
@@ -154,13 +151,3 @@ def verify_all(module: Module, context: str = "") -> None:
         if context:
             raise VerificationError(f"{context}: {exc}") from exc
         raise
-
-
-def collect_callees(module: Module) -> List[str]:
-    """All callee names referenced by call instructions."""
-    out = []
-    for fn in module.defined_functions():
-        for instr in fn.instructions():
-            if instr.opcode == "call":
-                out.append(instr.extra["callee"])
-    return out

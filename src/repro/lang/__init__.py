@@ -43,7 +43,7 @@ from repro.lang.minic import MiniCRenderer, parse_minic
 from repro.lang.minicpp import MiniCppRenderer, parse_minicpp
 from repro.lang.minijava import MiniJavaRenderer, parse_minijava
 from repro.lang.generator import SolutionGenerator, SourceFile
-from repro.lang.tasks import TASK_REGISTRY, Task, get_task
+from repro.lang.tasks import TASK_REGISTRY, Task
 
 __all__ = [
     "Program",
@@ -82,5 +82,4 @@ __all__ = [
     "SourceFile",
     "Task",
     "TASK_REGISTRY",
-    "get_task",
 ]

@@ -248,50 +248,3 @@ class Program:
             if f.name == name:
                 return f
         raise KeyError(f"no function named {name!r}")
-
-
-# ----------------------------------------------------------- AST walking
-def walk_expr(expr: Expr):
-    """Yield ``expr`` and all sub-expressions, pre-order."""
-    yield expr
-    if isinstance(expr, BinOp):
-        yield from walk_expr(expr.left)
-        yield from walk_expr(expr.right)
-    elif isinstance(expr, UnaryOp):
-        yield from walk_expr(expr.operand)
-    elif isinstance(expr, Call):
-        for a in expr.args:
-            yield from walk_expr(a)
-    elif isinstance(expr, Index):
-        yield from walk_expr(expr.base)
-        yield from walk_expr(expr.index)
-    elif isinstance(expr, NewArray):
-        yield from walk_expr(expr.size)
-    elif isinstance(expr, ArrayLit):
-        for e in expr.elements:
-            yield from walk_expr(e)
-
-
-def walk_stmts(stmt: Stmt):
-    """Yield ``stmt`` and all nested statements, pre-order."""
-    yield stmt
-    if isinstance(stmt, Block):
-        for s in stmt.statements:
-            yield from walk_stmts(s)
-    elif isinstance(stmt, If):
-        yield from walk_stmts(stmt.then)
-        if stmt.otherwise is not None:
-            yield from walk_stmts(stmt.otherwise)
-    elif isinstance(stmt, While):
-        yield from walk_stmts(stmt.body)
-    elif isinstance(stmt, For):
-        if stmt.init is not None:
-            yield from walk_stmts(stmt.init)
-        if stmt.step is not None:
-            yield from walk_stmts(stmt.step)
-        yield from walk_stmts(stmt.body)
-
-
-def program_size(program: Program) -> int:
-    """Rough AST size (number of statements), used by dataset statistics."""
-    return sum(1 for f in program.functions for _ in walk_stmts(f.body))

@@ -114,11 +114,6 @@ def neg(a: ExprLike) -> ast.UnaryOp:
     return ast.UnaryOp("-", e(a))
 
 
-def lnot(a: ExprLike) -> ast.UnaryOp:
-    """!a"""
-    return ast.UnaryOp("!", e(a))
-
-
 def call(name: str, *args: ExprLike) -> ast.Call:
     """Function/builtin call."""
     return ast.Call(name, [e(a) for a in args])

@@ -10,7 +10,6 @@ shortcuts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
 
 from repro.lang import ast
 from repro.lang.minic import MiniCRenderer, parse_minic
@@ -83,20 +82,4 @@ class SolutionGenerator:
         text = _RENDERERS[language]().render(built)
         program = _PARSERS[language](text)
         return SourceFile(task=task, variant=variant, language=language, text=text, program=program)
-
-    def generate_many(
-        self,
-        tasks: Optional[List[str]] = None,
-        variants: int = 4,
-        languages: Optional[List[str]] = None,
-    ) -> List[SourceFile]:
-        """Generate a full corpus: every task × variant × language."""
-        tasks = tasks if tasks is not None else sorted(TASK_REGISTRY)
-        languages = languages if languages is not None else list(LANGUAGES)
-        files: List[SourceFile] = []
-        for task in tasks:
-            for variant in range(variants):
-                for language in languages:
-                    files.append(self.generate(task, variant, language))
-        return files
 

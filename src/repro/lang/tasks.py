@@ -239,11 +239,6 @@ def _register(name: str, description: str):
     return deco
 
 
-def get_task(name: str) -> Task:
-    """Look up a registered task template."""
-    return TASK_REGISTRY[name]
-
-
 def _main_with_array(sp: Spec, solver: ast.Function, data: List[int], args_builder, extra_args=()):
     """Standard main: embed a literal dataset, call solver, print result."""
     arr_main = "input" if sp.lang == "java" else "buf"

@@ -4,33 +4,27 @@ This package substitutes for PyTorch / PyTorch-Geometric in the
 GraphBinMatch reproduction.  It provides:
 
 * :class:`~repro.nn.tensor.Tensor` — reverse-mode autodiff over NumPy,
-* layers (Linear, Embedding, LayerNorm, BatchNorm1d, Dropout, MLP),
+* layers (Linear, Embedding, LayerNorm, BatchNorm1d, Dropout),
 * GNN machinery (GATv2Conv, HeteroConv, segment reductions, SimGNN pooling),
 * sequence encoders (LSTM, TransformerEncoder) for the XLIR baselines,
-* optimizers (Adam, SGD) and losses (BCE, triplet).
+* the Adam optimizer and losses (BCE, triplet).
 """
 
 from repro.nn import functional
 from repro.nn.attention import MultiHeadSelfAttention, TransformerBlock, TransformerEncoder
 from repro.nn.gnn import GATv2Conv, HeteroConv, HeteroGNNStack
-from repro.nn.layers import MLP, BatchNorm1d, Dropout, Embedding, LayerNorm, Linear, Sequential
-from repro.nn.losses import (
-    binary_cross_entropy,
-    binary_cross_entropy_with_logits,
-    mse_loss,
-    triplet_margin_loss,
-)
+from repro.nn.layers import BatchNorm1d, Dropout, Embedding, LayerNorm, Linear
+from repro.nn.losses import binary_cross_entropy, triplet_margin_loss
 from repro.nn.module import Module, ModuleDict, ModuleList, Parameter
-from repro.nn.optim import SGD, Adam, CosineSchedule, Optimizer
-from repro.nn.pooling import GlobalAttentionPool, MeanPool
+from repro.nn.optim import Adam, Optimizer
+from repro.nn.pooling import GlobalAttentionPool
 from repro.nn.recurrent import LSTM
-from repro.nn.tensor import Tensor, no_grad, ones, tensor, zeros
+from repro.nn.tensor import Tensor, no_grad, ones, zeros
 
 __all__ = [
     "functional",
     "Tensor",
     "no_grad",
-    "tensor",
     "zeros",
     "ones",
     "Module",
@@ -42,23 +36,16 @@ __all__ = [
     "LayerNorm",
     "BatchNorm1d",
     "Dropout",
-    "Sequential",
-    "MLP",
     "GATv2Conv",
     "HeteroConv",
     "HeteroGNNStack",
     "GlobalAttentionPool",
-    "MeanPool",
     "LSTM",
     "MultiHeadSelfAttention",
     "TransformerBlock",
     "TransformerEncoder",
     "Adam",
-    "SGD",
-    "CosineSchedule",
     "Optimizer",
     "binary_cross_entropy",
-    "binary_cross_entropy_with_logits",
     "triplet_margin_loss",
-    "mse_loss",
 ]

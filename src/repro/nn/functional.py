@@ -104,12 +104,6 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     return e / e.sum(axis=axis, keepdims=True)
 
 
-def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Numerically-stable log-softmax."""
-    shifted = x - Tensor(x.data.max(axis=axis, keepdims=True))
-    return shifted - shifted.exp().sum(axis=axis, keepdims=True).log()
-
-
 def dropout(x: Tensor, p: float, rng: np.random.Generator, training: bool) -> Tensor:
     """Inverted dropout: identity when ``not training`` or ``p == 0``."""
     if not training or p <= 0.0:
@@ -209,14 +203,6 @@ def segment_softmax(scores: Tensor, segment_ids: SegmentSpec, num_segments: int)
     e = shifted.exp()
     denom = segment_sum(e, si, num_segments)
     return e / (denom[ids] + 1e-16)
-
-
-def one_hot(indices: np.ndarray, depth: int) -> np.ndarray:
-    """Plain one-hot encoding (no autograd needed for labels)."""
-    idx = np.asarray(indices)
-    out = np.zeros(idx.shape + (depth,), dtype=np.float32)
-    np.put_along_axis(out, idx[..., None], 1.0, axis=-1)
-    return out
 
 
 def clip_grad_norm(params: Sequence[Tensor], max_norm: float) -> float:

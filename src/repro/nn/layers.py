@@ -1,4 +1,4 @@
-"""Core neural layers: Linear, Embedding, LayerNorm, Dropout, Sequential.
+"""Core neural layers: Linear, Embedding, LayerNorm, BatchNorm1d, Dropout.
 
 These mirror their PyTorch namesakes closely enough that the GraphBinMatch
 architecture description in the paper (embedding dim 128, LayerNorm after
@@ -7,14 +7,14 @@ each conv, dropout before the last linear) translates line for line.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from repro.nn import init
 from repro.nn.functional import dropout as dropout_fn
 from repro.nn.functional import embedding_lookup
-from repro.nn.module import Module, ModuleList, Parameter
+from repro.nn.module import Module, Parameter
 from repro.nn.tensor import Tensor
 
 
@@ -149,48 +149,3 @@ class Dropout(Module):
     def forward(self, x: Tensor) -> Tensor:
         """Randomly zero elements with probability ``p`` during training."""
         return dropout_fn(x, self.p, self.rng, self.training)
-
-
-class Sequential(Module):
-    """Chain of modules and/or plain callables applied in order."""
-
-    def __init__(self, *stages):  # noqa: D107
-        super().__init__()
-        self.stages = ModuleList([s for s in stages if isinstance(s, Module)])
-        self._all_stages: Sequence = stages
-
-    def forward(self, x: Tensor) -> Tensor:
-        """Apply each stage in order."""
-        for stage in self._all_stages:
-            x = stage(x)
-        return x
-
-
-class MLP(Module):
-    """Multi-layer perceptron with LeakyReLU activations between layers."""
-
-    def __init__(
-        self,
-        dims: Sequence[int],
-        rng: Optional[np.random.Generator] = None,
-        activation: Callable[[Tensor], Tensor] = lambda t: t.leaky_relu(),
-        final_activation: Optional[Callable[[Tensor], Tensor]] = None,
-    ):  # noqa: D107
-        super().__init__()
-        rng = rng if rng is not None else np.random.default_rng(0)
-        self.layers = ModuleList(
-            [Linear(dims[i], dims[i + 1], rng=rng) for i in range(len(dims) - 1)]
-        )
-        self.activation = activation
-        self.final_activation = final_activation
-
-    def forward(self, x: Tensor) -> Tensor:
-        """Apply all layers; activation between layers, optional final one."""
-        n = len(self.layers)
-        for i, layer in enumerate(self.layers):
-            x = layer(x)
-            if i < n - 1:
-                x = self.activation(x)
-            elif self.final_activation is not None:
-                x = self.final_activation(x)
-        return x

@@ -21,16 +21,6 @@ def binary_cross_entropy(pred: Tensor, target: np.ndarray, eps: float = 1e-7) ->
     return loss.mean()
 
 
-def binary_cross_entropy_with_logits(logits: Tensor, target: np.ndarray) -> Tensor:
-    """Numerically-stable BCE on raw logits:
-    ``max(x,0) - x*t + log(1 + exp(-|x|))``."""
-    t = Tensor(np.asarray(target, dtype=np.float32))
-    relu_x = logits.relu()
-    abs_x = logits * Tensor(np.sign(logits.data).astype(np.float32))
-    softplus = (Tensor(1.0) + (-abs_x).exp()).log()
-    return (relu_x - logits * t + softplus).mean()
-
-
 def triplet_margin_loss(
     anchor: Tensor, positive: Tensor, negative: Tensor, margin: float = 0.5
 ) -> Tensor:
@@ -45,10 +35,3 @@ def triplet_margin_loss(
     from repro.nn.functional import maximum
 
     return maximum(d_pos - d_neg + margin, zero).mean()
-
-
-def mse_loss(pred: Tensor, target: np.ndarray) -> Tensor:
-    """Mean squared error (used by ablation/diagnostic fits)."""
-    t = np.asarray(target, dtype=np.float32)
-    diff = pred - Tensor(t)
-    return (diff * diff).mean()

@@ -101,10 +101,6 @@ class Module:
         for mod in self._modules.values():
             yield from mod.modules()
 
-    def num_parameters(self) -> int:
-        """Total number of scalar weights."""
-        return sum(p.size for p in self.parameters())
-
     def layout_fingerprint(self) -> str:
         """Content hash of the parameter *layout* (names, shapes, order).
 

@@ -1,10 +1,10 @@
-"""Optimizers: Adam (the paper's choice, lr 6.6e-5) and SGD, plus schedulers.
+"""Optimizers: Adam, the paper's choice (lr 6.6e-5).
 
-Both optimizers run **fused** by default: a :class:`ParameterArena`
-concatenates every parameter into one contiguous float32 buffer (the
-parameters' ``.data`` become views into it) with a parallel flat gradient
-buffer, and one step is a handful of whole-arena vectorized ops instead of
-a Python loop over ~50 parameter tensors with fresh ``m_hat``/``v_hat``
+Adam runs **fused** by default: a :class:`ParameterArena` concatenates
+every parameter into one contiguous float32 buffer (the parameters'
+``.data`` become views into it) with a parallel flat gradient buffer,
+and one step is a handful of whole-arena vectorized ops instead of a
+Python loop over ~50 parameter tensors with fresh ``m_hat``/``v_hat``
 allocations each.  At CPU scale the per-call NumPy dispatch overhead of
 the loop dominated the optimizer's share of a training step; the arena
 replaces ~8 small array ops *per parameter* with ~8 ops *total*.
@@ -20,63 +20,11 @@ the loop skips them (their moments and weights are left untouched).  Pass
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.nn.module import Parameter
-
-
-class SharedArenaState:
-    """A flat arena snapshot living in POSIX shared memory.
-
-    :meth:`ParameterArena.state_export` with ``shared=True`` returns one of
-    these instead of a heap copy: the weights land in a named
-    ``repro-shm-*`` segment that any process can :meth:`attach` by
-    ``(name, size)`` — parallel trainings exchange weights without
-    pickling float buffers through a pipe.  The creating process owns the
-    segment and must :meth:`unlink` it; attachments just :meth:`close`.
-    """
-
-    def __init__(self, block, size: int, owner: bool):  # noqa: D107
-        self._block = block
-        self.size = int(size)
-        self.owner = bool(owner)
-
-    @classmethod
-    def from_array(cls, flat: np.ndarray) -> "SharedArenaState":
-        """Copy ``flat`` (float32) into a fresh shared segment."""
-        from repro.utils.shm import SharedBlock
-
-        flat = np.ascontiguousarray(flat, dtype=np.float32)
-        block = SharedBlock.create(max(flat.nbytes, 1))
-        np.frombuffer(block.buf, dtype=np.float32, count=flat.size)[:] = flat
-        return cls(block, flat.size, owner=True)
-
-    @classmethod
-    def attach(cls, name: str, size: int) -> "SharedArenaState":
-        """Map a segment exported by another process (read/write view)."""
-        from repro.utils.shm import SharedBlock
-
-        block = SharedBlock.attach(name, max(size * 4, 1))
-        return cls(block, size, owner=False)
-
-    @property
-    def name(self) -> str:
-        """Segment name; pass with :attr:`size` to :meth:`attach`."""
-        return self._block.name
-
-    def array(self) -> np.ndarray:
-        """The shared weights as a float32 array view (no copy)."""
-        return np.frombuffer(self._block.buf, dtype=np.float32, count=self.size)
-
-    def close(self) -> None:
-        """Drop this process's mapping."""
-        self._block.close()
-
-    def unlink(self) -> None:
-        """Remove the segment system-wide (owner's duty; idempotent)."""
-        self._block.unlink()
 
 
 class ParameterArena:
@@ -154,32 +102,6 @@ class ParameterArena:
                 np.copyto(gf[o : o + n], g.ravel())
         return missing
 
-    # -------------------------------------------------------- checkpointing
-    def state_export(
-        self, shared: bool = False
-    ) -> Union[np.ndarray, SharedArenaState]:
-        """Snapshot the flat weights — a heap copy, or shared memory.
-
-        ``shared=True`` places the copy in a named shared-memory segment
-        (:class:`SharedArenaState`) so another process can attach it
-        without any serialization; the caller owns the segment's lifetime.
-        """
-        if shared:
-            return SharedArenaState.from_array(self.flat)
-        return self.flat.copy()
-
-    def state_import(self, state: Union[np.ndarray, SharedArenaState]) -> None:
-        """Restore a :meth:`state_export` snapshot (either flavor), bit-exact."""
-        arr = state.array() if isinstance(state, SharedArenaState) else state
-        arr = np.asarray(arr, dtype=np.float32).ravel()
-        if arr.size != self.size:
-            raise ValueError(
-                f"arena state size mismatch: snapshot has {arr.size} "
-                f"elements, arena holds {self.size}"
-            )
-        self.adopt()  # external surgery first, so the import wins cleanly
-        self.flat[:] = arr
-
 
 class Optimizer:
     """Base optimizer holding a parameter list (and, when fused, an arena)."""
@@ -192,55 +114,11 @@ class Optimizer:
         )
         self._gathered = False
         self._missing: List[int] = []
-        # Gradient-accumulation buffer: per-parameter sums folded in by
-        # accumulate(), consumed (as the effective gradients) by the next
-        # clip_grad_norm()/step().  None = no accumulation in flight.
-        self._acc: Optional[List[Optional[np.ndarray]]] = None
 
     def zero_grad(self) -> None:
-        """Clear every parameter's gradient (accumulated sums survive)."""
+        """Clear every parameter's gradient."""
         for p in self.params:
             p.grad = None
-        self._gathered = False
-
-    # --------------------------------------------------------- accumulation
-    def accumulate(self, scale: float = 1.0) -> None:
-        """Fold the current micro-batch gradients into the accumulation sum.
-
-        Call once per micro-batch (after ``backward()``); the next
-        :meth:`clip_grad_norm` / :meth:`step` then sees the sum as if one
-        large batch had produced it.  ``scale`` weights this micro-batch —
-        pass ``1/k`` so k equal micro-batches reproduce the mean gradient
-        of the combined batch (bit-exactly when ``k`` is a power of two,
-        since scaling and summing are then exact in float32).  Parameters
-        with ``grad is None`` contribute nothing; a parameter that never
-        contributes stays missing, exactly like a skipped parameter in a
-        single-batch step.  Gradients are cleared afterwards so the next
-        micro-batch starts clean.
-        """
-        if self._acc is None:
-            self._acc = [None] * len(self.params)
-        s = np.float32(scale)
-        for i, p in enumerate(self.params):
-            g = p.grad
-            if g is None:
-                continue
-            contrib = g if scale == 1.0 else g * s
-            if self._acc[i] is None:
-                self._acc[i] = np.array(contrib, dtype=np.float32, copy=True)
-            else:
-                self._acc[i] += contrib
-            p.grad = None
-        self._gathered = False
-
-    def _materialize_accumulated(self) -> None:
-        """Expose the accumulated sums as the parameters' gradients."""
-        acc = self._acc
-        if acc is None:
-            return
-        self._acc = None
-        for p, g in zip(self.params, acc):
-            p.grad = g  # None stays None: the parameter never contributed
         self._gathered = False
 
     def clip_grad_norm(self, max_norm: float) -> float:
@@ -257,7 +135,6 @@ class Optimizer:
         so external inspection stays consistent.  Falls back to the
         reference implementation when not fused.
         """
-        self._materialize_accumulated()
         if self.arena is None:
             from repro.nn.functional import clip_grad_norm as _clip
 
@@ -283,7 +160,6 @@ class Optimizer:
     def _prepare_fused(self) -> List[int]:
         """Adopt external edits and make sure grads are gathered."""
         assert self.arena is not None
-        self._materialize_accumulated()
         self.arena.adopt()
         if not self._gathered:
             self._missing = self.arena.gather()
@@ -297,7 +173,7 @@ class Optimizer:
             yield slice(o, o + n)
 
     def step(self) -> None:  # pragma: no cover - abstract
-        """Apply one update using the accumulated gradients."""
+        """Apply one update using the current gradients."""
         raise NotImplementedError
 
     # -------------------------------------------------------- checkpointing
@@ -330,77 +206,6 @@ class Optimizer:
             out.append(flat[offset : offset + n].reshape(p.data.shape).copy())
             offset += n
         return out
-
-
-class SGD(Optimizer):
-    """Stochastic gradient descent with optional momentum."""
-
-    def __init__(self, params, lr: float = 1e-2, momentum: float = 0.0,
-                 fused: bool = True):  # noqa: D107
-        super().__init__(params, fused=fused)
-        self.lr = lr
-        self.momentum = momentum
-        if self.arena is not None:
-            self._velocity_flat = np.zeros(self.arena.size, dtype=np.float32)
-            self._velocity: List[np.ndarray] = []
-        else:
-            self._velocity = [np.zeros_like(p.data) for p in self.params]
-
-    def step(self) -> None:
-        """v ← μv + g;  w ← w − lr·v."""
-        if self.arena is not None:
-            self._step_fused()
-            return
-        self._materialize_accumulated()
-        for p, v in zip(self.params, self._velocity):
-            if p.grad is None:
-                continue
-            if self.momentum > 0:
-                v *= self.momentum
-                v += p.grad
-                p.data -= self.lr * v
-            else:
-                p.data -= self.lr * p.grad
-
-    def _step_fused(self) -> None:
-        missing = self._prepare_fused()
-        arena = self.arena
-        g = arena.grad_flat
-        if self.momentum > 0:
-            vel = self._velocity_flat
-            saved = [(sl, vel[sl].copy()) for sl in self._missing_slices(missing)]
-            vel *= self.momentum
-            vel += g
-            upd = self.lr * vel
-            for sl, snap in saved:
-                vel[sl] = snap
-                upd[sl] = 0.0
-        else:
-            upd = self.lr * g
-            for sl in self._missing_slices(missing):
-                upd[sl] = 0.0
-        arena.flat -= upd
-
-    def state_export(self) -> Dict[str, object]:
-        """Momentum buffer as one flat array."""
-        vel = (
-            self._velocity_flat.copy()
-            if self.arena is not None
-            else self._flatten(self._velocity)
-        )
-        return {"algo": "sgd", "velocity": vel}
-
-    def state_import(self, state: Dict[str, object]) -> None:
-        """Restore the momentum buffer."""
-        if state.get("algo") != "sgd":
-            raise ValueError(f"not an SGD state: {state.get('algo')!r}")
-        if self.arena is not None:
-            flat = np.asarray(state["velocity"], dtype=np.float32)
-            if flat.size != self.arena.size:
-                raise ValueError("SGD state size mismatch")
-            self._velocity_flat = flat.copy()
-        else:
-            self._velocity = self._split(np.asarray(state["velocity"]))
 
 
 class Adam(Optimizer):
@@ -437,7 +242,6 @@ class Adam(Optimizer):
         if self.arena is not None:
             self._step_fused()
             return
-        self._materialize_accumulated()
         self.t += 1
         b1t = 1.0 - self.beta1**self.t
         b2t = 1.0 - self.beta2**self.t
@@ -525,27 +329,3 @@ class Adam(Optimizer):
             self._m = self._split(np.asarray(state["m"]))
             self._v = self._split(np.asarray(state["v"]))
 
-
-class CosineSchedule:
-    """Cosine learning-rate decay with linear warmup (optional extension)."""
-
-    def __init__(self, optimizer: Optimizer, base_lr: float, total_steps: int, warmup: int = 0):  # noqa: D107
-        self.optimizer = optimizer
-        self.base_lr = base_lr
-        self.total_steps = max(total_steps, 1)
-        self.warmup = warmup
-        self.step_num = 0
-
-    def step(self) -> float:
-        """Advance one step and set the optimizer's lr; returns the new lr."""
-        self.step_num += 1
-        if self.warmup and self.step_num <= self.warmup:
-            lr = self.base_lr * self.step_num / self.warmup
-        else:
-            progress = (self.step_num - self.warmup) / max(
-                self.total_steps - self.warmup, 1
-            )
-            progress = min(progress, 1.0)
-            lr = 0.5 * self.base_lr * (1.0 + np.cos(np.pi * progress))
-        self.optimizer.lr = lr
-        return lr

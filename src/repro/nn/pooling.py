@@ -60,23 +60,3 @@ class GlobalAttentionPool(Module):
         weighted = segment_sum(x * att, si, num_graphs)  # (G, D)
         mass = segment_sum(att, si, num_graphs) + 1e-8  # (G, 1)
         return weighted / mass
-
-
-class MeanPool(Module):
-    """Plain mean read-out (ablation alternative to attention pooling)."""
-
-    def __init__(self) -> None:  # noqa: D107
-        super().__init__()
-
-    def forward(
-        self,
-        x: Tensor,
-        graph_ids: Optional[np.ndarray] = None,
-        num_graphs: int = 1,
-    ) -> Tensor:
-        """Average node embeddings per graph."""
-        n = x.shape[0]
-        if graph_ids is None:
-            graph_ids = np.zeros(n, dtype=np.int64)
-            num_graphs = 1
-        return segment_mean(x, graph_ids, num_graphs)

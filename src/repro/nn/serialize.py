@@ -11,7 +11,6 @@ readers here return only the caller's metadata, without that field.
 
 from __future__ import annotations
 
-import dataclasses
 from pathlib import Path
 from typing import Dict, Optional, Tuple, Union
 
@@ -34,9 +33,8 @@ def save_state(
     """Write a module's state-dict (and optional JSON metadata) to ``path``.
 
     ``extra`` arrays ride along under an ``extra:`` key prefix — outside
-    the module state, so :func:`load_state`'s strict state check ignores
-    them (optimizer moments use this; see ``MatchTrainer.save``; read
-    them back with :func:`read_checkpoint`).  The
+    the module state, which :func:`read_checkpoint` returns apart from
+    them (optimizer moments use this; see ``MatchTrainer.save``).  The
     ``.npz`` extension is appended by NumPy if missing.  ``path`` may also
     be a binary file object (e.g. ``BytesIO``): grid workers serialize
     checkpoints to bytes and ship them to the parent's batched store
@@ -77,19 +75,6 @@ def read_checkpoint(
     return _caller_meta(members), state, extra
 
 
-def load_state(module: Module, path: PathLike) -> Optional[dict]:
-    """Load a checkpoint written by :func:`save_state` into ``module``.
-
-    Returns the metadata dict (or None).  Raises ``KeyError``/``ValueError``
-    on any parameter-name or shape mismatch — a checkpoint for a different
-    architecture never half-loads.  ``extra:`` arrays are not part of the
-    module state.
-    """
-    meta, state, _ = read_checkpoint(path)
-    module.load_state_dict(state)
-    return meta
-
-
 def read_meta(path: PathLike) -> Optional[dict]:
     """Read only the metadata of a checkpoint (cheap; no state is loaded)."""
     path = _resolve(path)
@@ -104,11 +89,6 @@ def _caller_meta(archive) -> Optional[dict]:
     meta = entry_meta(archive)
     meta.pop("payload_sha256", None)
     return meta or None
-
-
-def config_to_meta(config) -> dict:
-    """Serialize a dataclass config to a plain JSON-compatible dict."""
-    return dataclasses.asdict(config)
 
 
 def _resolve(path: PathLike) -> str:

@@ -43,11 +43,6 @@ class no_grad:
         _grad_enabled = self._prev
 
 
-def is_grad_enabled() -> bool:
-    """Return whether operations are currently recorded on the tape."""
-    return _grad_enabled
-
-
 def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
     """Reduce ``grad`` so it matches ``shape`` (undoing NumPy broadcasting)."""
     if grad.shape == shape:
@@ -154,10 +149,6 @@ class Tensor:
         return float(self.data.reshape(-1)[0]) if self.data.size == 1 else float(
             self.data
         )
-
-    def detach(self) -> "Tensor":
-        """Return a tensor sharing data but cut from the tape."""
-        return Tensor(self.data, requires_grad=False)
 
     # ------------------------------------------------------------- autograd
     @staticmethod
@@ -539,18 +530,6 @@ class Tensor:
             out._parents = (self,)
         return out
 
-    def relu(self) -> "Tensor":
-        """Elementwise ReLU."""
-        mask = (self.data > 0).astype(np.float32)
-
-        def backward(g: np.ndarray):
-            return (g * mask,)
-
-        out = Tensor._make(self.data * mask, (self,), backward)
-        if out.requires_grad:
-            out._parents = (self,)
-        return out
-
     def leaky_relu(self, negative_slope: float = 0.2) -> "Tensor":
         """Elementwise LeakyReLU — the paper's activation throughout."""
         slope = np.where(self.data > 0, 1.0, negative_slope).astype(np.float32)
@@ -586,11 +565,6 @@ class Tensor:
         if out.requires_grad:
             out._parents = (self,)
         return out
-
-
-def tensor(data: ArrayLike, requires_grad: bool = False) -> Tensor:
-    """Convenience constructor mirroring ``torch.tensor``."""
-    return Tensor(data, requires_grad=requires_grad)
 
 
 def zeros(*shape: int, requires_grad: bool = False) -> Tensor:

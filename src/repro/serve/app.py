@@ -264,7 +264,7 @@ class ConcurrentServer:
     ) -> None:
         entries = self._take_inflight(batch_id)
         self.stats.inc("crashed_batches")
-        self.stats.inc("errors", len(entries))
+        self.stats.inc("errors", n=len(entries))
         for entry in entries:
             response = {"id": entry.request.get("id"), "error": message}
             if retryable:

@@ -353,7 +353,7 @@ class WorkerPool:
                 calls,
                 retryable=True,
             )
-        self.stats.inc("deadline_timeouts", len(expired))
+        self.stats.inc("deadline_timeouts", n=len(expired))
         dead = {("batch", b) for b in expired}
         for slot in self._slots:
             # An answered batch still queued is dropped, not run for nobody.

@@ -142,8 +142,7 @@ class MicroBatchScheduler:
         batch = []
         while self._buf and len(batch) < self.max_batch:
             batch.append(self._buf.popleft()[1])
-        self.stats.inc(reason)
-        self.stats.inc("batches")
+        self.stats.inc(reason, "batches")
         return batch
 
     def flush_now(self) -> int:

@@ -13,14 +13,6 @@ import hashlib
 
 import numpy as np
 
-_GLOBAL_SEED = 0x5EED
-
-
-def set_global_seed(seed: int) -> None:
-    """Set the process-wide root seed used by :func:`global_rng`."""
-    global _GLOBAL_SEED
-    _GLOBAL_SEED = int(seed)
-
 
 def _hash_name(name: str) -> int:
     """Map an arbitrary string to a stable 64-bit integer."""
@@ -42,11 +34,6 @@ def derive_rng(seed: int, *names: object) -> np.random.Generator:
         else:
             entropy.append(_hash_name(str(name)))
     return np.random.default_rng(np.random.SeedSequence(entropy))
-
-
-def global_rng(*names: object) -> np.random.Generator:
-    """Derive a generator from the process-wide seed (see :func:`set_global_seed`)."""
-    return derive_rng(_GLOBAL_SEED, *names)
 
 
 class SeedSequence:

@@ -16,13 +16,13 @@ parent-owns / workers-attach pool:
   tracker would drop the *owner's* claim with it.
 
 The owner calls :meth:`unlink` (idempotent) when the segment's consumers
-are done; :func:`leaked_segments` is the test-facing audit.
+are done; tests audit for leftovers by listing :data:`SHM_DIR` for
+:data:`SHM_PREFIX`.
 """
 
 from __future__ import annotations
 
 import os
-from typing import List
 
 #: Every segment this module creates starts with this (see /dev/shm).
 SHM_PREFIX = "repro-shm-"
@@ -111,13 +111,4 @@ class SharedBlock:
             self._shm.unlink()
         except FileNotFoundError:
             pass  # boundary: already gone (crash backstop beat us to it)
-
-
-def leaked_segments(prefix: str = SHM_PREFIX) -> List[str]:
-    """Names of live ``/dev/shm`` segments matching ``prefix`` (for tests)."""
-    try:
-        entries = os.listdir(SHM_DIR)
-    except OSError:
-        return []  # boundary: no /dev/shm (non-Linux) — nothing to audit
-    return sorted(e for e in entries if e.startswith(prefix))
 

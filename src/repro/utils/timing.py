@@ -34,10 +34,15 @@ class Stats:
         self.totals: Dict[str, float] = {}
         self._lock = threading.Lock()
 
-    def inc(self, name: str, n: int = 1) -> None:
-        """Add ``n`` to counter ``name``."""
+    def inc(self, *names: str, n: int = 1) -> None:
+        """Add ``n`` to every counter in ``names``, in one hold of the lock.
+
+        Counters bumped together stay consistent with each other in every
+        :meth:`snapshot`.
+        """
         with self._lock:
-            self.counts[name] = self.counts.get(name, 0) + n
+            for name in names:
+                self.counts[name] = self.counts.get(name, 0) + n
 
     @contextmanager
     def span(self, name: str) -> Iterator[None]:

@@ -1,12 +1,15 @@
-"""Shared test utilities: finite-difference gradient checking."""
+"""Shared test utilities: finite-difference gradient checking and the
+shared-memory leak audit."""
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+import os
+from typing import Callable, List, Sequence
 
 import numpy as np
 
 from repro.nn.tensor import Tensor
+from repro.utils.shm import SHM_DIR, SHM_PREFIX
 
 
 def numeric_grad(
@@ -47,3 +50,12 @@ def check_gradients(
         assert p.grad is not None, "parameter received no gradient"
         num = numeric_grad(fn, p)
         np.testing.assert_allclose(p.grad, num, rtol=rtol, atol=atol)
+
+
+def leaked_segments(prefix: str = SHM_PREFIX) -> List[str]:
+    """Names of live ``/dev/shm`` segments matching ``prefix``."""
+    try:
+        entries = os.listdir(SHM_DIR)
+    except OSError:
+        return []  # no /dev/shm (non-Linux): nothing to audit
+    return sorted(e for e in entries if e.startswith(prefix))

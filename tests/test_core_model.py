@@ -214,10 +214,9 @@ class TestPipeline:
         trainer, _ = trained
         pipe = MatcherPipeline(trainer)
         views = compile_to_views(self.C_SRC, "c")
-        score = pipe.match_binary_to_source(views.binary_bytes, self.C_SRC, "c")
-        assert 0.0 <= score <= 1.0
         gen = SolutionGenerator(seed=4)
         other = gen.generate("gcd", 0, "java").text
         ranked = pipe.rank_sources(views.binary_bytes, [(self.C_SRC, "c"), (other, "java")])
         assert len(ranked) == 2
         assert {i for i, _ in ranked} == {0, 1}
+        assert all(0.0 <= score <= 1.0 for _, score in ranked)

@@ -25,7 +25,8 @@ from repro.exec import (
 )
 from repro.exec.pool import WORKER_JOB_SITE, SharedRef, ping
 from repro.utils.fsio import read_verified_meta
-from repro.utils.shm import SharedBlock, leaked_segments
+from repro.utils.shm import SharedBlock
+from tests.helpers import leaked_segments
 
 #: Every start method this platform offers that the pool must support.
 START_METHODS = [

@@ -100,13 +100,6 @@ class TestTrainerEmbeddings:
         emb = trained.encode_graphs([])
         assert emb.shape == (0, 2 * trained.config.hidden_dim)
 
-    def test_embed_many_alias(self, trained, corpus):
-        c, _ = corpus
-        graphs = [s.source_graph for s in c[:3]]
-        np.testing.assert_array_equal(
-            trained.encode_graphs(graphs), trained.embed_many(graphs)
-        )
-
     def test_batch_size_invariant(self, trained, corpus):
         """Embeddings must not depend on batch composition (eval mode)."""
         _, j = corpus
@@ -625,30 +618,6 @@ class TestPipelineFastPaths:
         index = pipe.source_index(candidates)
         with pytest.raises(ValueError):
             pipe.rank_sources(c[0].binary_bytes, other, index=index)
-
-    def test_rank_sources_batch_matches_loop(self, trained, corpus):
-        c, j = corpus
-        pipe = MatcherPipeline(trained)
-        candidates = [(s.source_text, s.language) for s in j[:5]]
-        index = pipe.source_index(candidates)
-        raws = [c[0].binary_bytes, c[1].binary_bytes]
-        batched = pipe.rank_sources_batch(raws, candidates, index=index)
-        singles = [pipe.rank_sources(raw, candidates, index=index) for raw in raws]
-        assert [[i for i, _ in r] for r in batched] == [
-            [i for i, _ in r] for r in singles
-        ]
-        for batch_row, single_row in zip(batched, singles):
-            np.testing.assert_allclose(
-                [s for _, s in batch_row], [s for _, s in single_row], atol=1e-5
-            )
-
-    def test_rank_sources_batch_validates_index(self, trained, corpus):
-        c, j = corpus
-        pipe = MatcherPipeline(trained)
-        candidates = [(s.source_text, s.language) for s in j[:4]]
-        index = pipe.source_index(candidates)
-        with pytest.raises(ValueError):
-            pipe.rank_sources_batch([c[0].binary_bytes], candidates[:2], index=index)
 
     def test_evaluate_retrieval_with_index(self, trained, corpus):
         """A prebuilt candidate index replaces candidate re-encoding."""

@@ -14,7 +14,7 @@ from repro.ir.lowering import (
     lower_program,
 )
 from repro.ir.printer import print_module
-from repro.ir.verifier import collect_callees, verify_module
+from repro.ir.verifier import verify_module
 from repro.lang.generator import LANGUAGES, SolutionGenerator
 from repro.lang.interp import interpret
 from repro.lang.minic import parse_minic
@@ -27,6 +27,16 @@ GEN = SolutionGenerator(seed=77)
 
 def _lower_c(src):
     return lower_program(parse_minic(src))
+
+
+def _callees(module):
+    """Callee names of every call instruction in the module's bodies."""
+    return [
+        instr.extra["callee"]
+        for fn in module.defined_functions()
+        for instr in fn.instructions()
+        if instr.opcode == "call"
+    ]
 
 
 class TestBasicLowering:
@@ -113,7 +123,7 @@ class TestFrontEndDivergence:
 
     def test_java_uses_runtime_calls(self):
         mods = self._modules()
-        callees = set(collect_callees(mods["java"]))
+        callees = set(_callees(mods["java"]))
         assert JAVA_ARRAYLENGTH in callees or JAVA_NEWARRAY in callees
 
     def test_java_has_throw_blocks(self):
@@ -147,9 +157,9 @@ class TestFrontEndDivergence:
 
     def test_print_callees_differ_by_language(self):
         mods = self._modules()
-        assert "printf" in collect_callees(mods["c"])
-        assert CXX_PRINT in collect_callees(mods["cpp"])
-        assert "java.io.PrintStream.println" in collect_callees(mods["java"])
+        assert "printf" in _callees(mods["c"])
+        assert CXX_PRINT in _callees(mods["cpp"])
+        assert "java.io.PrintStream.println" in _callees(mods["java"])
 
 
 class TestPrinter:

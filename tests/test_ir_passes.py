@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.ir.analysis.cfg import DominatorTree
 from repro.ir.interp import run_module
 from repro.ir.lowering import lower_program
 from repro.ir.passes import (
@@ -19,7 +20,7 @@ from repro.ir.passes import (
     peel_loops,
     simplify_cfg,
 )
-from repro.ir.passes.peel import compute_dominators, find_natural_loops
+from repro.ir.passes.peel import find_natural_loops
 from repro.ir.printer import print_module
 from repro.ir.verifier import verify_module
 from repro.lang.generator import LANGUAGES, SolutionGenerator
@@ -230,10 +231,10 @@ class TestPeel:
     def test_dominators_entry(self):
         mod = _mod(SUM_SRC)
         fn = mod.get("total")
-        dom = compute_dominators(fn)
+        dom = DominatorTree(fn)
         for blk in fn.blocks:
-            if blk in dom:
-                assert fn.entry in dom[blk]
+            if dom.reachable(blk):
+                assert dom.dominates(fn.entry, blk)
 
     def test_finds_loop(self):
         mod = _mod(SUM_SRC)

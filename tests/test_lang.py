@@ -328,10 +328,6 @@ class TestGeneratorSemantics:
         b = SolutionGenerator(seed=2).generate("sum_array", 0, "c").text
         assert a != b
 
-    def test_generate_many_counts(self):
-        files = self.GEN.generate_many(tasks=["gcd", "fibonacci"], variants=2)
-        assert len(files) == 2 * 2 * 3
-
     def test_unknown_language_rejected(self):
         with pytest.raises(ValueError):
             self.GEN.generate("gcd", 0, "rust")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.nn.gnn import GATv2Conv, HeteroConv, HeteroGNNStack
-from repro.nn.pooling import GlobalAttentionPool, MeanPool
+from repro.nn.pooling import GlobalAttentionPool
 from repro.nn.tensor import Tensor
 from tests.helpers import check_gradients
 
@@ -196,16 +196,6 @@ class TestPooling:
         x = Tensor(rng.standard_normal((4, 3)).astype(np.float32))
         pool = GlobalAttentionPool(3, rng=rng)
         check_gradients(lambda: (pool(x) ** 2).sum(), pool.parameters())
-
-    def test_mean_pool(self):
-        x = Tensor(np.array([[2.0, 0.0], [4.0, 2.0]], dtype=np.float32))
-        out = MeanPool()(x).data
-        np.testing.assert_allclose(out, [[3.0, 1.0]])
-
-    def test_mean_pool_batched(self):
-        x = Tensor(np.arange(8, dtype=np.float32).reshape(4, 2))
-        out = MeanPool()(x, np.array([0, 0, 1, 1]), 2).data
-        np.testing.assert_allclose(out, [[1.0, 2.0], [5.0, 6.0]])
 
 
 class TestConvPlanValidation:

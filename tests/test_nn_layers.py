@@ -12,6 +12,21 @@ def _rng(seed=0):
     return np.random.default_rng(seed)
 
 
+class _TwoLayer(nn.Module):
+    """A small container: two Linear layers held in a ModuleList."""
+
+    def __init__(self, dims, rng):
+        super().__init__()
+        self.layers = nn.ModuleList(
+            [nn.Linear(dims[i], dims[i + 1], rng=rng) for i in range(len(dims) - 1)]
+        )
+
+    def forward(self, x):
+        for layer in self.layers:
+            x = layer(x)
+        return x
+
+
 class TestLinear:
     def test_forward_shape(self):
         layer = nn.Linear(4, 3, rng=_rng())
@@ -82,16 +97,6 @@ class TestDropoutLayer:
 
 
 class TestContainers:
-    def test_mlp_shapes(self):
-        mlp = nn.MLP([4, 8, 2], rng=_rng())
-        out = mlp(Tensor(np.zeros((3, 4), dtype=np.float32)))
-        assert out.shape == (3, 2)
-
-    def test_mlp_final_activation(self):
-        mlp = nn.MLP([2, 2], rng=_rng(), final_activation=lambda t: t.sigmoid())
-        out = mlp(Tensor(np.zeros((1, 2), dtype=np.float32))).data
-        assert np.all((out > 0) & (out < 1))
-
     def test_module_list_iteration(self):
         ml = nn.ModuleList([nn.Linear(2, 2, rng=_rng()) for _ in range(3)])
         assert len(ml) == 3
@@ -104,57 +109,35 @@ class TestContainers:
         assert isinstance(md["a"], nn.Linear)
 
     def test_named_parameters_dotted(self):
-        mlp = nn.MLP([2, 3, 1], rng=_rng())
-        names = [n for n, _ in mlp.named_parameters()]
+        net = _TwoLayer([2, 3, 1], rng=_rng())
+        names = [n for n, _ in net.named_parameters()]
         assert "layers.0.weight" in names
         assert "layers.1.bias" in names
 
     def test_state_dict_roundtrip(self):
-        a = nn.MLP([3, 4, 2], rng=_rng(1))
-        b = nn.MLP([3, 4, 2], rng=_rng(2))
+        a = _TwoLayer([3, 4, 2], rng=_rng(1))
+        b = _TwoLayer([3, 4, 2], rng=_rng(2))
         b.load_state_dict(a.state_dict())
         x = Tensor(_rng(0).standard_normal((2, 3)).astype(np.float32))
         np.testing.assert_allclose(a(x).data, b(x).data)
 
     def test_load_state_dict_rejects_mismatch(self):
-        a = nn.MLP([3, 4, 2], rng=_rng())
+        a = _TwoLayer([3, 4, 2], rng=_rng())
         with pytest.raises(KeyError):
             a.load_state_dict({"bogus": np.zeros(2)})
 
-    def test_num_parameters(self):
-        layer = nn.Linear(3, 2, rng=_rng())
-        assert layer.num_parameters() == 3 * 2 + 2
-
     def test_zero_grad_clears_all(self):
-        mlp = nn.MLP([2, 2], rng=_rng())
-        mlp(Tensor(np.ones((1, 2), dtype=np.float32))).sum().backward()
-        assert any(p.grad is not None for p in mlp.parameters())
-        mlp.zero_grad()
-        assert all(p.grad is None for p in mlp.parameters())
+        net = _TwoLayer([2, 2], rng=_rng())
+        net(Tensor(np.ones((1, 2), dtype=np.float32))).sum().backward()
+        assert any(p.grad is not None for p in net.parameters())
+        net.zero_grad()
+        assert all(p.grad is None for p in net.parameters())
 
 
 class TestOptimizers:
     def _quadratic_setup(self):
         w = nn.Parameter(np.array([5.0, -3.0], dtype=np.float32))
         return w
-
-    def test_sgd_descends(self):
-        w = self._quadratic_setup()
-        opt = nn.SGD([w], lr=0.1)
-        for _ in range(100):
-            opt.zero_grad()
-            (w * w).sum().backward()
-            opt.step()
-        np.testing.assert_allclose(w.data, 0.0, atol=1e-3)
-
-    def test_sgd_momentum_descends(self):
-        w = self._quadratic_setup()
-        opt = nn.SGD([w], lr=0.05, momentum=0.9)
-        for _ in range(300):
-            opt.zero_grad()
-            (w * w).sum().backward()
-            opt.step()
-        np.testing.assert_allclose(w.data, 0.0, atol=1e-2)
 
     def test_adam_descends(self):
         w = self._quadratic_setup()
@@ -173,21 +156,6 @@ class TestOptimizers:
         (w * w).sum().backward()
         opt.step()
         np.testing.assert_allclose(frozen.data, [1.0])
-
-    def test_cosine_schedule_decays(self):
-        w = self._quadratic_setup()
-        opt = nn.Adam([w], lr=1.0)
-        sched = nn.CosineSchedule(opt, base_lr=1.0, total_steps=10)
-        lrs = [sched.step() for _ in range(10)]
-        assert lrs[0] > lrs[-1]
-        assert lrs[-1] == pytest.approx(0.0, abs=1e-6)
-
-    def test_cosine_warmup(self):
-        w = self._quadratic_setup()
-        opt = nn.SGD([w], lr=1.0)
-        sched = nn.CosineSchedule(opt, base_lr=1.0, total_steps=20, warmup=5)
-        lrs = [sched.step() for _ in range(5)]
-        np.testing.assert_allclose(lrs, [0.2, 0.4, 0.6, 0.8, 1.0])
 
 
 class TestLosses:
@@ -210,13 +178,6 @@ class TestLosses:
             lambda: nn.binary_cross_entropy(logits.sigmoid(), target), [logits]
         )
 
-    def test_bce_with_logits_matches_composed(self):
-        x = Tensor(_rng(2).standard_normal(8).astype(np.float32))
-        t = (_rng(3).random(8) > 0.5).astype(np.float32)
-        a = nn.binary_cross_entropy_with_logits(x, t).item()
-        b = nn.binary_cross_entropy(x.sigmoid(), t).item()
-        assert a == pytest.approx(b, rel=1e-3, abs=1e-4)
-
     def test_triplet_zero_when_separated(self):
         a = Tensor(np.zeros((2, 4), dtype=np.float32))
         p = Tensor(np.zeros((2, 4), dtype=np.float32))
@@ -227,10 +188,6 @@ class TestLosses:
         a = Tensor(np.zeros((1, 4), dtype=np.float32))
         loss = nn.triplet_margin_loss(a, a, a, margin=0.5)
         assert loss.item() == pytest.approx(0.5)
-
-    def test_mse(self):
-        pred = Tensor(np.array([1.0, 2.0], dtype=np.float32))
-        assert nn.mse_loss(pred, np.array([0.0, 0.0])).item() == pytest.approx(2.5)
 
 
 class TestLSTM:

@@ -6,7 +6,7 @@ import pytest
 
 import repro.nn as nn
 from repro.nn.module import Module, Parameter
-from repro.nn.serialize import config_to_meta, load_state, read_meta, save_state
+from repro.nn.serialize import read_checkpoint, read_meta, save_state
 from repro.nn.tensor import Tensor
 
 
@@ -57,6 +57,13 @@ class TestStateDictBuffers:
             _Net().load_state_dict(state)
 
 
+def _load_into(module, path):
+    """Load a checkpoint into ``module`` the way the trainer does."""
+    meta, state, _ = read_checkpoint(path)
+    module.load_state_dict(state)
+    return meta
+
+
 class TestNpzRoundTrip:
     def test_roundtrip_with_meta(self, tmp_path):
         net = _Net()
@@ -64,7 +71,7 @@ class TestNpzRoundTrip:
         save_state(net, path, meta={"kind": "test", "dims": [3, 2]})
         other = _Net()
         other.lin.weight.data += 1.0  # perturb
-        meta = load_state(other, path)
+        meta = _load_into(other, path)
         assert meta == {"kind": "test", "dims": [3, 2]}
         np.testing.assert_allclose(other.lin.weight.data, net.lin.weight.data)
 
@@ -73,7 +80,7 @@ class TestNpzRoundTrip:
         path = tmp_path / "ckpt2.npz"
         save_state(net, path)
         assert read_meta(path) is None
-        assert load_state(_Net(), path) is None
+        assert _load_into(_Net(), path) is None
 
     def test_read_meta_only(self, tmp_path):
         net = _Net()
@@ -98,11 +105,4 @@ class TestNpzRoundTrip:
                 self.w = Parameter(np.zeros(4, dtype=np.float32), name="w")
 
         with pytest.raises(KeyError):
-            load_state(_Other(), path)
-
-    def test_config_to_meta_roundtrips_dataclass(self):
-        from repro.config import cpu_config
-
-        meta = config_to_meta(cpu_config())
-        assert meta["hidden_dim"] == 48
-        assert isinstance(meta, dict)
+            _load_into(_Other(), path)

@@ -12,8 +12,7 @@ import pytest
 
 from repro.nn.functional import clip_grad_norm
 from repro.nn.module import Parameter
-from repro.nn.optim import Adam, SGD, ParameterArena, SharedArenaState
-from repro.utils.shm import leaked_segments
+from repro.nn.optim import Adam, ParameterArena
 
 
 def make_params(seed=0):
@@ -167,35 +166,6 @@ class TestAdamParity:
             opt.state_import({"algo": "sgd", "velocity": np.zeros(3)})
 
 
-class TestSGDParity:
-    @pytest.mark.parametrize("momentum", [0.0, 0.9])
-    def test_bitwise_over_steps(self, momentum):
-        ref = make_params()
-        fused = clone_of(ref)
-        opt_ref = SGD(ref, lr=1e-2, momentum=momentum, fused=False)
-        opt_fused = SGD(fused, lr=1e-2, momentum=momentum, fused=True)
-        for step in range(5):
-            grads = make_grads(ref, seed=40 + step)
-            missing = {2} if step == 2 else set()
-            set_grads(ref, grads, missing)
-            set_grads(fused, grads, missing)
-            opt_ref.step()
-            opt_fused.step()
-            assert_params_equal(ref, fused)
-
-    def test_state_roundtrip(self):
-        params = make_params()
-        opt = SGD(params, lr=1e-2, momentum=0.9, fused=True)
-        set_grads(params, make_grads(params))
-        opt.step()
-        state = opt.state_export()
-        other = SGD(clone_of(params), lr=1e-2, momentum=0.9, fused=True)
-        other.state_import(state)
-        np.testing.assert_array_equal(
-            other.state_export()["velocity"], state["velocity"]
-        )
-
-
 class TestFusedClip:
     def test_norm_and_grads_bitwise(self):
         ref = make_params()
@@ -239,127 +209,17 @@ class TestFusedClip:
 
 
 def make_exact_grads(params, seed=1):
-    """Gradients whose values (and k=4 scaled sums) are float32-exact.
+    """Gradients whose values (and small sums of them) are float32-exact.
 
-    Multiples of 1/8 with small magnitude: scaling by 1/4 and summing four
-    of them stays exactly representable, so accumulation arithmetic has a
-    well-defined bit-exact reference.
+    Multiples of 1/8 with small magnitude: summing a few of them stays
+    exactly representable, so buffer accumulation has a well-defined
+    bit-exact reference.
     """
     rng = np.random.default_rng(seed)
     return [
         (rng.integers(-16, 17, size=p.data.shape) / 8.0).astype(np.float32)
         for p in params
     ]
-
-
-class TestGradientAccumulation:
-    """k micro-batches through accumulate() ≡ one combined batch."""
-
-    K = 4  # power of two: 1/k and the partial sums are float32-exact
-
-    def _micro_grads(self, params, missing_schedule):
-        """Per-micro-batch grads; ``missing_schedule[i]`` = params absent."""
-        micros = [
-            make_exact_grads(params, seed=60 + m) for m in range(self.K)
-        ]
-        for m, absent in enumerate(missing_schedule):
-            for i in absent:
-                micros[m][i] = None
-        return micros
-
-    def _combined(self, params, micros):
-        """The reference big-batch gradient: scaled sum of contributions."""
-        combined = []
-        for i in range(len(params)):
-            present = [g[i] for g in micros if g[i] is not None]
-            if not present:
-                combined.append(None)
-                continue
-            total = np.zeros_like(params[i].data)
-            for g in present:
-                total += g * np.float32(1.0 / self.K)
-            combined.append(total)
-        return combined
-
-    @pytest.mark.parametrize("fused", [False, True])
-    @pytest.mark.parametrize("algo", [Adam, SGD])
-    def test_microbatches_match_combined_batch_bitwise(self, algo, fused):
-        ref = make_params()
-        acc = clone_of(ref)
-        opt_ref = algo(ref, lr=1e-2, fused=fused)
-        opt_acc = algo(acc, lr=1e-2, fused=fused)
-        # Schedule includes a never-contributing param (index 3) and one
-        # that skips only some micro-batches (index 1).
-        schedule = [{3}, {1, 3}, {3}, {1, 3}]
-        for step in range(3):
-            micros = self._micro_grads(ref, schedule)
-            combined = self._combined(ref, micros)
-            for i, g in enumerate(combined):
-                ref[i].grad = None if g is None else g.copy()
-            opt_ref.step()
-            for grads in micros:
-                for i, g in enumerate(grads):
-                    acc[i].grad = None if g is None else g.copy()
-                opt_acc.accumulate(scale=1.0 / self.K)
-            opt_acc.step()
-            assert_params_equal(ref, acc)
-        # Moments agree too — a never-contributing param stayed frozen.
-        s_ref, s_acc = opt_ref.state_export(), opt_acc.state_export()
-        for key in s_ref:
-            np.testing.assert_array_equal(
-                np.asarray(s_ref[key]), np.asarray(s_acc[key]), err_msg=key
-            )
-
-    @pytest.mark.parametrize("fused", [False, True])
-    def test_accumulated_clip_matches_combined_batch(self, fused):
-        ref = make_params()
-        acc = clone_of(ref)
-        opt_ref = Adam(ref, lr=1e-2, fused=fused)
-        opt_acc = Adam(acc, lr=1e-2, fused=fused)
-        micros = self._micro_grads(ref, [set()] * self.K)
-        combined = self._combined(ref, micros)
-        for i, g in enumerate(combined):
-            ref[i].grad = g.copy()
-        for grads in micros:
-            for i, g in enumerate(grads):
-                acc[i].grad = g.copy()
-            opt_acc.accumulate(scale=1.0 / self.K)
-        norm_ref = opt_ref.clip_grad_norm(0.25)
-        norm_acc = opt_acc.clip_grad_norm(0.25)
-        assert norm_ref == norm_acc
-        opt_ref.step()
-        opt_acc.step()
-        assert_params_equal(ref, acc)
-
-    def test_accumulate_clears_grads_and_survives_zero_grad(self):
-        params = make_params()
-        opt = Adam(params, fused=True)
-        set_grads(params, make_exact_grads(params))
-        opt.accumulate(scale=0.5)
-        assert all(p.grad is None for p in params)
-        opt.zero_grad()  # must not discard the accumulated sums
-        set_grads(params, make_exact_grads(params, seed=61))
-        opt.accumulate(scale=0.5)
-        before = [p.data.copy() for p in params]
-        opt.step()
-        assert any(
-            not np.array_equal(b, p.data) for b, p in zip(before, params)
-        )
-
-    def test_scale_one_is_plain_summation(self):
-        params = make_params()
-        opt = SGD(params, lr=1e-2, fused=False)
-        g = make_exact_grads(params)
-        set_grads(params, g)
-        opt.accumulate()
-        set_grads(params, g)
-        opt.accumulate()
-        other = make_params()
-        opt2 = SGD(other, lr=1e-2, fused=False)
-        set_grads(other, [x + x for x in g])
-        opt.step()
-        opt2.step()
-        assert_params_equal(other, params)
 
 
 class TestDirectGradBuffers:
@@ -412,55 +272,6 @@ class TestDirectGradBuffers:
         assert norm_fused == norm_ref
         for i, (a, b) in enumerate(zip(params, ref)):
             np.testing.assert_array_equal(a.grad, b.grad, err_msg=f"grad {i}")
-
-
-class TestSharedArenaState:
-    def test_shared_export_roundtrips_bitwise(self):
-        params = make_params()
-        opt = Adam(params, lr=1e-2, fused=True)
-        set_grads(params, make_grads(params))
-        opt.step()
-        snapshot = opt.arena.state_export(shared=True)
-        try:
-            expected = opt.arena.flat.copy()
-            opt.arena.flat[:] = 0.0
-            opt.arena.state_import(snapshot)
-            np.testing.assert_array_equal(opt.arena.flat, expected)
-        finally:
-            snapshot.close()
-            snapshot.unlink()
-
-    def test_attach_by_name_sees_the_same_bytes(self):
-        params = make_params()
-        arena = ParameterArena(params)
-        snapshot = arena.state_export(shared=True)
-        try:
-            attached = SharedArenaState.attach(snapshot.name, snapshot.size)
-            np.testing.assert_array_equal(attached.array(), arena.flat)
-            attached.close()
-        finally:
-            snapshot.close()
-            snapshot.unlink()
-
-    def test_unlink_removes_the_segment(self):
-        before = set(leaked_segments())
-        snapshot = ParameterArena(make_params()).state_export(shared=True)
-        assert set(leaked_segments()) - before == {snapshot.name}
-        snapshot.close()
-        snapshot.unlink()
-        snapshot.unlink()  # idempotent
-        assert set(leaked_segments()) == before
-
-    def test_heap_export_is_a_copy(self):
-        arena = ParameterArena(make_params())
-        snapshot = arena.state_export()
-        snapshot[:] = -1.0
-        assert not np.array_equal(arena.flat, snapshot)
-
-    def test_import_rejects_wrong_size(self):
-        arena = ParameterArena(make_params())
-        with pytest.raises(ValueError, match="size mismatch"):
-            arena.state_import(np.zeros(3, dtype=np.float32))
 
 
 class TestZeroGrad:

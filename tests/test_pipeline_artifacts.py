@@ -11,12 +11,7 @@ from repro.config import DataConfig, tiny_data_config
 from repro.core.pipeline import compile_to_views
 from repro.data.corpus import CorpusBuilder, corpus_statistics
 from repro.graphs import build_graph
-from repro.graphs.serialize import (
-    graph_from_arrays,
-    graph_to_arrays,
-    load_graph,
-    save_graph,
-)
+from repro.graphs.serialize import graph_from_arrays, graph_to_arrays
 from repro.index import graph_fingerprint
 from repro.ir.printer import print_module
 from repro.lang.generator import SolutionGenerator
@@ -231,12 +226,6 @@ class TestGraphSerialization:
             for rel in graph.edges:
                 np.testing.assert_array_equal(restored.edges[rel], graph.edges[rel])
                 np.testing.assert_array_equal(restored.positions[rel], graph.positions[rel])
-
-    def test_file_roundtrip(self, compiled, tmp_path):
-        path = save_graph(tmp_path / "g", compiled.source_graph)
-        assert path.endswith(".npz")
-        restored = load_graph(path)
-        assert graph_fingerprint(restored) == graph_fingerprint(compiled.source_graph)
 
     def test_missing_prefix_rejected(self):
         with pytest.raises(ValueError, match="prefix"):

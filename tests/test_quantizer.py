@@ -89,15 +89,6 @@ class TestAssign:
         with pytest.raises(ValueError, match="dim"):
             quantizer.assign(np.zeros((3, 5), dtype=np.float32))
 
-    def test_nearest_cells_orders_by_distance(self):
-        centroids = np.asarray([[0.0], [1.0], [4.0]], dtype=np.float32)
-        quantizer = CoarseQuantizer(centroids)
-        cells = quantizer.nearest_cells(np.asarray([[0.9]]), nprobe=3)
-        assert cells.tolist() == [[1, 0, 2]]
-        assert quantizer.nearest_cells(np.asarray([[0.0]]), nprobe=99).shape == (1, 3)
-        with pytest.raises(ValueError, match="nprobe"):
-            quantizer.nearest_cells(np.asarray([[0.0]]), nprobe=0)
-
 
 class TestManifest:
     def test_round_trip_bit_exact(self):

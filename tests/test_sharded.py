@@ -4,7 +4,7 @@ The contract is the same as the in-memory index's, with one word
 stronger: an index sharded from an in-memory one must return *bit
 identical* scores (the shards hold the same float32 rows and the scoring
 code path is shared), while loading shards lazily and growing via
-``add_shard`` / ``merge`` without rewriting existing shard files.  The
+``add`` / ``merge`` without rewriting existing shard files.  The
 sharded directory is the only on-disk index format, so every shard file
 is checksummed and anything else on disk is refused.
 """
@@ -151,26 +151,27 @@ class TestGrowth:
             sharded = ShardedEmbeddingIndex.create(trained, tmp + "/idx")
             graphs = [s.source_graph for s in j]
             metas = [{"id": s.identifier} for s in j]
-            sharded.add_shard(graphs[:3], metas[:3])
-            sharded.add_shard(graphs[3:], metas[3:])
+            sharded.add(graphs[:3], metas[:3])
+            sharded.add(graphs[3:], metas[3:])
             assert sharded.num_shards == 2 and len(sharded) == len(j)
             assert sharded.metas == mono.metas
             np.testing.assert_allclose(
                 sharded.embeddings, mono.embeddings, atol=1e-5
             )
 
-    def test_add_shard_validation(self, trained, corpus, tmp_path):
+    def test_add_shard_validation(self, trained, corpus, mono, tmp_path):
         _, j = corpus
         sharded = ShardedEmbeddingIndex.create(trained, tmp_path / "idx")
+        assert sharded.add([]) == []  # no entries: no (empty) shard
+        sharded.add_precomputed([], np.zeros((0, sharded.dim), dtype=np.float32))
+        assert sharded.num_shards == 0
         with pytest.raises(ValueError):
-            sharded.add_shard()  # neither graphs nor index
+            sharded.add([j[0].source_graph], metas=[{}, {}])
         with pytest.raises(ValueError):
-            sharded.add_shard([])  # empty shard
-        with pytest.raises(ValueError):
-            sharded.add_shard([j[0].source_graph], metas=[{}, {}])
-        piece = EmbeddingIndex(trained)
-        with pytest.raises(ValueError):
-            sharded.add_shard(index=piece)  # empty prebuilt index
+            sharded.add_precomputed(mono.keys[:2], mono.embeddings[:1])
+        with pytest.raises(ValueError, match="dim"):
+            sharded.add_precomputed(mono.keys[:1], mono.embeddings[:1, :-1])
+        assert sharded.num_shards == 0
 
     def test_merge(self, trained, corpus, mono, tmp_path):
         _, j = corpus
@@ -267,7 +268,7 @@ class TestValidation:
         assert sharded.tag == "corpus-v2"
         reopened = ShardedEmbeddingIndex.open(tmp_path / "idx", trained)
         assert reopened.tag == "corpus-v2"
-        reopened.set_tag("corpus-v3")
+        reopened.tag = "corpus-v3"
         assert ShardedEmbeddingIndex.open(tmp_path / "idx", trained).tag == "corpus-v3"
 
 
@@ -439,11 +440,11 @@ class TestGatherCache:
     def test_add_shard_refreshes_ranking(self, trained, corpus, mono, tmp_path):
         c, j = corpus
         sharded = ShardedEmbeddingIndex.create(trained, tmp_path / "idx")
-        sharded.add_shard(index=_subset(mono, 0, 4))
+        sharded.add_precomputed(mono.keys[:4], mono.embeddings[:4], mono.metas[:4])
         query = c[0].decompiled_graph
         assert len(sharded.topk(query, k=None)) == 4
         assert len(sharded.keys) == 4
-        sharded.add_shard(index=_subset(mono, 4, len(mono)))
+        sharded.add_precomputed(mono.keys[4:], mono.embeddings[4:], mono.metas[4:])
         assert _hits(sharded.topk(query, k=None)) == _hits(mono.topk(query, k=None))
         assert sharded.keys == mono.keys
 

@@ -200,7 +200,7 @@ class TestCompressedShardDamage:
         result, _ = run
         root = tmp_path / "index"
         index = ShardedEmbeddingIndex.create(result.trainer, root)
-        index.add_shard([compiled.source_graph, compiled.decompiled_graph], [{}, {}])
+        index.add([compiled.source_graph, compiled.decompiled_graph], [{}, {}])
         for _ in flip_member_bytes(root / "shard-0000.npz", "embeddings"):
             with pytest.raises(ShardCorruption):
                 ShardedEmbeddingIndex.open(root, result.trainer).topk(
@@ -276,7 +276,7 @@ class TestFaultSiteSequence:
         ("hit", "models.put.write"),
         ("replace", "models.put"),
         ("hit", "models.get.read"),
-        # float32 index: create, add_shard, open, query
+        # float32 index: create, add, open, query
         ("hit", "index.manifest.write"),
         ("replace", "index.manifest"),
         ("hit", "index.array.write"),
@@ -320,7 +320,7 @@ class TestFaultSiteSequence:
         for codec in ("float32", "int8"):
             root = tmp_path / f"index-{codec}"
             index = ShardedEmbeddingIndex.create(trainer, root, codec=codec)
-            index.add_shard(graphs, [{"id": 0}, {"id": 1}])
+            index.add(graphs, [{"id": 0}, {"id": 1}])
             opened = ShardedEmbeddingIndex.open(root, trainer)
             assert len(opened.topk(compiled.decompiled_graph, k=2)) == 2
         assert sites == self.EXPECTED
