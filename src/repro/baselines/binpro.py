@@ -10,7 +10,7 @@ uses) and the normalized assignment cost becomes the similarity score.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment

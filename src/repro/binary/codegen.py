@@ -17,10 +17,10 @@ Two styles model the paper's two compilers:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.binary.isa import BinaryFunction, BinaryProgram, MachineInstr
-from repro.ir.module import Argument, BasicBlock, Constant, Function, Instruction, Module, Value
+from repro.ir.module import BasicBlock, Constant, Function, Instruction, Module, Value
 from repro.ir.types import VOID
 
 _PRED_TO_BRANCH = {

@@ -11,9 +11,9 @@ Register 13 in LD/ST/LEA denotes the frame base (sp-relative addressing).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import List, Optional
 
-from repro.binary.isa import WORD, BinaryFunction, BinaryProgram, MachineInstr
+from repro.binary.isa import BinaryFunction, BinaryProgram
 
 HEAP_BASE = 1 << 20
 STACK_WORDS = 1 << 16

@@ -10,7 +10,7 @@ on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
 #: The paper's three structural graph relations (mirrors

@@ -16,8 +16,6 @@ Architecture, layer for layer as described:
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 import repro.nn as nn
@@ -91,8 +89,9 @@ class GraphBinMatch(nn.Module):
         :class:`~repro.core.node_features.NodeTokens`; with the latter the
         embed/mask/reduce pipeline runs on the unique rows only and fans
         out by (differentiable) gather — numerically identical, since
-        every step is row-independent, and several times less work for
-        multi-graph batches where most rows repeat.
+        every step is row-independent.  Rows are distinct token-id rows,
+        so even one query graph shrinks about twentyfold (1335 nodes → 70
+        rows on average).
 
         PAD positions (id 0) are masked to -inf before the max so padding
         never wins the reduction; all-PAD rows fall back to zeros.

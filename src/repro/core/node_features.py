@@ -10,7 +10,7 @@ truncation/padding to the tokenizer's power-of-two length.  Setting
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence
+from typing import Iterable, List
 
 import numpy as np
 
@@ -26,9 +26,9 @@ class NodeTokens:
     ``unique_ids[inverse]`` is the dense ``(num_nodes, L)`` matrix
     :func:`encode_nodes` returns.  :meth:`GraphBinMatch.node_features`
     consumes this form directly, running the embed/mask/reduce pipeline on
-    the unique rows only — in a multi-graph batch ~85% of node rows are
-    duplicate instruction shapes, so this is the encoder's single biggest
-    batching win.
+    the unique rows only.  Rows are deduplicated by token ids, after SSA
+    names normalize to ``[VAR]``: a decompiled query averages 1335 nodes,
+    1158 distinct strings but only 70 distinct rows.
     """
 
     unique_ids: np.ndarray  # (U, L)

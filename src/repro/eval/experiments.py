@@ -8,7 +8,7 @@ corresponding table in the paper reports.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -17,7 +17,7 @@ from repro.baselines.xlir import XLIRConfig
 from repro.config import DataConfig, ModelConfig
 from repro.core.trainer import MatchTrainer
 from repro.data.corpus import CorpusBuilder
-from repro.data.pairs import MatchingPair, PairDataset, build_pairs
+from repro.data.pairs import PairDataset, build_pairs
 from repro.eval.metrics import ClassificationMetrics, classification_metrics
 from repro.eval.threshold import best_threshold
 

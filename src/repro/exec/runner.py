@@ -29,7 +29,7 @@ import tempfile
 import time
 import weakref
 from dataclasses import asdict, dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.config import ModelConfig
 from repro.core.trainer import MatchTrainer, TrainReport

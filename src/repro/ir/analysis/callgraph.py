@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List
 
-from repro.ir.module import Function, Module
+from repro.ir.module import Module
 
 
 @dataclass(frozen=True)

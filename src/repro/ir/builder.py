@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.ir.module import BasicBlock, Constant, Instruction, Value
-from repro.ir.types import I1, I32, I64, VOID, IRType, PtrType
+from repro.ir.types import I1, I32, VOID, IRType, PtrType
 
 
 class IRBuilder:

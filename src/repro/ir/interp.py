@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from repro.ir.module import Argument, BasicBlock, Constant, Function, Instruction, Module, Value
+from repro.ir.module import BasicBlock, Constant, Instruction, Module, Value
 from repro.ir.types import IntType
 
 _PRINT_CALLEES = {

@@ -23,7 +23,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.ir.builder import IRBuilder
-from repro.ir.module import Constant, Function, Instruction, Module, Value
+from repro.ir.module import Constant, Function, Module, Value
 from repro.ir.types import I1, I32, VOID, IRType, PtrType
 from repro.lang import ast
 

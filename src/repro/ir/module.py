@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from typing import Dict, Iterator, List, Optional, Sequence, Set
 
-from repro.ir.types import I1, I32, I64, LABEL, VOID, IRType, PtrType
+from repro.ir.types import I32, VOID, IRType
 
 BINARY_OPS = ("add", "sub", "mul", "sdiv", "srem", "and", "or", "xor", "shl", "ashr")
 ICMP_PREDICATES = ("eq", "ne", "slt", "sle", "sgt", "sge")

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.ir.module import BasicBlock, Constant, Function, Instruction, Value
+from repro.ir.module import BasicBlock, Function, Instruction, Value
 
 
 def replace_all_uses(fn: Function, mapping: Dict[int, Value]) -> None:

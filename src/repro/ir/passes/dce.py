@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.ir.module import Function, Instruction, Module
+from repro.ir.module import Module
 from repro.ir.passes.common import erase_instructions, use_counts
 
 _PURE = {

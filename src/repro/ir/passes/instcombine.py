@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from repro.ir.module import Constant, Function, Instruction, Module, Value
+from repro.ir.module import Constant, Instruction, Module, Value
 from repro.ir.passes.common import erase_instructions, replace_all_uses
 
 

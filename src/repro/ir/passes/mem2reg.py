@@ -10,11 +10,10 @@ direct pointer of loads and stores — exactly LLVM's criterion.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.ir.module import BasicBlock, Constant, Function, Instruction, Module, Value
 from repro.ir.passes.common import erase_instructions, replace_all_uses
-from repro.ir.types import PtrType
 
 _NO_STORE = object()
 

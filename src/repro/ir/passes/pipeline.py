@@ -27,7 +27,7 @@ from repro.ir.passes.instcombine import instcombine
 from repro.ir.passes.mem2reg import mem2reg
 from repro.ir.passes.peel import peel_loops
 from repro.ir.passes.simplifycfg import simplify_cfg
-from repro.ir.verifier import VerificationError, verify_all
+from repro.ir.verifier import verify_all
 
 #: One pipeline entry: (pass name, in-place module transformation).
 Pass = Tuple[str, Callable[[Module], None]]

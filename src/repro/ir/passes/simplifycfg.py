@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-from typing import List
-
-from repro.ir.module import BasicBlock, Constant, Function, Instruction, Module
+from repro.ir.module import Constant, Function, Instruction, Module
 from repro.ir.passes.common import phi_incoming_replace
 
 

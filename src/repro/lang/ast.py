@@ -10,7 +10,7 @@ like CLCDSA and POJ-104.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 
 # ----------------------------------------------------------------- types

@@ -12,12 +12,11 @@ amortize the sort across the several reductions of one attention round.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from repro.nn.segments import (
-    SegmentIndex,
     SegmentSpec,
     as_segment_index,
     scatter_add_rows,

@@ -16,7 +16,7 @@ rather than once per layer per step.
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 

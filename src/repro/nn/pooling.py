@@ -16,7 +16,7 @@ import numpy as np
 from repro.nn import init
 from repro.nn.functional import segment_mean, segment_sum
 from repro.nn.module import Module, Parameter
-from repro.nn.segments import SegmentIndex, as_segment_index
+from repro.nn.segments import as_segment_index
 from repro.nn.tensor import Tensor
 
 

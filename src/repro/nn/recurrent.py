@@ -11,7 +11,6 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.nn import init
 from repro.nn.functional import concat
 from repro.nn.module import Module, Parameter
 from repro.nn.tensor import Tensor

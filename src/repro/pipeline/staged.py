@@ -24,9 +24,12 @@ processes near-free.
 
 from __future__ import annotations
 
+import gc
 import os
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.binary.codegen import compile_module
 from repro.binary.decompiler import decompile_bytes
@@ -423,8 +426,66 @@ class CompilationPipeline:
         return result.source_graph
 
     def binary_graph(self, raw: bytes, name: str = "binary") -> ProgramGraph:
-        """Binary bytes → decompiled-IR graph (the pipeline's back half)."""
+        """Binary bytes → decompiled-IR graph (the pipeline's back half).
+
+        Runs with the cycle collector paused (:func:`_collector_paused`).
+        The lifted module lives only in :meth:`_lift_and_graph`'s frame, so
+        it is already garbage when the pause ends and collects young.
+        """
+        with _collector_paused():
+            return self._lift_and_graph(raw, name)
+
+    def _lift_and_graph(self, raw: bytes, name: str) -> ProgramGraph:
         with self.timer.span(STAGE_DECOMPILE):
             module = decompile_bytes(raw, name)
         with self.timer.span(STAGE_GRAPH):
             return build_graph(module, name=name, dataflow=self.dataflow_edges)
+
+
+# Pause bookkeeping, shared by every thread: the outermost pause records
+# whether the collector was on and the last one out restores it.
+_pause_lock = threading.RLock()
+_pause_depth = 0
+_pause_resumes = False
+
+
+@contextmanager
+def _collector_paused() -> Iterator[None]:
+    """Pause the cycle collector for the block; collect the young after.
+
+    The lifted IR is a dense web of tracked cycles (parent links, branch
+    targets, phi operands): in a worker-sized heap, collections triggered
+    while a module is being built cost more than building it.
+
+    Re-entrant and thread-safe: a depth count under a lock, so nested or
+    concurrent pauses disable the collector once and the last to leave
+    restores it, whatever the block raised.  A collector the caller had
+    disabled stays disabled and nothing is collected.  On a clean exit the
+    last pause runs ``gc.collect(1)``: the block's garbage is still in the
+    young generations, and collecting them is cheap.  The block must leave
+    nothing it built reachable, or a collection here would promote it to
+    the oldest generation, where only a full collection frees it; after an
+    exception the traceback still holds the block's frames, so nothing is
+    collected then.
+
+    Only the query front end is wrapped.  Compile stages and lazy module
+    rebuilds hand their modules to a :class:`CompilationResult` that
+    outlives the block, so pausing there promotes live modules instead.
+    """
+    global _pause_depth, _pause_resumes
+    with _pause_lock:
+        if _pause_depth == 0:
+            _pause_resumes = gc.isenabled()
+            gc.disable()
+        _pause_depth += 1
+    completed = False
+    try:
+        yield
+        completed = True
+    finally:
+        with _pause_lock:
+            _pause_depth -= 1
+            if _pause_depth == 0 and _pause_resumes:
+                gc.enable()
+                if completed:
+                    gc.collect(1)

@@ -34,12 +34,12 @@ from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.exec.pool import STOP_GRACE_SECONDS, Supervisor, Worker
-from repro.serve.worker import open_server, run_batch, swap_index
+from repro.serve.worker import MEMO_COUNTERS, open_server, run_batch, swap_index
 from repro.utils.timing import Stats
 
-#: The counters a pool keeps: worker deaths, and batches answered with a
-#: deadline error.
-POOL_COUNTERS = ("worker_crashes", "deadline_timeouts")
+#: The counters a pool keeps: worker deaths, batches answered with a
+#: deadline error, and the payload-memo lookups its workers report.
+POOL_COUNTERS = ("worker_crashes", "deadline_timeouts") + MEMO_COUNTERS
 
 #: Consecutive failed starts (death or open error) that retire a slot.
 START_ATTEMPTS = 3
@@ -270,11 +270,17 @@ class WorkerPool:
             self._ack_swap(slot.index, key, reply[1] if reply[0] == "err" else None)
         elif reply[0] == "err":
             self._fail(key, f"batch failed: {reply[1]}", calls)
-        elif key in self._open:
-            # (Not open: the batch was already answered with a deadline
-            # error, and this late result has no one waiting for it.)
-            del self._open[key]
-            calls.append(partial(self._on_batch_done, key, reply[1]))
+        elif kind == "batch":
+            responses, memo = reply[1]
+            # Counted even for a batch nobody waits for: the worker did
+            # those lookups.
+            for name, n in memo.items():
+                self.stats.inc(name, n=n)
+            if key in self._open:
+                # (Not open: the batch was already answered with a deadline
+                # error, and this late result has no one waiting for it.)
+                del self._open[key]
+                calls.append(partial(self._on_batch_done, key, responses))
         self._pump(slot)
 
     def _on_death(self, slot: _Slot, kind, key, calls: List) -> None:

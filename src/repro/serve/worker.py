@@ -8,7 +8,9 @@ The serve pool runs these as jobs on the shared worker runtime
   share one on-disk index, each materializing shards lazily;
 * :func:`run_batch` — the same :meth:`RetrievalServer.handle_batch` the
   stdin service runs; a failing batch becomes error responses, never a
-  dead worker;
+  dead worker.  The batch's payload-memo lookups travel back with its
+  responses, so the parent's stats can say whether a query skipped the
+  front end;
 * :func:`swap_index` — re-open the index manifest at a new path.
 """
 
@@ -21,6 +23,9 @@ from repro import faults
 from repro.core.trainer import MatchTrainer
 from repro.index import open_index
 from repro.serve.core import RetrievalServer
+
+#: The worker-side counters each batch reports back to the parent.
+MEMO_COUNTERS = ("memo_hits", "memo_misses")
 
 # This process's warm state, set by open_server.
 _trainer = None
@@ -49,9 +54,15 @@ def open_server(config, index_path: str) -> None:
 
 
 def run_batch(requests):
-    """Serve one micro-batch; returns one response per request, in order."""
+    """Serve one micro-batch: ``(responses, memo counts)``.
+
+    One response per request, in order, and this batch's ``memo_hits`` and
+    ``memo_misses`` (the worker's error count stays behind: the parent
+    counts error responses itself).
+    """
     if _test_hooks:
         _run_test_hooks(requests)
+    before = _server.stats.snapshot()
     try:
         # Fault-injection chokepoint: REPRO_FAULTS specs targeting the
         # `worker.batch` site fire here, inside the real spawned worker —
@@ -59,12 +70,14 @@ def run_batch(requests):
         # stall against the pool's deadline, IO faults surface as the
         # descriptive batch error below.
         faults.hit("worker.batch")
-        return _server.handle_batch(requests)
+        responses = _server.handle_batch(requests)
     except Exception as exc:
         # handle_batch turns per-request failures into error responses
         # already; anything that still escapes fails the batch without
         # poisoning the worker for later batches.
-        return [{"id": r.get("id"), "error": f"batch failed: {exc}"} for r in requests]
+        responses = [{"id": r.get("id"), "error": f"batch failed: {exc}"} for r in requests]
+    after = _server.stats.snapshot()
+    return responses, {name: after[name] - before[name] for name in MEMO_COUNTERS}
 
 
 def swap_index(index_path: str) -> None:

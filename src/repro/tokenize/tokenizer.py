@@ -96,31 +96,37 @@ class IRTokenizer:
     ) -> "Tuple[np.ndarray, np.ndarray]":
         """Deduplicated encode: ``(unique (U, L) id matrix, (N,) inverse)``.
 
-        IR node strings repeat heavily — a handful of instruction shapes
-        cover most nodes, and batching many graphs multiplies the repeats
-        (a 32-graph batch is typically ~85% duplicates) — so each distinct
-        string is tokenized once; ``matrix[inverse]`` reconstructs the
-        per-text rows.  Consumers that can work on unique rows directly
+        One row per distinct *truncated token-id row*, not per distinct
+        text: SSA names make nearly every raw node string unique, but they
+        all normalize to ``[VAR]``.  A decompiled query averages 1335
+        nodes, 1158 distinct strings and only 70 distinct rows.  Each
+        distinct string is still encoded once (a per-call text → row map);
+        ``matrix[inverse]`` reconstructs the per-text rows.  Consumers
+        that can work on unique rows directly
         (:meth:`GraphBinMatch.node_features`) skip the fan-out entirely.
         """
         length = length or self.truncation_length
-        index_of: Dict[str, int] = {}
-        uniques: List[str] = []
+        row_of_text: Dict[str, int] = {}
+        row_of_ids: Dict[Tuple[int, ...], int] = {}
+        rows: List[Tuple[int, ...]] = []
         # Collect inverse positions in a plain list: per-element numpy
         # assignment is ~10x slower than list.append on this hot path.
         positions: List[int] = []
         append = positions.append
-        get = index_of.get
+        get = row_of_text.get
         for text in texts:
             j = get(text)
             if j is None:
-                j = index_of[text] = len(uniques)
-                uniques.append(text)
+                ids = tuple(self.encode(text)[:length])
+                j = row_of_ids.get(ids)
+                if j is None:
+                    j = row_of_ids[ids] = len(rows)
+                    rows.append(ids)
+                row_of_text[text] = j
             append(j)
         inverse = np.asarray(positions, dtype=np.int64)
-        mat = np.zeros((len(uniques), length), dtype=np.int64)  # 0 == PAD
-        for j, text in enumerate(uniques):
-            ids = self.encode(text)[:length]
+        mat = np.zeros((len(rows), length), dtype=np.int64)  # 0 == PAD
+        for j, ids in enumerate(rows):
             mat[j, : len(ids)] = ids
         return mat, inverse
 

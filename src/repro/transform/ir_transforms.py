@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import List, Tuple
 
-from repro.ir.module import Constant, Instruction, Module, Value
+from repro.ir.module import Constant, Instruction, Module
 from repro.ir.passes.inline import inline_functions
 from repro.transform.base import Transform, register_transform, site_count
 

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.node_features import node_strings
+from repro.core.pipeline import compile_to_views
 from repro.graphs.batch import batch_graphs
 from repro.graphs.programl import (
     CALL,
@@ -25,6 +27,15 @@ GEN = SolutionGenerator(seed=5)
 
 def _graph(src="int f(int x) { return x + 1; } int main() { printf(\"%d\\n\", f(2)); return 0; }"):
     return build_graph(lower_program(parse_minic(src)))
+
+
+def _graph_texts():
+    """Node strings of a few decompiled programs (SSA names everywhere)."""
+    texts = []
+    for task in ("gcd", "sum_array", "binary_search"):
+        sf = GEN.generate(task, 0, "c")
+        texts += node_strings(compile_to_views(sf.text, "c", name=sf.identifier).decompiled_graph)
+    return texts
 
 
 class TestGraphConstruction:
@@ -159,6 +170,35 @@ class TestTokenizer:
         tok = IRTokenizer().train(["a b"])
         out = tok.encode_batch(["a " * 50], length=4)
         assert out.shape[1] == 4
+
+    def test_encode_unique_dedupes_token_rows_not_texts(self):
+        tok = IRTokenizer().train(["%1 = add i32 %x, 1", "ret i32 %1", "a b c d e"])
+        texts = [
+            "%1 = add i32 %x, 1",
+            "%2 = add i32 %y, 1",  # same row once SSA names normalize
+            "ret i32 %1",
+            "%1 = add i32 %x, 1",
+            "ret i32 %7",
+            "a b c d e",
+            "a b c d f",  # differs only past the truncation length
+        ]
+        mat, inverse = tok.encode_unique(texts, length=4)
+        assert mat.shape == (3, 4)
+        assert list(inverse) == [0, 0, 1, 0, 1, 2, 2]
+        assert len({tuple(row) for row in mat}) == mat.shape[0]
+
+    def test_encode_unique_reconstructs_the_dense_matrix(self):
+        texts = _graph_texts()
+        tok = IRTokenizer().train(texts)
+        mat, inverse = tok.encode_unique(texts)
+        dense = np.zeros((len(texts), tok.truncation_length), dtype=np.int64)
+        for i, text in enumerate(texts):
+            ids = tok.encode(text)[: tok.truncation_length]
+            dense[i, : len(ids)] = ids
+        np.testing.assert_array_equal(mat[inverse], dense)
+        np.testing.assert_array_equal(tok.encode_batch(texts), dense)
+        assert mat.shape[0] == len({tuple(row) for row in dense})
+        assert mat.shape[0] < len(set(texts))
 
     def test_state_roundtrip(self):
         tok = IRTokenizer(max_vocab=32).train(["add i32 %1, %2"])

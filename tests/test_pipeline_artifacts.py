@@ -1,18 +1,22 @@
 """Tests for the staged compilation pipeline, serializers, and artifact store."""
 
+import gc
 import pickle
+import threading
 from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 
 from repro.artifacts import ArtifactKey, ArtifactStore, source_text_id
+from repro.binary.decompiler import DecompileError
 from repro.config import DataConfig, tiny_data_config
 from repro.core.pipeline import compile_to_views
 from repro.data.corpus import CorpusBuilder, corpus_statistics
 from repro.graphs import build_graph
 from repro.graphs.serialize import graph_from_arrays, graph_to_arrays
 from repro.index import graph_fingerprint
+from repro.ir.module import Instruction
 from repro.ir.printer import print_module
 from repro.lang.generator import SolutionGenerator
 from repro.pipeline import (
@@ -20,6 +24,7 @@ from repro.pipeline import (
     STAGES,
     CompilationPipeline,
     StageFailure,
+    staged,
 )
 
 
@@ -85,6 +90,82 @@ class TestStagedPipeline:
             compiled.binary_bytes, name=compiled.name + ".dec"
         )
         assert graph_fingerprint(graph) == graph_fingerprint(compiled.decompiled_graph)
+
+
+def _live_instructions() -> int:
+    return sum(1 for obj in gc.get_objects() if type(obj) is Instruction)
+
+
+class TestCollectorPause:
+    """``binary_graph`` pauses the cycle collector around the front end."""
+
+    @pytest.fixture
+    def collector(self):
+        """Restore the collector's state, whatever a test left it in."""
+        was = gc.isenabled()
+        yield
+        (gc.enable if was else gc.disable)()
+
+    @pytest.mark.parametrize("malformed", [True, False])
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_collector_state_restored(self, compiled, collector, enabled, malformed):
+        (gc.enable if enabled else gc.disable)()
+        if malformed:
+            with pytest.raises(DecompileError):
+                CompilationPipeline().binary_graph(compiled.binary_bytes[:-3])
+        else:
+            CompilationPipeline().binary_graph(compiled.binary_bytes)
+        assert gc.isenabled() is enabled
+
+    def test_concurrent_calls_leave_collector_enabled(self, compiled, collector, monkeypatch):
+        # The first thread pauses, the second pauses while the first is
+        # inside, and the first leaves first: the collector must stay
+        # paused until the second leaves, then come back on.
+        gc.enable()
+        pipeline = CompilationPipeline()
+        expected = graph_fingerprint(pipeline.binary_graph(compiled.binary_bytes))
+        first_inside, second_inside, first_left = (threading.Event() for _ in range(3))
+        paused, seen = [], []
+        decompile = staged.decompile_bytes
+
+        def overlapping(raw, name):
+            if not first_inside.is_set():
+                first_inside.set()
+                second_inside.wait(timeout=30)
+            else:
+                second_inside.set()
+                first_left.wait(timeout=30)
+            paused.append(not gc.isenabled())
+            return decompile(raw, name)
+
+        def serve(done=None) -> None:
+            seen.append(graph_fingerprint(pipeline.binary_graph(compiled.binary_bytes)))
+            if done is not None:
+                done.set()
+
+        monkeypatch.setattr(staged, "decompile_bytes", overlapping)
+        first = threading.Thread(target=serve, args=(first_left,))
+        second = threading.Thread(target=serve)
+        first.start()
+        assert first_inside.wait(timeout=30)
+        second.start()
+        for t in (first, second):
+            t.join(timeout=60)
+        assert seen == [expected] * 2
+        assert paused == [True, True]
+        assert gc.isenabled()
+
+    def test_lifted_modules_die_young(self, compiled, collector):
+        # A collection while a module is still reachable promotes it to the
+        # oldest generation, where only a full collection frees it: repeated
+        # queries would then grow the heap by one dead module each.
+        gc.enable()
+        pipeline = CompilationPipeline()
+        pipeline.binary_graph(compiled.binary_bytes)
+        after_one = _live_instructions()
+        for _ in range(49):
+            pipeline.binary_graph(compiled.binary_bytes)
+        assert _live_instructions() <= after_one
 
 
 class TestCorpusPipelineParity:

@@ -269,11 +269,30 @@ class TestConcurrency:
             "crashed_batches", "swaps", "workers", "worker_crashes",
             "deadline_timeouts", "pending", "flushed_on_idle",
             "flushed_on_size", "flushed_on_deadline", "flushed_on_barrier",
+            "memo_hits", "memo_misses",
         }
         # The stats request itself is the one request counted so far.
         assert stats == dict.fromkeys(stats, 0) | {"requests": 1, "workers": 1}
         flushes = [k for k in stats if k.startswith("flushed_on_")]
         assert sum(stats[k] for k in flushes) == stats["batches"]
+
+    def test_stats_count_worker_memo_hits(self, assets, corpus):
+        """A repeated binary skips the worker's front end, and the parent's
+        stats say so."""
+        c, _ = corpus
+        config = ServerConfig(checkpoint=assets["checkpoint"],
+                              index_path=assets["A"], port=0, workers=1)
+        with create_server(config) as srv:
+            with Client(srv.address) as client:
+                answers = []
+                for rid in ("first", "again"):
+                    client.send(_binary_request(c[0], id=rid))
+                    answers.append(client.recv())
+                client.send({"control": "stats", "id": "st"})
+                stats = client.recv()["stats"]
+        assert answers[0]["hits"] == answers[1]["hits"]
+        assert stats["memo_misses"] >= 1 and stats["memo_hits"] >= 1
+        assert stats["errors"] == 0
 
     def test_unknown_control_is_an_error(self, server):
         with Client(server.address) as client:

@@ -5,9 +5,15 @@ import numpy as np
 import pytest
 
 from repro.config import cpu_config, scaled, tiny_data_config
+from repro.core.node_features import encode_nodes
+from repro.core.pipeline import compile_to_views
 from repro.core.trainer import MatchTrainer, weighted_epoch_loss
 from repro.data.corpus import CorpusBuilder
 from repro.data.pairs import build_pairs
+from repro.graphs.batch import batch_graphs
+from repro.lang.generator import LANGUAGES, SolutionGenerator
+from repro.lang.tasks import TASK_REGISTRY
+from repro.nn.tensor import no_grad
 
 
 @pytest.fixture(scope="module")
@@ -234,3 +240,38 @@ class TestReviewRegressions:
         # Optimizer state must correspond to the restored best-epoch
         # weights, not to wherever the last epoch wandered.
         assert tr.optimizer.t == steps_per_epoch * (report.best_epoch + 1)
+
+
+class TestDedupedTokenRows:
+    """The encoder's deduplicated token rows give the dense path's bits."""
+
+    @pytest.fixture(scope="class")
+    def trainer(self, dataset):
+        tr = MatchTrainer(_cfg(epochs=1))
+        tr.train(dataset)
+        return tr
+
+    @pytest.fixture(scope="class")
+    def query_graphs(self):
+        """32 decompiled graphs of distinct generated programs."""
+        gen = SolutionGenerator(seed=0, independent=True)
+        graphs = []
+        for task in sorted(TASK_REGISTRY)[:11]:
+            for lang in LANGUAGES:
+                sf = gen.generate(task, 2, lang)
+                views = compile_to_views(sf.text, lang, name=sf.identifier)
+                graphs.append(views.decompiled_graph)
+        return graphs[:32]
+
+    @pytest.mark.parametrize("size", [1, 32])
+    def test_encode_graphs_matches_dense_bit_for_bit(self, trainer, query_graphs, size):
+        graphs = query_graphs[:size]
+        got = trainer.encode_graphs(graphs)
+        model = trainer.model
+        model.eval()
+        with no_grad():
+            batch = batch_graphs(graphs)
+            dense = encode_nodes(trainer.tokenizer, batch, trainer.config.feature_mode)
+            want = model.encode_graphs(batch, dense).data
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
