@@ -448,8 +448,8 @@ def cmd_retrieve(args) -> int:
     candidates = retrieval_corpus_from_samples(
         [s for s in samples if s.language == "java"], "source"
     )
-    # Passing the trainer itself (not trainer.predict) takes the
-    # encode-once fast path: O(Q+C) encoder forwards instead of O(Q×C).
+    # Passing the trainer itself (not trainer.predict) ranks through an
+    # in-memory embedding index: O(Q+C) encoder forwards instead of O(Q×C).
     res = evaluate_retrieval(trainer, queries, candidates)
     print(f"queries: {res.num_queries}  candidates: {len(candidates)}")
     print(f"MRR={res.mrr:.3f}  Hit@1={res.hit_at[1]:.3f}  "

@@ -19,7 +19,7 @@ import numpy as np
 from repro.artifacts import ArtifactKey, source_text_id
 from repro.core.trainer import MatchTrainer
 from repro.graphs.programl import ProgramGraph
-from repro.index import EmbeddingIndex, ShardedEmbeddingIndex, model_fingerprint
+from repro.index import EmbeddingIndex, ShardedEmbeddingIndex
 from repro.pipeline import CompilationPipeline
 
 
@@ -72,8 +72,9 @@ class MatcherPipeline:
         # graphs that actually carry them.
         dataflow = "dataflow" in tuple(getattr(trainer.config, "relations", ()))
         self.compiler = CompilationPipeline(dataflow_edges=dataflow)
-        # Trainers whose weight fingerprint already matched ours; hashing
-        # every weight tensor is too expensive to repeat per query.
+        # ids of index trainers whose indexes already passed check_model
+        # against ours; hashing every weight tensor is too expensive to
+        # repeat per query.
         self._trusted_trainer_ids: set = set()
 
     def graph_of_source(self, text: str, language: str) -> ProgramGraph:
@@ -144,20 +145,10 @@ class MatcherPipeline:
         """Build (or validate a caller-supplied) candidate index."""
         if index is None:
             return self.source_index(candidates)
-        # Same trainer object is trivially compatible; otherwise compare
-        # weight + tokenizer fingerprints (memoized after the first
-        # match), so an index built by a saved-then-reloaded checkpoint
-        # of this model stays usable.
-        if (
-            index.trainer is not self.trainer
-            and id(index.trainer) not in self._trusted_trainer_ids
-        ):
-            if model_fingerprint(index.trainer) != model_fingerprint(self.trainer):
-                raise ValueError(
-                    "index was built by a different model (weight/tokenizer "
-                    "fingerprint mismatch); rebuild with this pipeline's "
-                    "source_index()"
-                )
+        # An index built by a saved-then-reloaded checkpoint of this
+        # model stays usable: check_model compares fingerprints.
+        if id(index.trainer) not in self._trusted_trainer_ids:
+            index.check_model(self.trainer)
             self._trusted_trainer_ids.add(id(index.trainer))
         if len(index) != len(candidates):
             raise ValueError(

@@ -287,7 +287,7 @@ class MatchTrainer:
                 "layout": self.model.layout_fingerprint(),
                 "config": config_fingerprint(self.config),
             }
-            for key in ("m", "v", "velocity"):
+            for key in ("m", "v"):
                 if key in opt_state:
                     extra_arrays[f"opt.{key}"] = np.asarray(opt_state[key])
         save_state(self.model, path, meta=meta, extra=extra_arrays or None)

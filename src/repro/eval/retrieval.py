@@ -2,9 +2,10 @@
 
 The paper motivates matching through retrieval use cases — find the source
 file for a binary fragment (reverse engineering) or the binary for a
-vulnerable source file (§I).  This module turns any pairwise scorer into a
-ranked-retrieval evaluator with the standard metrics: MRR, top-k accuracy
-(Hit@k) and mean average precision.
+vulnerable source file (§I).  This module turns a trained matcher (ranked
+through an embedding index) or any pairwise scorer into a ranked-retrieval
+evaluator with the standard metrics: MRR, top-k accuracy (Hit@k) and mean
+average precision.
 """
 
 from __future__ import annotations
@@ -12,15 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-try:  # Protocol: py3.8+; keep a fallback for exotic interpreters
-    from typing import Protocol
-except ImportError:  # pragma: no cover
-    Protocol = object  # type: ignore[assignment]
-
 import numpy as np
 
+from repro.core.trainer import MatchTrainer
 from repro.data.pairs import MatchingPair
 from repro.graphs.programl import ProgramGraph
+from repro.index import EmbeddingIndex, graph_fingerprint, validate_k, validate_mode
 
 
 @dataclass
@@ -31,15 +29,6 @@ class RetrievalResult:
     hit_at: Dict[int, float]
     mean_average_precision: float
     num_queries: int
-
-    def row(self) -> Tuple[float, float, float, float]:
-        """(MRR, Hit@1, Hit@5, MAP) — the usual report columns."""
-        return (
-            self.mrr,
-            self.hit_at.get(1, 0.0),
-            self.hit_at.get(5, 0.0),
-            self.mean_average_precision,
-        )
 
 
 @dataclass
@@ -59,35 +48,9 @@ class RankedQuery:
 
 ScoreFn = Callable[[Sequence[MatchingPair]], np.ndarray]
 
-
-class EmbeddingScorer(Protocol):
-    """The encode-once protocol: what the retrieval fast path needs.
-
-    :class:`~repro.core.trainer.MatchTrainer` is the canonical
-    implementation — pass the trainer itself (not its ``predict`` method,
-    which is a plain :data:`ScoreFn` and takes the O(Q×C) fallback).
-    """
-
-    def encode_graphs(
-        self, graphs: Sequence[ProgramGraph], batch_size: int = 32
-    ) -> np.ndarray:  # noqa: D102 — protocol signature
-        ...
-
-    def score_embeddings(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:  # noqa: D102
-        ...
-
-
-Scorer = Union[ScoreFn, EmbeddingScorer]
-
-
-def _exposes_embeddings(scorer) -> bool:
-    """True when ``scorer`` supports the encode-once protocol.
-
-    Any object with ``encode_graphs`` + ``score_embeddings`` qualifies —
-    :class:`~repro.core.trainer.MatchTrainer` is the canonical one.  Plain
-    callables (the historical ``ScoreFn``) take the pairwise fallback.
-    """
-    return hasattr(scorer, "encode_graphs") and hasattr(scorer, "score_embeddings")
+#: A trained matcher (ranked through an embedding index) or any pairwise
+#: score function (oracles, baselines, ``trainer.predict``).
+Scorer = Union[MatchTrainer, ScoreFn]
 
 
 def _ranked(
@@ -129,17 +92,17 @@ def rank_candidates(
     """Score a query graph against every candidate and sort descending.
 
     ``query`` and each candidate are ``(graph, task_name)``; relevance is
-    task equality (the dataset's matching definition, §II).  An
-    embedding-capable scorer (see :func:`_exposes_embeddings`) encodes the
-    query and each candidate once and runs only the pair head per pair.
+    task equality (the dataset's matching definition, §II).  A
+    :class:`~repro.core.trainer.MatchTrainer` scores through an in-memory
+    :class:`~repro.index.ShardedEmbeddingIndex` over the candidates: each
+    distinct graph is encoded once and only the pair head runs per pair.
+    A callable scorer is called on ``MatchingPair`` batches.
     """
     qg, q_task = query
-    if _exposes_embeddings(score_fn):
-        from repro.index.embedding_index import score_pairs_tiled
-
-        q = score_fn.encode_graphs([qg], batch_size)
-        cand = score_fn.encode_graphs([g for g, _ in candidates], batch_size)
-        scores = score_pairs_tiled(score_fn, q, cand)[0]
+    if isinstance(score_fn, MatchTrainer):
+        index = EmbeddingIndex(score_fn)
+        index.add([g for g, _ in candidates], batch_size=batch_size)
+        scores = index.scores(qg)
     else:
         scores = _pairwise_scores(score_fn, query, candidates, batch_size)
     return _ranked(q_task, candidates, scores)
@@ -159,27 +122,29 @@ def evaluate_retrieval(
     """Full retrieval sweep: every query ranked against all candidates.
 
     Queries whose task has no relevant candidate are skipped (their metrics
-    are undefined); if all are skipped the result is all-zero.
+    are undefined); if all are skipped the result is all-zero.  Each of
+    ``ks`` must be a positive integer.
 
-    When the scorer exposes embeddings (``encode_graphs`` +
-    ``score_embeddings`` — pass the :class:`MatchTrainer` itself, not its
-    ``predict`` method) the sweep takes the fast path: the candidate corpus
-    and the query set are each encoded once, then all Q×C scores come from
-    the vectorized pair head over the tiled embedding matrices — O(Q+C)
-    encoder forwards instead of O(Q×C).  Callable scorers keep the original
+    Every ranking from embeddings goes through a
+    :class:`~repro.index.ShardedEmbeddingIndex` whose entry *i* is
+    ``candidates[i]``.  Pass one as ``index`` (in memory or on disk) and
+    candidate embeddings come straight from it: zero candidate encoder
+    passes, and ``score_fn`` may be None.  Pass the
+    :class:`~repro.core.trainer.MatchTrainer` itself (not its ``predict``
+    method) without ``index`` and the sweep builds an in-memory index over
+    the candidates: O(Q+C) encoder forwards instead of O(Q×C), then all
+    Q×C scores from the vectorized pair head.  A callable scorer keeps the
     per-pair path, so oracle/baseline score functions still work.
 
-    ``index`` optionally supplies a prebuilt
-    :class:`~repro.index.ShardedEmbeddingIndex` (in memory or on disk)
-    whose entry *i* is ``candidates[i]``; candidate embeddings then come
-    straight from the index (zero candidate encoder passes) and the query
-    set is scored in one batched pass.  ``score_fn`` may be None in that case.
+    With ``index``, a trainer passed alongside must be the model the index
+    was built by (:meth:`~repro.index.ShardedEmbeddingIndex.check_model`);
+    a callable scorer cannot be checked and is refused.
     ``candidate_keys`` optionally supplies the candidates' precomputed
     :func:`~repro.index.embedding_index.graph_fingerprint` list (entry
     *i* for ``candidates[i]``) so repeated sweeps over one corpus — the
     robustness harness scores the same candidates once per matrix cell —
-    skip re-hashing every candidate graph per call; the index check below
-    still runs against whatever keys are supplied.
+    skip re-hashing every candidate graph per call; the index is still
+    checked against whatever keys are supplied.
 
     ``mode="ann"`` (index-backed sweeps only) ranks through the index's
     coarse quantizer, probing ``nprobe`` cells per query: unprobed
@@ -187,12 +152,18 @@ def evaluate_retrieval(
     (stable order among themselves), which is exactly the pruning the
     recall gates in ``benchmarks/bench_index_scale.py`` measure.
     """
-    if mode not in ("exact", "ann"):
-        raise ValueError(f"mode must be 'exact' or 'ann', got {mode!r}")
+    for k in ks:
+        validate_k(k)
+    validate_mode(mode, nprobe)
     if mode == "ann" and index is None:
         raise ValueError("mode='ann' needs index= (a quantizer-trained sharded index)")
+    if score_fn is None and index is None:
+        raise ValueError("pass a scorer, an index, or both")
     cand_tasks = {c_task for _, c_task in candidates}
     kept = [q for q in queries if q[1] in cand_tasks]
+    if index is None and isinstance(score_fn, MatchTrainer) and kept:
+        index = EmbeddingIndex(score_fn)
+        candidate_keys = index.add([g for g, _ in candidates], batch_size=batch_size)
     if index is not None:
         if len(index) != len(candidates):
             raise ValueError(
@@ -201,8 +172,6 @@ def evaluate_retrieval(
         # Entry i must BE candidates[i]: index keys are content hashes of
         # the indexed graphs, so a reordered / foreign index is caught here
         # instead of silently mis-attributing scores to candidates.
-        from repro.index.embedding_index import graph_fingerprint, model_fingerprint
-
         if candidate_keys is None:
             candidate_keys = [graph_fingerprint(g) for g, _ in candidates]
         if index.keys != list(candidate_keys):
@@ -212,21 +181,16 @@ def evaluate_retrieval(
                 "from this candidate list"
             )
         # Scoring runs entirely through the index's model, so a scorer
-        # passed alongside must verifiably be the same checkpoint — a
-        # trainer is fingerprint-checked, while a plain callable (bound
-        # predict method, oracle fn) cannot be verified and is rejected
-        # rather than silently ignored.
-        if score_fn is not None and score_fn is not index.trainer:
-            if not (hasattr(score_fn, "model") and hasattr(score_fn, "tokenizer")):
+        # passed alongside must verifiably be that model; a plain callable
+        # (bound predict method, oracle fn) cannot be verified and is
+        # rejected rather than silently ignored.
+        if score_fn is not None:
+            if not isinstance(score_fn, MatchTrainer):
                 raise ValueError(
                     "a callable scorer cannot be checked against index=; "
                     "pass the trainer itself or score_fn=None"
                 )
-            if model_fingerprint(score_fn) != model_fingerprint(index.trainer):
-                raise ValueError(
-                    "index was built by a different model than the scorer "
-                    "(weight/tokenizer fingerprint mismatch)"
-                )
+            index.check_model(score_fn)
         if mode == "ann":
             hit_lists = index.topk_batch(
                 [g for g, _ in kept],
@@ -245,18 +209,6 @@ def evaluate_retrieval(
             all_scores = index.scores_batch(
                 [g for g, _ in kept], batch_size=batch_size
             )
-        rankings = [
-            _ranked(q_task, candidates, row)
-            for (_, q_task), row in zip(kept, all_scores)
-        ]
-    elif score_fn is None:
-        raise ValueError("pass a scorer, an index, or both")
-    elif _exposes_embeddings(score_fn) and kept and candidates:
-        from repro.index.embedding_index import score_pairs_tiled
-
-        cand_emb = score_fn.encode_graphs([g for g, _ in candidates], batch_size)
-        query_emb = score_fn.encode_graphs([g for g, _ in kept], batch_size)
-        all_scores = score_pairs_tiled(score_fn, query_emb, cand_emb)
         rankings = [
             _ranked(q_task, candidates, row)
             for (_, q_task), row in zip(kept, all_scores)

@@ -37,7 +37,12 @@ from repro.config import DataConfig
 from repro.data.corpus import CodeSample, CorpusBuilder
 from repro.eval.retrieval import RetrievalResult, evaluate_retrieval
 from repro.graphs.programl import ProgramGraph
-from repro.index import EmbeddingIndex, ShardedEmbeddingIndex, graph_fingerprint
+from repro.index import (
+    EmbeddingIndex,
+    ShardedEmbeddingIndex,
+    graph_fingerprint,
+    validate_mode,
+)
 from repro.index.sharded import MANIFEST_NAME
 from repro.transform import TransformSpec, chain_id
 from repro.utils.tables import Table
@@ -224,8 +229,7 @@ class RobustnessHarness:
     ):  # noqa: D107
         if trainer.model is None:
             raise ValueError("trainer has no trained model")
-        if mode not in ("exact", "ann"):
-            raise ValueError(f"mode must be 'exact' or 'ann', got {mode!r}")
+        validate_mode(mode, nprobe)
         if mode == "ann" and index_root is None:
             raise ValueError(
                 "mode='ann' needs index_root= (the coarse quantizer is "

@@ -13,6 +13,7 @@ from repro.index.embedding_index import (
     ranked_hits,
     score_pairs_tiled,
     validate_k,
+    validate_mode,
 )
 from repro.index.quantizer import CoarseQuantizer
 from repro.index.sharded import (
@@ -37,4 +38,5 @@ __all__ = [
     "ranked_hits",
     "score_pairs_tiled",
     "validate_k",
+    "validate_mode",
 ]

@@ -22,8 +22,11 @@ Retrieval here is encode-once / score-many:
 The index that holds entries and answers queries is the one class
 :class:`~repro.index.sharded.ShardedEmbeddingIndex`, either in memory
 (``EmbeddingIndex(trainer)``, every shard resident, no directory) or as an
-index directory.  This module holds what it shares with the evaluation
-fast paths: fingerprints, the pair-head tiling, ranking and the cache.
+index directory.  It is the only code that turns embeddings into
+rankings: trainer-scored retrieval in :mod:`repro.eval.retrieval` builds
+an in-memory index over its candidates.  This module holds the index's
+helpers: fingerprints, argument checks, the pair-head tiling, ranking and
+the cache.
 
 Exactness: embeddings are produced in eval mode (BatchNorm running
 statistics, no dropout), so index scores match pairwise ``predict`` scores
@@ -69,9 +72,8 @@ def score_pairs_tiled(
 ) -> np.ndarray:
     """All query×candidate pair-head scores ``(Q, C)``, chunked.
 
-    The single tiling implementation shared by the index's exact, streamed
-    and ANN scoring passes and the fast paths in
-    :mod:`repro.eval.retrieval`: queries are repeated
+    The single tiling implementation, shared by the index's exact,
+    streamed and ANN scoring passes: queries are repeated
     and candidates tiled into the interleave-ready layout
     ``scorer.score_embeddings`` expects, processed in query chunks so the
     pair-head activation matrix never exceeds ~``row_budget`` rows no
@@ -149,6 +151,20 @@ def validate_k(k: Optional[int]) -> None:
         return
     if not isinstance(k, numbers.Integral) or isinstance(k, bool) or k < 1:
         raise ValueError(f"k must be a positive integer or None, got {k!r}")
+
+
+def validate_mode(mode: str, nprobe: int) -> None:
+    """Reject an unknown ranking ``mode`` or a non-positive ``nprobe`` loudly.
+
+    ``mode`` is ``"exact"`` or ``"ann"``; ``nprobe`` (cells probed per ANN
+    query) is held to :func:`validate_k`'s rule in either mode, so a
+    server configured with ``nprobe=2.5`` fails when it is built, not on
+    every batch it answers.
+    """
+    if mode not in ("exact", "ann"):
+        raise ValueError(f"mode must be 'exact' or 'ann', got {mode!r}")
+    if not isinstance(nprobe, numbers.Integral) or isinstance(nprobe, bool) or nprobe < 1:
+        raise ValueError(f"nprobe must be a positive integer, got {nprobe!r}")
 
 
 def normalize_query_batch(

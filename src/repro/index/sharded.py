@@ -84,6 +84,7 @@ from repro.index.embedding_index import (
     ranked_hits,
     score_pairs_tiled,
     validate_k,
+    validate_mode,
 )
 from repro.index.quantizer import CoarseQuantizer
 from repro.nn.tensor import no_grad
@@ -313,6 +314,10 @@ class ShardedEmbeddingIndex:
         # duplicate batching and the hit/miss counters.
         self._encoder = QueryCache(trainer)
         self.trainer = trainer
+        # The trainer check_model() passes without hashing: a fresh
+        # manifest's model_sha was computed from this one; open() clears
+        # it and checks the trainer against the manifest read from disk.
+        self._checked_trainer = trainer
         self.root = None if root is None else Path(root)
         self.dim = 2 * trainer.config.hidden_dim
         self._manifest = manifest
@@ -434,6 +439,7 @@ class ShardedEmbeddingIndex:
         manifest = read_manifest(root)
         sweep_orphan_tmps(root, TMP_SWEEP_AGE_SECONDS)
         index = cls(trainer, root, manifest, degraded=degraded, verify_reads=verify_reads)
+        index._checked_trainer = None
         if (
             manifest["dim"] != index.dim
             or manifest["pair_features"] != trainer.config.pair_features
@@ -443,12 +449,30 @@ class ShardedEmbeddingIndex:
                 f"pair_features={manifest['pair_features']!r}, trainer has "
                 f"dim={index.dim}/pair_features={trainer.config.pair_features!r}"
             )
-        if manifest["model_sha"] != model_fingerprint(trainer):
-            raise ValueError(
-                f"{root} was built by a different model (weight/tokenizer "
-                "fingerprint mismatch); rebuild the index with this checkpoint"
-            )
+        index.check_model(trainer)
         return index
+
+    def check_model(self, trainer) -> None:
+        """Raise ``ValueError`` unless this index was built by ``trainer``'s model.
+
+        The one "same model?" check, behind :meth:`open`,
+        ``MatcherPipeline.rank_sources`` and ``evaluate_retrieval(index=)``.
+        The index's own trainer object passes without hashing (after
+        :meth:`open` has checked it); any other trainer's
+        :func:`~repro.index.embedding_index.model_fingerprint` must equal the
+        manifest's ``model_sha``, so a saved-then-reloaded copy of the model
+        passes and a different checkpoint is refused.
+        """
+        if trainer is self._checked_trainer:
+            return
+        if model_fingerprint(trainer) != self._manifest["model_sha"]:
+            raise ValueError(
+                f"{self.root or 'index'} was built by a different model "
+                "(weight/tokenizer fingerprint mismatch); rebuild the index "
+                "with this checkpoint"
+            )
+        if trainer is self.trainer:
+            self._checked_trainer = trainer
 
     @classmethod
     def from_index(
@@ -714,6 +738,10 @@ class ShardedEmbeddingIndex:
         out: List[int] = []
         seen = set()
         for s in shards:
+            # Same rule as k and nprobe: int(1.5) or int(True) would
+            # silently score some other shard.
+            if not isinstance(s, numbers.Integral) or isinstance(s, bool):
+                raise ValueError(f"shard ids must be integers, got {s!r}")
             if not 0 <= s < self.num_shards:
                 raise ValueError(f"no shard {s} (index has {self.num_shards})")
             s = int(s)
@@ -1227,8 +1255,6 @@ class ShardedEmbeddingIndex:
                 "train_quantizer(), build with `repro index build --cells N`, "
                 "or query with mode='exact'"
             )
-        if not isinstance(nprobe, numbers.Integral) or isinstance(nprobe, bool) or nprobe < 1:
-            raise ValueError(f"nprobe must be a positive integer, got {nprobe!r}")
         q, num_q = normalize_query_batch(graphs, embeddings, self.dim)
         if num_q == 0:
             return []
@@ -1347,8 +1373,7 @@ class ShardedEmbeddingIndex:
         See :meth:`topk` for the ``mode`` / ``nprobe`` contract.
         """
         validate_k(k)
-        if mode not in ("exact", "ann"):
-            raise ValueError(f"mode must be 'exact' or 'ann', got {mode!r}")
+        validate_mode(mode, nprobe)
         if mode == "ann":
             if shards is not None:
                 raise ValueError(

@@ -32,7 +32,7 @@ import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from repro.index import validate_k
+from repro.index import validate_k, validate_mode
 from repro.serve.core import parse_request, request_id_of
 from repro.serve.frontend import Connection, SocketFrontend
 from repro.serve.pool import POOL_COUNTERS, WorkerPool
@@ -87,10 +87,7 @@ class ConcurrentServer:
 
     def __init__(self, config: ServerConfig):  # noqa: D107
         validate_k(config.default_k)
-        if config.mode not in ("exact", "ann"):
-            raise ValueError(
-                f"mode must be 'exact' or 'ann', got {config.mode!r}"
-            )
+        validate_mode(config.mode, config.nprobe)
         self.config = config
         self.stats = Stats(SERVER_COUNTERS + SCHEDULER_COUNTERS + POOL_COUNTERS)
         self._batch_ids = iter(range(1, 1 << 62))

@@ -59,7 +59,7 @@ import numpy as np
 from repro.core.pipeline import MatcherPipeline
 from repro.core.trainer import MatchTrainer
 from repro.graphs.programl import ProgramGraph
-from repro.index import embedding_index, validate_k
+from repro.index import embedding_index, validate_k, validate_mode
 from repro.utils.timing import Stats
 
 _QUERY_FIELDS = ("binary_b64", "source")
@@ -180,12 +180,9 @@ class RetrievalServer:
         # Same rule requests are held to: a bad --top-k should fail at
         # startup, not surface as a per-request "client" error.
         validate_k(default_k)
-        if mode not in ("exact", "ann"):
-            raise ValueError(f"mode must be 'exact' or 'ann', got {mode!r}")
+        validate_mode(mode, nprobe)
         self.ann_fallback: Optional[str] = None
         if mode == "ann":
-            if nprobe < 1:
-                raise ValueError(f"nprobe must be >= 1, got {nprobe}")
             # Fail at startup, not per request: ANN needs a sharded index
             # whose manifest carries a trained coarse quantizer.
             if getattr(index, "quantizer", None) is None:

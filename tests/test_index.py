@@ -27,6 +27,7 @@ from repro.index import (
     graph_fingerprint,
     open_index,
     ranked_hits,
+    score_pairs_tiled,
 )
 from repro.index.embedding_index import key_order
 
@@ -534,6 +535,46 @@ class TestRetrievalFastPath:
         trained.model.encoder_graph_count = 0
         evaluate_retrieval(trained, queries, cands)
         assert trained.model.encoder_graph_count == len(queries) + len(cands)
+
+    @pytest.mark.parametrize("which", ["interaction", "concat"])
+    def test_index_path_matches_encode_all_then_tile(
+        self, which, trained, trained_concat, corpus
+    ):
+        """Trainer-scored retrieval equals encode-everything-then-tile, bit for bit.
+
+        The index encodes each distinct candidate once and answers a query
+        equal to a candidate from the stored row, so repeated candidates
+        and candidate-queries pin the batch invariance that path relies on.
+        """
+        trainer = trained if which == "interaction" else trained_concat
+        _, j = corpus
+        cands = retrieval_corpus_from_samples(j, "source")
+        cands = cands + cands[:3]
+        queries = cands[:2] + cands[-2:]
+        want = score_pairs_tiled(
+            trainer,
+            trainer.encode_graphs([g for g, _ in queries], 64),
+            trainer.encode_graphs([g for g, _ in cands], 64),
+        )
+        index = EmbeddingIndex(trainer)
+        index.add([g for g, _ in cands], batch_size=64)
+        np.testing.assert_array_equal(
+            index.scores_batch([g for g, _ in queries], batch_size=64), want
+        )
+        for query, row in zip(queries, want):
+            ranked = rank_candidates(trainer, query, cands)
+            order = np.argsort(-row, kind="stable")
+            assert ranked.ranked_tasks == [cands[i][1] for i in order]
+        # The pairwise path fed the same scores, query by query in
+        # candidate order, is the reference sweep.
+        stream = iter(want.ravel())
+
+        def replay(pairs):
+            return np.asarray([next(stream) for _ in pairs])
+
+        assert evaluate_retrieval(trainer, queries, cands) == evaluate_retrieval(
+            replay, queries, cands
+        )
 
 
 class TestPipelineFastPaths:

@@ -251,7 +251,9 @@ class TestAnnMode:
             mode="ann",
             nprobe=ann_index.quantizer.num_cells,
         )
-        assert ann.row() == exact.row()
+        assert (ann.mrr, ann.hit_at, ann.mean_average_precision) == (
+            exact.mrr, exact.hit_at, exact.mean_average_precision
+        )
         with pytest.raises(ValueError, match="index="):
             evaluate_retrieval(trained, queries, candidates, mode="ann")
 

@@ -85,9 +85,16 @@ class TestEvaluateRetrieval:
         res = evaluate_retrieval(_oracle_score, [(_toy_graph(0), "nope")], CANDS)
         assert res == RetrievalResult(0.0, {k: 0.0 for k in (1, 3, 5, 10)}, 0.0, 0)
 
-    def test_row_shape(self):
-        res = evaluate_retrieval(_oracle_score, QUERIES, CANDS)
-        assert len(res.row()) == 4
+    def test_hit_at_has_only_the_requested_ks(self):
+        """No Hit@k is reported that was not computed (no 0.0 stand-ins)."""
+        res = evaluate_retrieval(_oracle_score, QUERIES, CANDS, ks=(1, 3))
+        assert res.hit_at == {1: 1.0, 3: 1.0}
+        assert (res.mrr, res.mean_average_precision) == (1.0, 1.0)
+
+    @pytest.mark.parametrize("ks", [(0, 1), (-1, 1), (1.5,), (True,)])
+    def test_bad_ks_rejected(self, ks):
+        with pytest.raises(ValueError, match="k must be"):
+            evaluate_retrieval(_oracle_score, QUERIES, CANDS, ks=ks)
 
 
 class TestAveragePrecision:

@@ -18,7 +18,7 @@ from repro.core.trainer import MatchTrainer
 from repro.data.corpus import CorpusBuilder
 from repro.data.pairs import build_pairs
 from repro.index import EmbeddingIndex, ShardedEmbeddingIndex
-from repro.serve import RetrievalServer
+from repro.serve import ConcurrentServer, RetrievalServer, ServerConfig
 
 
 @pytest.fixture(scope="module")
@@ -206,6 +206,18 @@ class TestBatching:
             with pytest.raises(ValueError):
                 RetrievalServer(trained, index, default_k=bad)
         RetrievalServer(trained, index, default_k=None)  # full rankings ok
+
+    @pytest.mark.parametrize(
+        "mode, nprobe", [("ann", 2.5), ("ann", True), ("ann", 0), ("fuzzy", 8)]
+    )
+    def test_bad_mode_or_nprobe_rejected_at_startup(self, trained, index, mode, nprobe):
+        """Both servers refuse these when built, not on every batch."""
+        with pytest.raises(ValueError, match="mode|nprobe"):
+            RetrievalServer(trained, index, mode=mode, nprobe=nprobe)
+        # Validation precedes any worker start, so the paths go unread.
+        config = ServerConfig("no-model.npz", "no-index", mode=mode, nprobe=nprobe)
+        with pytest.raises(ValueError, match="mode|nprobe"):
+            ConcurrentServer(config)
 
 
 class TestErrors:

@@ -311,6 +311,21 @@ class TestShardSelection:
         # A permutation without repeats is still fine.
         assert sharded.scores(query, shards=[1, 0]).shape[0] == 6
 
+    def test_non_integer_shards_rejected(self, trained, corpus, mono, tmp_path):
+        """1.5, 0.9 and True used to score shards 1, 0 and 1 silently."""
+        c, _ = corpus
+        sharded = ShardedEmbeddingIndex.from_index(mono, tmp_path / "idx", 3)
+        query = c[0].decompiled_graph
+        for bad in (1.5, 0.9, True):
+            with pytest.raises(ValueError, match="shard ids must be integers"):
+                sharded.scores(query, shards=[bad])
+            with pytest.raises(ValueError, match="shard ids must be integers"):
+                sharded.topk(query, k=2, shards=[bad])
+        # NumPy integers are integers.
+        np.testing.assert_array_equal(
+            sharded.scores(query, shards=[np.int64(1)]), sharded.scores(query)[3:6]
+        )
+
 
 class _SpyArchive:
     """np.load stand-in that records the embeddings array it hands out."""
