@@ -200,6 +200,12 @@ if ! grep -q "^fsck artifacts at " "$tmp/fsck-artifacts.txt"; then
   exit 1
 fi
 
+echo "== bench: corpus build gates =="
+# Gates: a warm rebuild ≥5x faster than cold, and cold, warm and parallel
+# builds agree on every graph fingerprint and binary byte.  The same
+# command CI runs.
+python -m pytest benchmarks/bench_corpus_build.py -x -q -s
+
 echo "== smoke: experiment run cold -> warm model cache =="
 exp_args=(--binary-langs c --source-langs java --num-tasks 6 --variants 1 --epochs 2)
 python -m repro experiment run "${exp_args[@]}" --store "$tmp/models"

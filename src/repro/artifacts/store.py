@@ -47,7 +47,7 @@ from typing import Dict, Optional, Union
 import numpy as np
 
 from repro.graphs.serialize import graph_from_arrays, graph_to_arrays
-from repro.pipeline.staged import PIPELINE_VERSION, CompilationResult, LazyModule
+from repro.pipeline.staged import PIPELINE_VERSION, CompilationResult, lazy_views
 from repro.transform import chain_id, parse_transform_chain
 from repro.utils.fsio import (
     READ_ERRORS,
@@ -238,6 +238,9 @@ class ArtifactStore(EntryStore):
                 verify_payload(archive, meta)
             name, language = meta["name"], meta["language"]
             binary = np.asarray(archive["binary"], dtype=np.uint8).tobytes()
+            source_module, decompiled_module = lazy_views(
+                name, language, meta["source_text"], binary
+            )
             return CompilationResult(
                 name=name,
                 language=language,
@@ -246,9 +249,8 @@ class ArtifactStore(EntryStore):
                 source_text=meta["source_text"],
                 stages_completed=list(meta["stages_completed"]),
                 transforms=list(meta.get("transforms", [])),
-                # The names and languages the pipeline's stages give them.
-                source_module=LazyModule(name, language, meta["source_text"]),
-                decompiled_module=LazyModule(name + ".dec", "decompiled", binary),
+                source_module=source_module,
+                decompiled_module=decompiled_module,
                 binary_bytes=binary,
                 source_graph=graph_from_arrays(archive, prefix="sg."),
                 decompiled_graph=graph_from_arrays(archive, prefix="dg."),

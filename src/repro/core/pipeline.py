@@ -11,6 +11,7 @@ the source side; disassemble → decompile → graph on the binary side).
 from __future__ import annotations
 
 import hashlib
+import weakref
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -72,10 +73,11 @@ class MatcherPipeline:
         # graphs that actually carry them.
         dataflow = "dataflow" in tuple(getattr(trainer.config, "relations", ()))
         self.compiler = CompilationPipeline(dataflow_edges=dataflow)
-        # ids of index trainers whose indexes already passed check_model
-        # against ours; hashing every weight tensor is too expensive to
-        # repeat per query.
-        self._trusted_trainer_ids: set = set()
+        # Index trainers whose indexes already passed check_model against
+        # ours; hashing every weight tensor is too expensive to repeat per
+        # query.  Weak references, not ids: a collected trainer's id can be
+        # reused by another model's trainer, which must then be checked.
+        self._trusted_trainers: "weakref.WeakSet[MatchTrainer]" = weakref.WeakSet()
 
     def graph_of_source(self, text: str, language: str) -> ProgramGraph:
         """Source text → source-IR program graph (source-only fast path)."""
@@ -147,9 +149,9 @@ class MatcherPipeline:
             return self.source_index(candidates)
         # An index built by a saved-then-reloaded checkpoint of this
         # model stays usable: check_model compares fingerprints.
-        if id(index.trainer) not in self._trusted_trainer_ids:
+        if index.trainer not in self._trusted_trainers:
             index.check_model(self.trainer)
-            self._trusted_trainer_ids.add(id(index.trainer))
+            self._trusted_trainers.add(index.trainer)
         if len(index) != len(candidates):
             raise ValueError(
                 f"index has {len(index)} entries for {len(candidates)} candidates"

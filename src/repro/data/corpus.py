@@ -47,12 +47,20 @@ from repro.pipeline import (
     CompilationPipeline,
     CompilationResult,
     StageFailure,
+    collector_paused,
+    lazy_views,
 )
 
 
 @dataclass
 class CodeSample:
-    """One corpus entry: a solution with both source-IR and binary views."""
+    """One corpus entry: a solution with both source-IR and binary views.
+
+    The two modules are :func:`~repro.pipeline.staged.lazy_views` shells
+    over ``source_text`` and ``binary_bytes``, cold build or warm load
+    alike: a corpus holds graphs and bytes, and only a caller that reads a
+    module's functions pays for rebuilding it.
+    """
 
     task: str
     variant: int
@@ -222,7 +230,6 @@ class CorpusBuilder:
         self, task: str, variant: int, lang: str, opt_level: str, compiler: str
     ) -> Optional[CodeSample]:
         """One sample through the shared pipeline (store-first); None on failure."""
-        identifier = f"{task}/v{variant}.{lang}"
         key = (
             self.artifact_key(task, variant, lang, opt_level, compiler)
             if self.store is not None
@@ -235,17 +242,34 @@ class CorpusBuilder:
                 self._count_stages(lang, cached.stages_completed)
                 return self._sample_from_result(task, variant, lang, cached)
             # Miss (absent or unreadable entry): recompile, overwriting it.
+        # Everything the compile builds but the sample (ASTs, all three IR
+        # modules, the decompiler's intermediates) is cyclic garbage by the
+        # time the pause ends, so it dies young instead of being promoted
+        # by collections that run while it is still reachable.
+        with collector_paused():
+            return self._compile_one(task, variant, lang, opt_level, compiler, key)
+
+    def _compile_one(
+        self,
+        task: str,
+        variant: int,
+        lang: str,
+        opt_level: str,
+        compiler: str,
+        key: Optional[ArtifactKey],
+    ) -> Optional[CodeSample]:
+        """Generate and compile one sample; the result dies with this frame."""
         sf = self.generator.generate(task, variant, lang)
         try:
             result = self.pipeline.compile(
                 sf.text,
                 lang,
-                name=identifier,
+                name=sf.identifier,
                 opt_level=opt_level,
                 compiler=compiler,
                 program=sf.program,
                 cache_key=key,
-                # This probe already happened above; don't count it twice.
+                # The caller already probed the store; don't count it twice.
                 cache_lookup=False,
             )
         except StageFailure as failure:
@@ -266,15 +290,18 @@ class CorpusBuilder:
     def _sample_from_result(
         self, task: str, variant: int, lang: str, result: CompilationResult
     ) -> CodeSample:
+        source_module, decompiled_module = lazy_views(
+            result.name, lang, result.source_text, result.binary_bytes
+        )
         return CodeSample(
             task=task,
             variant=variant,
             language=lang,
             source_text=result.source_text,
-            source_module=result.source_module,
+            source_module=source_module,
             source_graph=result.source_graph,
             binary_bytes=result.binary_bytes,
-            decompiled_module=result.decompiled_module,
+            decompiled_module=decompiled_module,
             decompiled_graph=result.decompiled_graph,
             opt_level=result.opt_level,
             compiler=result.compiler,

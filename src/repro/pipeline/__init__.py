@@ -15,6 +15,8 @@ from repro.pipeline.staged import (
     CompilationPipeline,
     CompilationResult,
     StageFailure,
+    collector_paused,
+    lazy_views,
     normalize_transforms,
 )
 
@@ -32,5 +34,7 @@ __all__ = [
     "STAGE_DECOMPILE",
     "STAGE_GRAPH",
     "FRONTENDS",
+    "collector_paused",
+    "lazy_views",
     "normalize_transforms",
 ]

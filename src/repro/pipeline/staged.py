@@ -29,7 +29,7 @@ import os
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple, TypeVar, Union
 
 from repro.binary.codegen import compile_module
 from repro.binary.decompiler import decompile_bytes
@@ -43,6 +43,8 @@ from repro.lang.minicpp import parse_minicpp
 from repro.lang.minijava import parse_minijava
 from repro.transform import TransformSpec, chain_id, parse_transform_chain, split_by_level
 from repro.utils.timing import Stats
+
+T = TypeVar("T")
 
 #: Bump when any stage's observable output changes; part of every artifact
 #: key, so stale cache entries from an older pipeline never hit.
@@ -114,9 +116,14 @@ class LazyModule(Module):
 
     @property
     def functions(self) -> List[Function]:  # type: ignore[override]
-        """Function list, rebuilt from ``origin`` on first access."""
-        if self._origin is not None:
-            origin, self._origin = self._origin, None
+        """Function list, rebuilt from ``origin`` on first access.
+
+        ``origin`` is dropped only after a rebuild succeeds: a rebuild that
+        raises raises again on every read, and a reader racing a rebuild
+        rebuilds too, rather than either seeing an empty module.
+        """
+        origin = self._origin
+        if origin is not None:
             if isinstance(origin, bytes):
                 module = decompile_bytes(origin, self.name)
             else:
@@ -124,11 +131,26 @@ class LazyModule(Module):
                     parse_source(origin, self.source_language), name=self.name
                 )
             self._functions = module.functions
+            self._origin = None
         return self._functions
 
     @functions.setter
     def functions(self, value: List[Function]) -> None:
         self._functions = value
+
+
+def lazy_views(
+    name: str, language: str, source_text: str, binary_bytes: bytes
+) -> Tuple[LazyModule, LazyModule]:
+    """The source and decompiled modules of one compile, as lazy shells.
+
+    Named and tagged as the ``lower`` and ``decompile`` stages name and tag
+    them, so a rebuild prints exactly like the eager module it replaces.
+    """
+    return (
+        LazyModule(name, language, source_text),
+        LazyModule(name + ".dec", "decompiled", binary_bytes),
+    )
 
 
 @dataclass
@@ -137,7 +159,9 @@ class CompilationResult:
 
     Field presence tracks :attr:`stages_completed`: a result rescued from a
     :class:`StageFailure` only populates the fields its completed stages
-    own.  ``from_cache`` marks artifact-store hits.
+    own.  ``from_cache`` marks artifact-store hits.  The optimized
+    binary-side module is not kept: it lives only between the ``lower``
+    and ``codegen`` stages, and what it produced is ``binary_bytes``.
     """
 
     name: str
@@ -152,7 +176,6 @@ class CompilationResult:
     program: Optional[object] = None  # lang.ast.Program; not persisted
     source_module: Optional[Module] = None
     source_graph: Optional[ProgramGraph] = None
-    binary_module: Optional[Module] = None
     binary_bytes: Optional[bytes] = None
     decompiled_module: Optional[Module] = None
     decompiled_graph: Optional[ProgramGraph] = None
@@ -255,47 +278,52 @@ class CompilationPipeline:
             raise ValueError(f"unsupported language {language!r}")
 
     # ------------------------------------------------------------- stages
-    def _run_stage(self, stage: str, result: CompilationResult, fn: Callable[[], None]) -> None:
+    def _run_stage(self, stage: str, result: CompilationResult, fn: Callable[[], T]) -> T:
         if self.fail_stage == stage:
             raise StageFailure(stage, result)
         try:
             with self.timer.span(stage):
-                fn()
+                value = fn()
         except StageFailure:
             raise
         except Exception as exc:  # noqa: BLE001 - rewrapped with stage context
             raise StageFailure(stage, result, exc) from exc
         result.stages_completed.append(stage)
+        return value
 
     def _parse(self, result: CompilationResult) -> None:
         if result.program is None:
             result.program = parse_source(result.source_text, result.language)
 
-    def _lower(self, result: CompilationResult) -> None:
-        # Two independent lowerings: ``optimize`` mutates in place, and the
-        # source view must stay -O0 (the paper graphs unoptimized front-end
-        # IR on the source side).
+    def _lower(self, result: CompilationResult) -> Module:
+        """Lower twice; keep the source view, return the binary-side module.
+
+        Two independent lowerings: ``optimize`` mutates in place, and the
+        source view must stay -O0 (the paper graphs unoptimized front-end
+        IR on the source side).  The binary-side module is passed on as a
+        local, so nothing holds it once ``codegen`` has encoded it.
+        """
         result.source_module = lower_program(result.program, name=result.name)
-        result.binary_module = lower_program(result.program, name=result.name + ".bin")
+        return lower_program(result.program, name=result.name + ".bin")
 
-    def _optimize(self, result: CompilationResult) -> None:
-        optimize(result.binary_module, result.opt_level, verify=self.verify_passes)
+    def _optimize(self, module: Module, result: CompilationResult) -> None:
+        optimize(module, result.opt_level, verify=self.verify_passes)
 
-    def _transform(self, result: CompilationResult, specs: Sequence[TransformSpec]) -> None:
+    def _transform(
+        self, module: Module, result: CompilationResult, specs: Sequence[TransformSpec]
+    ) -> None:
         # IR-level transforms only touch the *binary-side* module: the
         # source view stays clean, so robustness sweeps measure how far a
         # perturbed binary drifts from the unperturbed source corpus.
         for spec in specs:
-            spec.transform.apply_ir(
-                result.binary_module, spec.rng(result.name), spec.intensity
-            )
+            spec.transform.apply_ir(module, spec.rng(result.name), spec.intensity)
             if self.verify_passes:
-                verify_all(
-                    result.binary_module, context=f"after transform {spec.spec!r}"
-                )
+                verify_all(module, context=f"after transform {spec.spec!r}")
 
-    def _codegen(self, result: CompilationResult, specs: Sequence[TransformSpec] = ()) -> None:
-        program = compile_module(result.binary_module, style=result.compiler)
+    def _codegen(
+        self, module: Module, result: CompilationResult, specs: Sequence[TransformSpec] = ()
+    ) -> None:
+        program = compile_module(module, style=result.compiler)
         # Binary-level transforms rewrite the linked program before it is
         # encoded — post-link, exactly where an obfuscator would sit.
         for spec in specs:
@@ -384,13 +412,15 @@ class CompilationPipeline:
             transforms=[s.spec for s in ir_specs + binary_specs],
         )
         self._run_stage(STAGE_PARSE, result, lambda: self._parse(result))
-        self._run_stage(STAGE_LOWER, result, lambda: self._lower(result))
-        self._run_stage(STAGE_OPTIMIZE, result, lambda: self._optimize(result))
+        module = self._run_stage(STAGE_LOWER, result, lambda: self._lower(result))
+        self._run_stage(STAGE_OPTIMIZE, result, lambda: self._optimize(module, result))
         if chain:
             self._run_stage(
-                STAGE_TRANSFORM, result, lambda: self._transform(result, ir_specs)
+                STAGE_TRANSFORM, result, lambda: self._transform(module, result, ir_specs)
             )
-        self._run_stage(STAGE_CODEGEN, result, lambda: self._codegen(result, binary_specs))
+        self._run_stage(
+            STAGE_CODEGEN, result, lambda: self._codegen(module, result, binary_specs)
+        )
         self._run_stage(STAGE_DECOMPILE, result, lambda: self._decompile(result))
         self._run_stage(STAGE_GRAPH, result, lambda: self._graph(result))
         if cache_key is not None and self.store is not None and result.complete:
@@ -428,11 +458,11 @@ class CompilationPipeline:
     def binary_graph(self, raw: bytes, name: str = "binary") -> ProgramGraph:
         """Binary bytes → decompiled-IR graph (the pipeline's back half).
 
-        Runs with the cycle collector paused (:func:`_collector_paused`).
+        Runs with the cycle collector paused (:func:`collector_paused`).
         The lifted module lives only in :meth:`_lift_and_graph`'s frame, so
         it is already garbage when the pause ends and collects young.
         """
-        with _collector_paused():
+        with collector_paused():
             return self._lift_and_graph(raw, name)
 
     def _lift_and_graph(self, raw: bytes, name: str) -> ProgramGraph:
@@ -450,27 +480,35 @@ _pause_resumes = False
 
 
 @contextmanager
-def _collector_paused() -> Iterator[None]:
-    """Pause the cycle collector for the block; collect the young after.
+def collector_paused() -> Iterator[None]:
+    """Pause the cycle collector for the block; collect the youngest after.
 
-    The lifted IR is a dense web of tracked cycles (parent links, branch
-    targets, phi operands): in a worker-sized heap, collections triggered
-    while a module is being built cost more than building it.
+    IR is a dense web of tracked cycles (parent links, branch targets,
+    phi operands): in a worker-sized heap, collections triggered while a
+    module is being built cost more than building it.
 
     Re-entrant and thread-safe: a depth count under a lock, so nested or
     concurrent pauses disable the collector once and the last to leave
     restores it, whatever the block raised.  A collector the caller had
     disabled stays disabled and nothing is collected.  On a clean exit the
-    last pause runs ``gc.collect(1)``: the block's garbage is still in the
-    young generations, and collecting them is cheap.  The block must leave
-    nothing it built reachable, or a collection here would promote it to
-    the oldest generation, where only a full collection frees it; after an
+    last pause runs ``gc.collect(0)``: everything the block allocated is
+    still in the youngest generation, so a young-only collection frees all
+    of its cyclic garbage.  It also advances only the middle generation's
+    count; ``collect(1)`` would advance the oldest's and bring the next
+    full collection onto whatever runs after the block.  Whatever the
+    block leaves reachable is promoted by this collection, so it should
+    hand out only what its caller keeps (graphs, bytes): a module dropped
+    after the block would be freed only by a full collection.  After an
     exception the traceback still holds the block's frames, so nothing is
     collected then.
 
-    Only the query front end is wrapped.  Compile stages and lazy module
-    rebuilds hand their modules to a :class:`CompilationResult` that
-    outlives the block, so pausing there promotes live modules instead.
+    Two callers wrap whole units of work whose IR dies inside the block:
+    :meth:`CompilationPipeline.binary_graph` (the query front end; only
+    the graph leaves) and the corpus builder's cold compile (graphs and
+    bytes leave; the sample's modules are :class:`LazyModule` shells).
+    Never wrap a call whose modules outlive it, such as a bare
+    :meth:`CompilationPipeline.compile` kept by its caller, or a lazy
+    module rebuild.
     """
     global _pause_depth, _pause_resumes
     with _pause_lock:
@@ -488,4 +526,4 @@ def _collector_paused() -> Iterator[None]:
             if _pause_depth == 0 and _pause_resumes:
                 gc.enable()
                 if completed:
-                    gc.collect(1)
+                    gc.collect(0)

@@ -630,6 +630,40 @@ class TestPipelineFastPaths:
         with pytest.raises(ValueError, match="different model"):
             pipe.rank_sources(c[0].binary_bytes, candidates, index=foreign)
 
+    def test_dropped_trusted_trainer_vouches_for_nothing(self, trained, corpus):
+        """Trust in an index's trainer dies with that trainer.
+
+        Trust used to be keyed by ``id()``: once a checked trainer was
+        collected, another model's trainer allocated at the same address
+        skipped the model check.  A fresh shell allocated right after the
+        trusted one is freed usually lands on that address, which is the
+        case this pins; a trainer never checked must be refused either way.
+        """
+        c, j = corpus
+        candidates = [(s.source_text, s.language) for s in j[:3]]
+        foreign = MatcherPipeline(_train(corpus, seed=7)).source_index(candidates)
+        pipe = MatcherPipeline(trained)
+        own = pipe.source_index(candidates)
+
+        def shell(trainer):
+            copy = MatchTrainer.__new__(MatchTrainer)
+            copy.__dict__.update(trainer.__dict__)
+            return copy
+
+        reused = False
+        for _ in range(20):
+            own.trainer = shell(trained)
+            pipe.rank_sources(c[0].binary_bytes, candidates, index=own)
+            address = id(own.trainer)
+            own.trainer = trained
+            foreign.trainer = shell(foreign.trainer)
+            reused = id(foreign.trainer) == address
+            with pytest.raises(ValueError, match="different model"):
+                pipe.rank_sources(c[0].binary_bytes, candidates, index=foreign)
+            if reused:
+                break
+        assert reused, "no trainer landed on a dropped trainer's address"
+
     def test_reloaded_trainer_index_reusable(self, trained, corpus, tmp_path):
         """Fingerprint-equal trainers share indexes across save/load.
 

@@ -96,15 +96,16 @@ def _live_instructions() -> int:
     return sum(1 for obj in gc.get_objects() if type(obj) is Instruction)
 
 
+@pytest.fixture
+def collector():
+    """Restore the collector's state, whatever a test left it in."""
+    was = gc.isenabled()
+    yield
+    (gc.enable if was else gc.disable)()
+
+
 class TestCollectorPause:
     """``binary_graph`` pauses the cycle collector around the front end."""
-
-    @pytest.fixture
-    def collector(self):
-        """Restore the collector's state, whatever a test left it in."""
-        was = gc.isenabled()
-        yield
-        (gc.enable if was else gc.disable)()
 
     @pytest.mark.parametrize("malformed", [True, False])
     @pytest.mark.parametrize("enabled", [True, False])
@@ -166,6 +167,53 @@ class TestCollectorPause:
         for _ in range(49):
             pipeline.binary_graph(compiled.binary_bytes)
         assert _live_instructions() <= after_one
+
+
+def _cold_build(num_tasks: int, languages=("c", "java"), **pipeline_options):
+    cfg = DataConfig(num_tasks=num_tasks, variants=1, seed=0, compile_failure_pct=0)
+    builder = CorpusBuilder(cfg, pipeline=CompilationPipeline(**pipeline_options))
+    return builder.build(list(languages))
+
+
+class TestColdCorpusPause:
+    """A cold corpus build compiles each program in a collector pause."""
+
+    def test_cold_build_leaves_no_modules_behind(self, collector):
+        # The samples hold graphs, bytes and lazy module shells, and every
+        # IR module a compile built is freed when its pause ends: however
+        # many programs a build compiles, no instruction outlives it, live
+        # or awaiting a collection.
+        gc.enable()
+        gc.collect()
+        before = _live_instructions()
+        few = _cold_build(2)
+        assert _live_instructions() <= before
+        many = _cold_build(8)
+        assert len(many) == 4 * len(few)
+        assert _live_instructions() <= before
+
+    def test_lazy_modules_print_like_an_eager_compile(self):
+        generator = SolutionGenerator(seed=0, independent=True)
+        pipeline = CompilationPipeline()
+        for sample in _cold_build(3, languages=("c", "cpp", "java")):
+            assert isinstance(sample.source_module, staged.LazyModule)
+            assert isinstance(sample.decompiled_module, staged.LazyModule)
+            sf = generator.generate(sample.task, sample.variant, sample.language)
+            eager = pipeline.compile(
+                sf.text, sample.language, name=sample.identifier,
+                opt_level=sample.opt_level, compiler=sample.compiler,
+            )
+            assert print_module(sample.source_module) == print_module(eager.source_module)
+            assert print_module(sample.decompiled_module) == print_module(
+                eager.decompiled_module
+            )
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("stage", ["optimize", "graph"])
+    def test_collector_state_restored_on_stage_failure(self, collector, enabled, stage):
+        (gc.enable if enabled else gc.disable)()
+        assert _cold_build(2, fail_stage=stage) == []
+        assert gc.isenabled() is enabled
 
 
 class TestCorpusPipelineParity:
@@ -295,6 +343,15 @@ class TestWarmModules:
             assert printed(item) == printed(cold_item)
             after = pickle.loads(pickle.dumps(item))
             assert printed(before) == printed(after) == printed(cold_item)
+
+
+    def test_failed_rebuild_raises_on_every_read(self, compiled):
+        # A rebuild that fails must not leave a module that later reads
+        # as having no functions.
+        _, lazy = staged.lazy_views("bad", "c", "", compiled.binary_bytes[:-3])
+        for _ in range(2):
+            with pytest.raises(DecompileError):
+                lazy.size()
 
 
 class TestGraphSerialization:
