@@ -35,8 +35,6 @@ import threading
 import time
 from pathlib import Path
 
-import numpy as np
-
 from repro.core.trainer import MatchTrainer
 from repro.data.corpus import CorpusBuilder
 from repro.index import EmbeddingIndex, ShardedEmbeddingIndex, open_index

@@ -5,8 +5,6 @@ plateau with a slight peak below 0.5 (the paper saw ~0.2 best-F1 but chose
 0.5 for accuracy).  This bench prints the full series.
 """
 
-import numpy as np
-
 from repro.eval.experiments import run_graphbinmatch
 from repro.eval.threshold import sweep_thresholds
 from repro.utils.tables import Table

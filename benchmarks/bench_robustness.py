@@ -39,7 +39,6 @@ from repro.utils.tables import Table
 
 from benchmarks.common import (
     BENCH_SEED,
-    bench_data_cfg,
     crosslang_dataset,
     run_once,
     trained_gbm,

@@ -13,8 +13,6 @@ the paper's real corpus (EXPERIMENTS.md, Table III notes) — a documented
 substrate artifact, not a model property.
 """
 
-import numpy as np
-
 from repro.baselines.xlir import XLIRConfig
 from repro.eval.experiments import run_feature_baseline, run_graphbinmatch, run_xlir
 from repro.utils.tables import Table

@@ -5,8 +5,6 @@ than for true positives — size mismatch is the dominant failure mode.
 Shape: FP/FN pairs show a larger node-count gap than TP pairs.
 """
 
-import numpy as np
-
 from repro.eval.analysis import node_count_statistics
 from repro.eval.experiments import run_graphbinmatch
 from repro.utils.tables import Table

@@ -146,7 +146,7 @@ def test_run_grid_parallel_identical_to_serial(tmp_path):
     cores = os.cpu_count() or 1
     # Two workers cannot beat one on one core — CPU-bound training jobs
     # just timeshare it.  Gate the speedup where the silicon exists, and
-    # gate the *overhead* (dispatch, dataset sharing, store commits) where
+    # gate the *overhead* (dispatch, dataset pickling, store commits) where
     # it does not; the recorded fields say which gate this run took.
     if cores >= 2:
         target = 1.5 if SMOKE else 2.0

@@ -13,8 +13,6 @@ Set ``REPRO_SMOKE=1`` for the CI-sized run (smaller corpus, fewer epochs).
 
 import os
 
-import numpy as np
-
 from repro.config import DataConfig, cpu_config, scaled
 from repro.core.trainer import MatchTrainer
 from repro.data.corpus import CorpusBuilder

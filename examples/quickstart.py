@@ -11,8 +11,6 @@ Set ``REPRO_SMOKE=1`` for the CI-sized run (fewer epochs, same path).
 
 import os
 
-import numpy as np
-
 from repro.config import cpu_config, scaled, tiny_data_config
 from repro.eval.experiments import build_crosslang_dataset, run_graphbinmatch
 from repro.utils.timing import timed

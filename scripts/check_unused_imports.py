@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Fail on imported names a module under ``src/repro`` never uses.
+"""Fail on imported names a module never uses.
 
 Parses each module with ``ast`` (no code is executed) and compares the
 names its imports bind — at module level and inside functions — with the
@@ -10,8 +10,9 @@ a string annotation (``def f(x: "Tensor")``, ``List["Module"]``).
 says ``# noqa: F401`` (one kept for its side effect, such as registering
 transforms).
 
-Usage: python scripts/check_unused_imports.py [package_root]
-(default: src/repro, resolved relative to the repo root).
+Usage: python scripts/check_unused_imports.py [root ...]
+(default: src/repro, resolved relative to the repo root).  Every ``*.py``
+under each root is checked.
 """
 
 from __future__ import annotations
@@ -88,17 +89,17 @@ def unused_imports(path: Path) -> list[tuple[int, str]]:
 
 
 def main(argv: list[str]) -> int:
-    src_root = Path(argv[1]) if len(argv) > 1 else REPO_ROOT / "src" / PACKAGE
-    src_root = src_root.resolve()
-    if not src_root.is_dir():
-        print(f"check_unused_imports: no such package root: {src_root}", file=sys.stderr)
-        return 2
-    paths = sorted(src_root.rglob("*.py"))
+    roots = [Path(a).resolve() for a in argv[1:]] or [REPO_ROOT / "src" / PACKAGE]
+    for root in roots:
+        if not root.is_dir():
+            print(f"check_unused_imports: no such root: {root}", file=sys.stderr)
+            return 2
+    paths = sorted(p for root in roots for p in root.rglob("*.py"))
     found = [(p, line, name) for p in paths for line, name in unused_imports(p)]
     if found:
         print(f"check_unused_imports: {len(found)} unused import(s):", file=sys.stderr)
         for path, line, name in found:
-            print(f"  {path.relative_to(src_root.parent)}:{line}: {name}", file=sys.stderr)
+            print(f"  {path.relative_to(REPO_ROOT)}:{line}: {name}", file=sys.stderr)
         return 1
     print(f"check_unused_imports: OK ({len(paths)} modules, no unused imports)")
     return 0

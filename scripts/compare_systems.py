@@ -8,8 +8,6 @@ import time
 
 import numpy as np
 
-from repro.baselines import B2SFinder, BinPro, XLIRModel
-from repro.baselines.xlir import XLIRConfig
 from repro.config import DataConfig, cpu_config, scaled
 from repro.core.trainer import MatchTrainer
 from repro.eval.experiments import (

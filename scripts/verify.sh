@@ -24,12 +24,13 @@ echo "== static lint: compileall + import-cycle + unused-import + exception-hygi
 # Catches syntax errors in files no test imports, top-level import
 # cycles between repro.* modules (function-local imports are exempt —
 # that is the sanctioned escape hatch), imported names a module never
-# uses (re-exports belong in __all__), and exception handlers that
+# uses (re-exports belong in __all__; the package and every tree that
+# imports it), and exception handlers that
 # would swallow an injected fault silently (bare except, broad catches
 # without a re-raise or a justifying boundary comment).
 python -m compileall -q src/repro
 python scripts/check_import_cycles.py
-python scripts/check_unused_imports.py
+python scripts/check_unused_imports.py src/repro tests benchmarks scripts examples
 python scripts/check_exception_hygiene.py
 
 echo "== tier-1: pytest (suite timeout ${TIER1_TIMEOUT}s, per-test ${TEST_TIMEOUT}s) =="

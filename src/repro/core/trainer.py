@@ -296,9 +296,9 @@ class MatchTrainer:
         """The checkpoint :meth:`save` would write, as in-memory bytes.
 
         Grid pool workers use this to hand a finished model back to the
-        parent over a pipe — the parent commits it through the store's
-        batched writer, so worker processes never touch the store and a
-        killed worker cannot leave it half-written.
+        parent over a pipe — the parent commits it to the store, so worker
+        processes never touch the store and a killed worker cannot leave
+        it half-written.
         """
         import io
 

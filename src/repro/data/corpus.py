@@ -246,7 +246,7 @@ class CorpusBuilder:
         # modules, the decompiler's intermediates) is cyclic garbage by the
         # time the pause ends, so it dies young instead of being promoted
         # by collections that run while it is still reachable.
-        with collector_paused():
+        with collector_paused(self.timer):
             return self._compile_one(task, variant, lang, opt_level, compiler, key)
 
     def _compile_one(

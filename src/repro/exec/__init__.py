@@ -13,11 +13,12 @@ runs*:
   else (reloaded trainers are fingerprint-equal, so metric rows are
   identical);
 * :func:`run_grid` — fan the independent trainings of a table across
-  persistent :class:`WarmPool` workers (shared datasets, batched store
-  commits) with results identical to the serial path.
+  persistent :class:`WarmPool` workers (datasets ride each job's
+  payload, the parent commits every checkpoint) with results identical
+  to the serial path.
 """
 
-from repro.exec.pool import JobFailed, SharedRef, WarmPool, get_pool, shutdown_pools
+from repro.exec.pool import JobFailed, WarmPool, get_pool, shutdown_pools
 from repro.exec.runner import (
     ExperimentRun,
     ExperimentSpec,
@@ -26,16 +27,14 @@ from repro.exec.runner import (
     run_experiment,
     run_grid,
 )
-from repro.exec.store import RUNNER_VERSION, BatchedModelWriter, ModelStore
+from repro.exec.store import RUNNER_VERSION, ModelStore
 
 __all__ = [
-    "BatchedModelWriter",
     "ExperimentRun",
     "ExperimentSpec",
     "JobFailed",
     "ModelStore",
     "RUNNER_VERSION",
-    "SharedRef",
     "WarmPool",
     "dataset_fingerprint",
     "experiment_fingerprint",

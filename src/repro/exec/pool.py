@@ -9,18 +9,16 @@ can lose a message when a process dies hard.  Two policies run on it:
 
 :class:`WarmPool` runs grid training and corpus builds, which submit a
 handful of long jobs over and over.  A throwaway ``multiprocessing.Pool``
-would charge the full warmup (process start, imports under spawn, a
-pickled copy of the shared dataset *per job*) to every batch; the warm
-pool keeps the workers.
+would charge the full warmup (process start, imports under spawn) to
+every batch; the warm pool keeps the workers.
 
 * **Warm workers** — processes start once and stay resident across
   :meth:`WarmPool.run` batches; :func:`get_pool` keeps one pool per
   (size, start method) for the life of the parent process.
-* **Shared read-only data** — :meth:`WarmPool.share` publishes an object
-  under a key and payloads carry a :class:`SharedRef` instead.  Fork
-  workers resolve it through inherited memory (copy-on-write, zero
-  serialization); spawn workers attach a shared-memory segment holding
-  one pickle of it and deserialize it once.
+* **One IPC mechanism** — a job's arguments, a grid dataset included,
+  ride the job message on the worker's pipe, pickled once per job.  A
+  dataset of a few MB pickles in milliseconds, against seconds of
+  training per job, so there is no second channel to keep in step.
 * **Fault tolerance** — each warm-pool worker fires
   ``faults.hit("pool.worker.job")`` before a job
   (``crash:pool.worker.job@0.5~7``).  A worker that dies or hangs is
@@ -38,46 +36,18 @@ from __future__ import annotations
 import atexit
 import itertools
 import multiprocessing
-import pickle
 import time
 from collections import deque
 from multiprocessing import connection
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro import faults
-from repro.utils.shm import SharedBlock
 
 #: Fault-injection site a warm-pool worker fires before every job it runs.
 WORKER_JOB_SITE = "pool.worker.job"
 
 #: Seconds to wait for a worker to exit after a "stop" message.
 STOP_GRACE_SECONDS = 5.0
-
-# Parent-side registry of shared objects.  Fork workers inherit this dict
-# (copy-on-write — never serialized, never copied until written, which
-# read-only datasets are not); spawn workers start with it empty and fall
-# back to the shared-memory pickle.
-_COW_REGISTRY: Dict[str, object] = {}
-
-# Worker-side cache of objects resolved from shared-memory segments, so
-# each worker deserializes a shared object exactly once.
-_WORKER_CACHE: Dict[str, object] = {}
-
-
-class SharedRef:
-    """A placeholder for a shared object inside a job payload.
-
-    The parent sends ``SharedRef(key)`` where the object would go; the
-    worker swaps the real object back in before calling the job function.
-    """
-
-    __slots__ = ("key",)
-
-    def __init__(self, key: str):  # noqa: D107
-        self.key = key
-
-    def __repr__(self) -> str:  # noqa: D105
-        return f"SharedRef({self.key!r})"
 
 
 class JobFailed(RuntimeError):
@@ -89,34 +59,8 @@ def ping(value=None):
     return value
 
 
-def _resolve_shares(args: Tuple, shares: Dict[str, Tuple[str, int]]) -> Tuple:
-    """Replace every :class:`SharedRef` in ``args`` with the real object."""
-    return tuple(
-        _lookup_shared(a.key, shares) if isinstance(a, SharedRef) else a for a in args
-    )
-
-
-def _lookup_shared(key: str, shares: Dict[str, Tuple[str, int]]):
-    cached = _WORKER_CACHE.get(key)
-    if cached is not None:
-        return cached
-    obj = _COW_REGISTRY.get(key)  # fork: inherited, zero-copy
-    if obj is None:
-        try:
-            name, nbytes = shares[key]
-        except KeyError:
-            raise JobFailed(f"shared object {key!r} is not published") from None
-        block = SharedBlock.attach(name, nbytes)
-        try:
-            obj = pickle.loads(bytes(block.buf))
-        finally:
-            block.close()
-    _WORKER_CACHE[key] = obj
-    return obj
-
-
 def _worker_main(conn, job_site: Optional[str]) -> None:
-    """Worker loop: resolve shares, run jobs, report over the pipe.
+    """Worker loop: run jobs, report over the pipe.
 
     Job exceptions are *reported*, not fatal — the worker stays warm for
     the next job.  Only parent death (EOF on the pipe), a "stop" message
@@ -127,19 +71,14 @@ def _worker_main(conn, job_site: Optional[str]) -> None:
             msg = conn.recv()
         except (EOFError, OSError):
             return  # parent is gone; nothing left to serve
-        kind = msg[0]
-        if kind == "stop":
+        if msg[0] == "stop":
             conn.close()
             return
-        if kind == "drop":
-            _WORKER_CACHE.pop(msg[1], None)
-            _COW_REGISTRY.pop(msg[1], None)
-            continue
-        token, func, args, shares = msg[1], msg[2], msg[3], msg[4]
+        _, token, func, args = msg  # ("job", token, func, args)
         try:
             if job_site:
                 faults.hit(job_site)
-            result = func(*_resolve_shares(args, shares))
+            result = func(*args)
         except Exception as exc:  # boundary: report to the parent, stay warm
             conn.send(("err", token, f"{type(exc).__name__}: {exc}"))
         else:
@@ -213,7 +152,6 @@ class Supervisor:
         worker: Worker,
         func: Callable,
         args: Tuple = (),
-        shares: Optional[Dict[str, Tuple[str, int]]] = None,
         job: object = None,
     ) -> bool:
         """Put ``func(*args)`` on an idle ``worker``'s pipe.
@@ -226,7 +164,7 @@ class Supervisor:
         # send() returns.
         worker.token, worker.job = next(self._tokens), job
         try:
-            worker.conn.send(("job", worker.token, func, tuple(args), shares or {}))
+            worker.conn.send(("job", worker.token, func, tuple(args)))
         except (BrokenPipeError, OSError):
             worker.token = worker.job = None
             return False
@@ -285,7 +223,7 @@ class Supervisor:
 
 
 class WarmPool:
-    """Persistent worker processes with shared data and crash recovery.
+    """Persistent worker processes with crash recovery.
 
     ``start_method`` is ``fork``/``spawn``/``forkserver`` or ``None`` for
     the platform default.  ``job_timeout`` (seconds) turns a hung worker
@@ -307,7 +245,6 @@ class WarmPool:
         self.start_method = self._sup.start_method
         self.job_timeout = job_timeout
         self.max_job_retries = int(max_job_retries)
-        self._shares: Dict[str, SharedBlock] = {}
         self._closed = False
         self.jobs_done = 0
 
@@ -318,53 +255,17 @@ class WarmPool:
 
     # ------------------------------------------------------------ lifecycle
     def close(self) -> None:
-        """Stop every worker and release every shared segment (idempotent)."""
+        """Stop every worker (idempotent)."""
         if self._closed:
             return
         self._closed = True
         self._sup.close()
-        for key in list(self._shares):
-            self.unshare(key)
 
     def __enter__(self) -> "WarmPool":
         return self
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-    # --------------------------------------------------------- shared data
-    def share(self, key: str, obj: object) -> None:
-        """Publish ``obj`` under ``key`` for :class:`SharedRef` payloads.
-
-        Registers the object for fork copy-on-write *and* stages one
-        pickle of it in a shared-memory segment — the spawn-safe fallback,
-        and what a fork worker started before this call attaches.  Safe to
-        call again with the same key (no-op).
-        """
-        if key in self._shares:
-            return
-        _COW_REGISTRY[key] = obj
-        self._shares[key] = SharedBlock.from_bytes(
-            pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
-        )
-
-    def unshare(self, key: str) -> None:
-        """Retire a shared object: unlink its segment, evict worker caches."""
-        block = self._shares.pop(key, None)
-        if block is None:
-            return
-        block.close()
-        block.unlink()
-        _COW_REGISTRY.pop(key, None)
-        for worker in self._sup.workers:
-            if worker.proc.is_alive() and worker.job is None:
-                try:
-                    worker.conn.send(("drop", key))
-                except (BrokenPipeError, OSError):
-                    pass  # boundary: dying worker forgets the key anyway
-
-    def _share_descriptors(self) -> Dict[str, Tuple[str, int]]:
-        return {key: (b.name, b.nbytes) for key, b in self._shares.items()}
 
     # ---------------------------------------------------------------- jobs
     def run(self, func: Callable, payloads: Sequence[Tuple]) -> List[object]:
@@ -387,10 +288,9 @@ class WarmPool:
         results: List[object] = [None] * len(payloads)
         # Each worker's job record is (payload index, attempts, deadline).
         queue = deque((i, 0) for i in range(len(payloads)))
-        shares = self._share_descriptors()
         try:
             while queue or self._busy():
-                self._assign(func, payloads, queue, shares)
+                self._assign(func, payloads, queue)
                 self._collect(results, queue)
         except BaseException:
             for worker in self._busy():  # recycle the aborted batch's workers
@@ -401,7 +301,7 @@ class WarmPool:
     def _busy(self) -> List[Worker]:
         return [w for w in self._sup.workers if w.job is not None]
 
-    def _assign(self, func, payloads, queue, shares) -> None:
+    def _assign(self, func, payloads, queue) -> None:
         for worker in self._sup.workers:
             if not queue:
                 return
@@ -414,7 +314,7 @@ class WarmPool:
                 time.monotonic() + self.job_timeout if self.job_timeout else None
             )
             job = (index, attempts, deadline)
-            if not self._sup.send(worker, func, payloads[index], shares, job):
+            if not self._sup.send(worker, func, payloads[index], job):
                 # The worker died between the liveness check and the send:
                 # recycle it and put the job back for the next pass.
                 self._sup.respawn(worker)
@@ -481,7 +381,7 @@ def get_pool(workers: int, start_method: Optional[str] = None) -> WarmPool:
 
 
 def shutdown_pools() -> None:
-    """Close every process-wide pool (workers stopped, segments unlinked)."""
+    """Close every process-wide pool (workers stopped)."""
     for pool in list(_POOLS.values()):
         pool.close()
     _POOLS.clear()

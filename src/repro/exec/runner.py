@@ -11,13 +11,13 @@ fraction of a percent of the training cost.
 
 :func:`run_grid` runs the *independent* trainings of a table — Table IV/V
 train ten models, the ablation benches eight — and can fan cold runs
-across a persistent :class:`~repro.exec.pool.WarmPool`.  Workers receive
-the dataset once (fork copy-on-write, or one shared-memory pickle under
-spawn) instead of a fresh copy per job, return checkpoint *bytes* that
-the parent commits through a :class:`~repro.exec.store.BatchedModelWriter`
-— workers never write the store, so a killed worker cannot corrupt it —
-and the parent then loads every entry in order, so grid output is
-identical to the serial path by construction.
+across a persistent :class:`~repro.exec.pool.WarmPool`.  Each job's
+payload carries its dataset over the worker's pipe; workers return
+checkpoint *bytes* that the parent commits with
+:meth:`~repro.exec.store.ModelStore.put_bytes` — workers never write the
+store, so a killed worker cannot corrupt it — and the parent then loads
+every entry in order, so grid output is identical to the serial path by
+construction.
 """
 
 from __future__ import annotations
@@ -34,8 +34,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.config import ModelConfig
 from repro.core.trainer import MatchTrainer, TrainReport
 from repro.data.pairs import PairDataset
-from repro.exec.pool import SharedRef, WarmPool, get_pool
-from repro.exec.store import RUNNER_VERSION, BatchedModelWriter, ModelStore
+from repro.exec.pool import WarmPool, get_pool
+from repro.exec.store import RUNNER_VERSION, ModelStore
 
 PathLike = str
 
@@ -203,8 +203,8 @@ def _pool_train_job(
     """Warm-pool job: train one grid entry, return the checkpoint as bytes.
 
     The worker never opens the store — the parent commits the returned
-    payload through its batched writer, so a worker killed mid-train (or
-    mid-serialize) leaves no trace on disk.
+    payload, so a worker killed mid-train (or mid-serialize) leaves no
+    trace on disk.
     """
     trainer = MatchTrainer(spec.config)
     t0 = time.perf_counter()
@@ -230,23 +230,8 @@ def _fill_store_parallel(
         return
     if pool is None:
         pool = get_pool(min(workers, len(todo)), start_method)
-    keys: List[str] = []
-    payloads: List[Tuple] = []
-    for spec, dataset, fp in todo:
-        # Share each distinct dataset once; jobs carry a reference, not a
-        # pickled copy (fork workers resolve it copy-on-write, spawn
-        # workers through one shared-memory pickle).
-        key = f"grid-dataset-{dataset_fingerprint(dataset)[:16]}"
-        pool.share(key, dataset)
-        keys.append(key)
-        payloads.append((spec, SharedRef(key), fp))
-    try:
-        with BatchedModelWriter(store) as writer:
-            for fp, payload in pool.run(_pool_train_job, payloads):
-                writer.add(fp, payload)
-    finally:
-        for key in dict.fromkeys(keys):
-            pool.unshare(key)
+    for fp, payload in pool.run(_pool_train_job, todo):
+        store.put_bytes(fp, payload)
 
 
 def run_grid(

@@ -65,9 +65,9 @@ class ModelStore(EntryStore):
     def put_bytes(self, fingerprint: str, payload: bytes) -> Path:
         """Persist an already-serialized checkpoint (``MatchTrainer.save_bytes``).
 
-        The one model writer: the grid pool's batched writer lands here
-        too, since workers ship checkpoint bytes over a pipe and only the
-        parent ever writes the store.
+        The one model writer: grid results land here too, since pool
+        workers ship checkpoint bytes over a pipe and only the parent ever
+        writes the store.
         """
         return self._commit(self.path_for(fingerprint), lambda fh: fh.write(payload))
 
@@ -119,47 +119,3 @@ class ModelStore(EntryStore):
             meta["bytes"] = path.stat().st_size
             out.append(meta)
         return out
-
-
-class BatchedModelWriter:
-    """Buffer finished checkpoints and commit them in batches.
-
-    The grid pool's parent-side sink: each worker result (fingerprint,
-    checkpoint bytes) is :meth:`add`-ed as it arrives, and every
-    ``max_pending``-th addition flushes the buffer through
-    :meth:`ModelStore.put_bytes` — amortizing the directory churn of the
-    per-run atomic round-trips without ever weakening them: each entry
-    still commits via temp file + ``os.replace``, so a crash
-    mid-flush loses only uncommitted buffers, never corrupts the store.
-
-    Use as a context manager; exit flushes whatever is pending (also on
-    error — buffered checkpoints are finished work worth keeping).
-    """
-
-    def __init__(self, store: ModelStore, max_pending: int = 8):  # noqa: D107
-        if max_pending < 1:
-            raise ValueError(f"max_pending must be >= 1, got {max_pending}")
-        self.store = store
-        self.max_pending = int(max_pending)
-        self.pending: List[tuple] = []
-
-    def add(self, fingerprint: str, payload: bytes) -> None:
-        """Queue one checkpoint; flushes when the buffer fills."""
-        self.pending.append((fingerprint, payload))
-        if len(self.pending) >= self.max_pending:
-            self.flush()
-
-    def flush(self) -> int:
-        """Commit every pending checkpoint; returns how many were written."""
-        if not self.pending:
-            return 0
-        batch, self.pending = self.pending, []
-        for fingerprint, payload in batch:
-            self.store.put_bytes(fingerprint, payload)
-        return len(batch)
-
-    def __enter__(self) -> "BatchedModelWriter":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.flush()

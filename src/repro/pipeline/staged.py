@@ -462,7 +462,7 @@ class CompilationPipeline:
         The lifted module lives only in :meth:`_lift_and_graph`'s frame, so
         it is already garbage when the pause ends and collects young.
         """
-        with collector_paused():
+        with collector_paused(self.timer):
             return self._lift_and_graph(raw, name)
 
     def _lift_and_graph(self, raw: bytes, name: str) -> ProgramGraph:
@@ -480,7 +480,7 @@ _pause_resumes = False
 
 
 @contextmanager
-def collector_paused() -> Iterator[None]:
+def collector_paused(stats: Stats) -> Iterator[None]:
     """Pause the cycle collector for the block; collect the youngest after.
 
     IR is a dense web of tracked cycles (parent links, branch targets,
@@ -500,7 +500,9 @@ def collector_paused() -> Iterator[None]:
     hand out only what its caller keeps (graphs, bytes): a module dropped
     after the block would be freed only by a full collection.  After an
     exception the traceback still holds the block's frames, so nothing is
-    collected then.
+    collected then.  The closing collection is timed as a ``gc.collect``
+    span on the caller's ``stats``, so a breakdown of the block's cost
+    adds up to its wall clock.
 
     Two callers wrap whole units of work whose IR dies inside the block:
     :meth:`CompilationPipeline.binary_graph` (the query front end; only
@@ -524,6 +526,11 @@ def collector_paused() -> Iterator[None]:
         with _pause_lock:
             _pause_depth -= 1
             if _pause_depth == 0 and _pause_resumes:
-                gc.enable()
                 if completed:
-                    gc.collect(0)
+                    # The span opens before enable(): its own allocation
+                    # would otherwise start the collection outside it.
+                    with stats.span("gc.collect"):
+                        gc.enable()
+                        gc.collect(0)
+                else:
+                    gc.enable()

@@ -1,15 +1,12 @@
-"""Shared test utilities: finite-difference gradient checking and the
-shared-memory leak audit."""
+"""Shared test utility: finite-difference gradient checking."""
 
 from __future__ import annotations
 
-import os
-from typing import Callable, List, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from repro.nn.tensor import Tensor
-from repro.utils.shm import SHM_DIR, SHM_PREFIX
 
 
 def numeric_grad(
@@ -51,11 +48,3 @@ def check_gradients(
         num = numeric_grad(fn, p)
         np.testing.assert_allclose(p.grad, num, rtol=rtol, atol=atol)
 
-
-def leaked_segments(prefix: str = SHM_PREFIX) -> List[str]:
-    """Names of live ``/dev/shm`` segments matching ``prefix``."""
-    try:
-        entries = os.listdir(SHM_DIR)
-    except OSError:
-        return []  # no /dev/shm (non-Linux): nothing to audit
-    return sorted(e for e in entries if e.startswith(prefix))

@@ -6,8 +6,7 @@ import pytest
 from repro.baselines import B2SFinder, BinPro, LICCA, XLIRModel
 from repro.baselines.xlir import XLIRConfig, linearize
 from repro.config import cpu_config, scaled, tiny_data_config
-from repro.core.model import GraphBinMatch
-from repro.core.node_features import node_strings, train_tokenizer
+from repro.core.node_features import train_tokenizer
 from repro.core.pipeline import MatcherPipeline, compile_to_views
 from repro.core.trainer import MatchTrainer
 from repro.data.corpus import CorpusBuilder

@@ -8,7 +8,6 @@ still do, via the zero-edge fallback), and artifact keys distinguish the
 graph schema.
 """
 
-import hashlib
 import os
 import subprocess
 import sys

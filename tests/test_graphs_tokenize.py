@@ -1,7 +1,6 @@
 """Tests for ProGraML-style graph construction, batching, and the tokenizer."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,7 +19,7 @@ from repro.graphs.programl import (
 from repro.ir.lowering import lower_program
 from repro.lang.generator import SolutionGenerator
 from repro.lang.minic import parse_minic
-from repro.tokenize.tokenizer import PAD, UNK, VAR, IRTokenizer, normalize_ir_text
+from repro.tokenize.tokenizer import PAD, UNK, IRTokenizer, normalize_ir_text
 
 GEN = SolutionGenerator(seed=5)
 

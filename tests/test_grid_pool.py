@@ -3,13 +3,13 @@
 The pool's contract (repro.exec.pool) is that *scheduling cannot change
 results*: ``run_grid`` output must be bit-identical whether jobs run
 serially, on fork workers, or on spawn workers, in any submission order,
-with any worker count — and a worker killed mid-job must be respawned and
-its job retried without corrupting the model store or leaking a shared-
-memory segment.  This suite pins each clause.
+with any worker count, and whichever datasets earlier grids sent to the
+same resident workers (each job's dataset rides its payload) — and a
+worker killed mid-job must be respawned and its job retried without
+corrupting the model store.  This suite pins each clause.
 """
 
 import multiprocessing
-import os
 
 import numpy as np
 import pytest
@@ -23,10 +23,8 @@ from repro.exec import (
     WarmPool,
     run_grid,
 )
-from repro.exec.pool import WORKER_JOB_SITE, SharedRef, ping
+from repro.exec.pool import WORKER_JOB_SITE, ping
 from repro.utils.fsio import read_verified_meta
-from repro.utils.shm import SharedBlock
-from tests.helpers import leaked_segments
 
 #: Every start method this platform offers that the pool must support.
 START_METHODS = [
@@ -51,6 +49,12 @@ CRASH_ALWAYS = f"crash:{WORKER_JOB_SITE}"
 @pytest.fixture(scope="module")
 def dataset():
     ds, _ = build_crosslang_dataset(tiny_data_config(seed=5), ["c"], ["java"])
+    return ds
+
+
+@pytest.fixture(scope="module")
+def other_dataset():
+    ds, _ = build_crosslang_dataset(tiny_data_config(seed=6), ["c"], ["java"])
     return ds
 
 
@@ -142,56 +146,35 @@ class TestCrossStartMethodParity:
         )
         assert_runs_bitwise_equal(serial, parallel)
 
-
-class TestSharedObjects:
     @pytest.mark.parametrize("start_method", START_METHODS)
-    def test_shared_ref_resolves_to_equal_object(self, start_method):
-        payload = {"rows": list(range(50)), "tag": "shared"}
-        with WarmPool(1, start_method=start_method) as pool:
-            pool.share("obj", payload)
-            results = pool.run(ping, [(SharedRef("obj"),), (SharedRef("obj"),)])
-        assert results == [payload, payload]
-
-    @needs_fork
-    def test_unshare_then_reshare_same_key_serves_new_object(self):
-        with WarmPool(1, start_method="fork") as pool:
-            pool.share("k", "first")
-            assert pool.run(ping, [(SharedRef("k"),)]) == ["first"]
-            pool.unshare("k")
-            pool.share("k", "second")
-            assert pool.run(ping, [(SharedRef("k"),)]) == ["second"]
-
-    def test_unpublished_ref_is_a_clean_job_error(self):
-        with WarmPool(1) as pool:
-            with pytest.raises(JobFailed, match="not published"):
-                pool.run(ping, [(SharedRef("never-shared"),)])
-            assert pool.run(ping, [(7,)]) == [7]  # pool survived the error
-
-    @pytest.mark.parametrize("start_method", START_METHODS)
-    def test_share_lifecycle_leaves_no_segments(self, start_method):
-        before = set(leaked_segments())
-        with WarmPool(1, start_method=start_method) as pool:
-            pool.share("a", b"x" * 4096)
-            pool.share("b", b"y" * 4096)
-            assert pool.run(ping, [(SharedRef("a"),)]) == [b"x" * 4096]
-            pool.unshare("a")
-            # Only the still-published "b" segment remains.
-            assert set(leaked_segments()) - before == {pool._shares["b"].name}
-        # close() unlinked the never-unshared "b" segment too.
-        assert set(leaked_segments()) == before
-
-    def test_shared_block_roundtrip_and_unlink(self):
-        before = set(leaked_segments())
-        block = SharedBlock.from_bytes(b"payload-bytes")
-        try:
-            attached = SharedBlock.attach(block.name, block.nbytes)
-            assert bytes(attached.buf) == b"payload-bytes"
-            attached.close()
-        finally:
-            block.close()
-            block.unlink()
-            block.unlink()  # idempotent
-        assert set(leaked_segments()) == before
+    def test_two_datasets_on_one_resident_pool(
+        self, dataset, other_dataset, tmp_path, serial, start_method
+    ):
+        # The second grid's dataset reaches workers that were already
+        # running when the first grid finished.
+        other_serial = run_grid(
+            grid_jobs(other_dataset, (1, 2)),
+            store=ModelStore(tmp_path / "other-serial"),
+        )
+        with WarmPool(2, start_method=start_method) as pool:
+            first = run_grid(
+                grid_jobs(dataset, (1, 2)),
+                store=ModelStore(tmp_path / "first"),
+                pool=pool,
+            )
+            pids = {w.proc.pid for w in pool._sup.workers}
+            second = run_grid(
+                grid_jobs(other_dataset, (1, 2)),
+                store=ModelStore(tmp_path / "second"),
+                pool=pool,
+            )
+            assert {w.proc.pid for w in pool._sup.workers} == pids
+            assert pool.respawns == 0
+        assert_runs_bitwise_equal(serial, first)
+        assert_runs_bitwise_equal(other_serial, second)
+        assert {r.fingerprint for r in first}.isdisjoint(
+            r.fingerprint for r in second
+        )
 
 
 class TestFaultTolerance:
@@ -209,33 +192,28 @@ class TestFaultTolerance:
             grid_jobs(dataset, (1, 2)), store=ModelStore(tmp_path / "ref")
         )
         monkeypatch.setenv("REPRO_FAULTS", CRASH_AFTER_ONE)
-        before = set(leaked_segments())
         store = ModelStore(tmp_path / "faulty")
         with WarmPool(1) as pool:
             runs = run_grid(grid_jobs(dataset, (1, 2)), store=store, pool=pool)
             assert pool.respawns == 1
         assert_runs_bitwise_equal(reference, runs)
         # Every committed entry verifies against its recorded checksum; the
-        # killed worker left no half-written temp and no shared-memory segment.
+        # killed worker left no half-written temp.
         for run in runs:
             meta = read_verified_meta(store.path_for(run.fingerprint))
             assert meta["experiment"]["fingerprint"] == run.fingerprint
         assert store_temp_files(store) == []
-        assert set(leaked_segments()) == before
 
     def test_relentless_crasher_fails_cleanly_then_pool_recovers(
         self, monkeypatch
     ):
-        before = set(leaked_segments())
         monkeypatch.setenv("REPRO_FAULTS", CRASH_ALWAYS)
         with WarmPool(1) as pool:
-            pool.share("k", [1, 2, 3])
             with pytest.raises(JobFailed, match="retries"):
-                pool.run(ping, [(SharedRef("k"),)])
+                pool.run(ping, [([1, 2, 3],)])
             monkeypatch.delenv("REPRO_FAULTS")
             # Respawned (fault-free) workers serve the next batch.
-            assert pool.run(ping, [(SharedRef("k"),), (9,)]) == [[1, 2, 3], 9]
-        assert set(leaked_segments()) == before
+            assert pool.run(ping, [([1, 2, 3],), (9,)]) == [[1, 2, 3], 9]
 
     @needs_fork
     def test_clean_job_exception_fails_fast_without_retry(self):

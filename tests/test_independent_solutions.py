@@ -8,8 +8,6 @@ baselines (B2SFinder's constants feature) honest.
 
 import re
 
-import pytest
-
 from repro.config import DataConfig
 from repro.data.corpus import CorpusBuilder
 from repro.lang.generator import SolutionGenerator

@@ -18,7 +18,6 @@ from repro.ir.verifier import verify_module
 from repro.lang.generator import LANGUAGES, SolutionGenerator
 from repro.lang.interp import interpret
 from repro.lang.minic import parse_minic
-from repro.lang.minicpp import parse_minicpp
 from repro.lang.minijava import parse_minijava
 from repro.lang.tasks import TASK_REGISTRY
 

@@ -1,7 +1,6 @@
 """Tests for the language substrate: lexer, parsers, renderers, interpreter,
 and the cross-language semantic-equivalence property of the generator."""
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,10 +8,10 @@ from hypothesis import strategies as st
 from repro.lang import ast
 from repro.lang.generator import LANGUAGES, SolutionGenerator
 from repro.lang.interp import Interpreter, InterpreterError, interpret, trunc_div, trunc_mod, wrap64
-from repro.lang.lexer import LexError, Token, tokenize
-from repro.lang.minic import MiniCRenderer, parse_minic
-from repro.lang.minicpp import MiniCppRenderer, parse_minicpp
-from repro.lang.minijava import MiniJavaRenderer, parse_minijava
+from repro.lang.lexer import LexError, tokenize
+from repro.lang.minic import parse_minic
+from repro.lang.minicpp import parse_minicpp
+from repro.lang.minijava import parse_minijava
 from repro.lang.parser_base import ParseError
 from repro.lang.tasks import TASK_REGISTRY
 

@@ -4,7 +4,7 @@ and quantile-aware threshold calibration."""
 import numpy as np
 import pytest
 
-from repro.config import DataConfig, tiny_data_config
+from repro.config import DataConfig
 from repro.data.corpus import CorpusBuilder
 from repro.data.pairs import build_pairs, split_tasks
 from repro.eval.threshold import _candidate_thresholds, best_threshold, sweep_thresholds

@@ -3,6 +3,7 @@
 import gc
 import pickle
 import threading
+from contextlib import contextmanager
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -26,6 +27,7 @@ from repro.pipeline import (
     StageFailure,
     staged,
 )
+from repro.utils.timing import Stats
 
 
 @pytest.fixture(scope="module")
@@ -168,6 +170,37 @@ class TestCollectorPause:
             pipeline.binary_graph(compiled.binary_bytes)
         assert _live_instructions() <= after_one
 
+    def test_closing_collection_runs_inside_its_span(self, compiled, collector):
+        # A traced build's layers add up to its wall clock only if the
+        # collection that ends a pause starts inside the gc.collect span,
+        # not on the first allocation after the collector is back on.
+        inside, starts = [], []
+
+        class OpenSpans(Stats):
+            @contextmanager
+            def span(self, name):
+                inside.append(name)
+                try:
+                    with Stats.span(self, name):
+                        yield
+                finally:
+                    inside.pop()
+
+        def on_gc(phase, info):
+            if phase == "start":
+                starts.append(list(inside))
+
+        pipeline = CompilationPipeline(timer=OpenSpans())
+        gc.enable()
+        gc.collect()  # an empty young generation: nothing starts early
+        gc.callbacks.append(on_gc)
+        try:
+            pipeline.binary_graph(compiled.binary_bytes)
+        finally:
+            gc.callbacks.remove(on_gc)
+        assert starts and all(names[-1:] == ["gc.collect"] for names in starts)
+        assert pipeline.timer.counts["gc.collect"] == 1
+
 
 def _cold_build(num_tasks: int, languages=("c", "java"), **pipeline_options):
     cfg = DataConfig(num_tasks=num_tasks, variants=1, seed=0, compile_failure_pct=0)
@@ -207,6 +240,13 @@ class TestColdCorpusPause:
             assert print_module(sample.decompiled_module) == print_module(
                 eager.decompiled_module
             )
+
+    def test_each_cold_compile_times_its_collection(self, collector):
+        gc.enable()
+        cfg = DataConfig(num_tasks=3, variants=1, seed=0, compile_failure_pct=0)
+        builder = CorpusBuilder(cfg)
+        samples = builder.build(["c", "java"])
+        assert builder.timer.counts["gc.collect"] == len(samples) == 6
 
     @pytest.mark.parametrize("enabled", [True, False])
     @pytest.mark.parametrize("stage", ["optimize", "graph"])

@@ -10,7 +10,6 @@ import base64
 import io
 import json
 
-import numpy as np
 import pytest
 
 from repro.config import cpu_config, scaled, tiny_data_config
