@@ -96,24 +96,26 @@ def _chain_list_arg(text: str) -> List[str]:
 def _lang_list_arg(text: str) -> List[str]:
     """argparse type for a comma list of supported languages.
 
-    A typo ('jav') or stray whitespace would otherwise survive to a raw
-    KeyError deep inside the corpus generator, mid-sweep.
+    A typo ('jav') or stray whitespace would otherwise survive into the
+    corpus builder and fail (or build nothing) mid-run.
     """
-    from repro.pipeline import FRONTENDS
+    from repro.lang.generator import frontend
 
     langs = [part.strip() for part in text.split(",") if part.strip()]
     if not langs:
         raise argparse.ArgumentTypeError("need at least one language")
     for lang in langs:
-        if lang not in FRONTENDS:
-            raise argparse.ArgumentTypeError(
-                f"unknown language {lang!r}; supported: {sorted(FRONTENDS)}"
-            )
+        try:
+            frontend(lang)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
     return langs
 
 
 def build_parser() -> argparse.ArgumentParser:
     """The full argparse tree (exposed for tests and docs)."""
+    from repro.lang.generator import LANGUAGES
+
     p = argparse.ArgumentParser(
         prog="repro",
         description="GraphBinMatch reproduction: cross-language binary/source matching",
@@ -122,14 +124,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("generate", help="render one solution and show its pipeline")
     g.add_argument("task", help="task template name (see `repro tasks`)")
-    g.add_argument("--language", default="c", choices=("c", "cpp", "java"))
+    g.add_argument("--language", default="c", choices=LANGUAGES)
     g.add_argument("--variant", type=int, default=0)
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--show-ir", action="store_true", help="print the lowered IR")
 
     t = sub.add_parser("train", help="train GraphBinMatch on a synthetic CLCDSA corpus")
-    t.add_argument("--binary-langs", default="c,cpp", help="comma list, binary side")
-    t.add_argument("--source-langs", default="java", help="comma list, source side")
+    t.add_argument("--binary-langs", type=_lang_list_arg, default="c,cpp",
+                   help="comma list, binary side")
+    t.add_argument("--source-langs", type=_lang_list_arg, default="java",
+                   help="comma list, source side")
     t.add_argument("--num-tasks", type=int, default=24)
     t.add_argument("--variants", type=int, default=2)
     t.add_argument("--epochs", type=int, default=30)
@@ -138,8 +142,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     e = sub.add_parser("evaluate", help="evaluate a checkpoint on the test split")
     e.add_argument("checkpoint")
-    e.add_argument("--binary-langs", default="c,cpp")
-    e.add_argument("--source-langs", default="java")
+    e.add_argument("--binary-langs", type=_lang_list_arg, default="c,cpp")
+    e.add_argument("--source-langs", type=_lang_list_arg, default="java")
     e.add_argument("--num-tasks", type=int, default=24)
     e.add_argument("--variants", type=int, default=2)
     e.add_argument("--seed", type=int, default=0)
@@ -156,7 +160,8 @@ def build_parser() -> argparse.ArgumentParser:
     ib = ixsub.add_parser("build", help="encode a source corpus into an index directory")
     ib.add_argument("checkpoint")
     ib.add_argument("--output", default="index", help="index directory")
-    ib.add_argument("--languages", default="java", help="comma list, source side")
+    ib.add_argument("--languages", type=_lang_list_arg, default="java",
+                    help="comma list, source side")
     ib.add_argument("--num-tasks", type=int, default=8)
     ib.add_argument("--variants", type=int, default=1)
     ib.add_argument("--seed", type=int, default=0)
@@ -174,7 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
     iq.add_argument("checkpoint")
     iq.add_argument("index", help="index directory (from `index build`)")
     iq.add_argument("--task", default="gcd", help="task to compile as the query binary")
-    iq.add_argument("--language", default="c", choices=("c", "cpp", "java"))
+    iq.add_argument("--language", default="c", choices=LANGUAGES)
     iq.add_argument("--variant", type=int, default=0)
     iq.add_argument("--seed", type=int, default=0)
     iq.add_argument("--top-k", type=int, default=5)
@@ -187,7 +192,8 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("corpus", help="build / inspect compiled corpora")
     csub = c.add_subparsers(dest="corpus_command", required=True)
     cb = csub.add_parser("build", help="run the staged pipeline over a corpus")
-    cb.add_argument("--languages", default="c,java", help="comma list")
+    cb.add_argument("--languages", type=_lang_list_arg, default="c,java",
+                    help="comma list")
     cb.add_argument("--num-tasks", type=int, default=8)
     cb.add_argument("--variants", type=int, default=2)
     cb.add_argument("--seed", type=int, default=0)
@@ -238,8 +244,10 @@ def build_parser() -> argparse.ArgumentParser:
     exsub = ex.add_subparsers(dest="experiment_command", required=True)
     xr = exsub.add_parser("run", help="train (or load) one experiment and evaluate it")
     xr.add_argument("--name", default="cli", help="display name stored with the run")
-    xr.add_argument("--binary-langs", default="c,cpp", help="comma list, binary side")
-    xr.add_argument("--source-langs", default="java", help="comma list, source side")
+    xr.add_argument("--binary-langs", type=_lang_list_arg, default="c,cpp",
+                    help="comma list, binary side")
+    xr.add_argument("--source-langs", type=_lang_list_arg, default="java",
+                    help="comma list, source side")
     xr.add_argument("--num-tasks", type=int, default=12)
     xr.add_argument("--variants", type=int, default=2)
     xr.add_argument("--epochs", type=int, default=12)
@@ -273,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
                          "(default: 0.5,1)")
     rb.add_argument("--source-langs", type=_lang_list_arg, default=["java"],
                     help="comma list, candidate side")
-    rb.add_argument("--query-lang", default="c", choices=("c", "cpp", "java"))
+    rb.add_argument("--query-lang", default="c", choices=LANGUAGES)
     rb.add_argument("--num-tasks", type=int, default=8)
     rb.add_argument("--variants", type=int, default=1)
     rb.add_argument("--seed", type=int, default=0)
@@ -307,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
         "and verifier findings from repro.ir.analysis.",
     )
     an.add_argument("task", help="task template name (see `repro tasks`)")
-    an.add_argument("--language", default="c", choices=("c", "cpp", "java"))
+    an.add_argument("--language", default="c", choices=LANGUAGES)
     an.add_argument("--variant", type=int, default=0)
     an.add_argument("--seed", type=int, default=0)
     an.add_argument("--opt-level", default="Oz", choices=("O0", "O1", "O2", "O3", "Oz"))
@@ -395,8 +403,8 @@ def cmd_train(args) -> int:
 
     dataset, _ = build_crosslang_dataset(
         _data_config(args),
-        args.binary_langs.split(","),
-        args.source_langs.split(","),
+        args.binary_langs,
+        args.source_langs,
     )
     tr, va, te = dataset.sizes()
     print(f"dataset: train={tr} valid={va} test={te}")
@@ -420,8 +428,8 @@ def cmd_evaluate(args) -> int:
     trainer = MatchTrainer.load(args.checkpoint)
     dataset, _ = build_crosslang_dataset(
         _data_config(args),
-        args.binary_langs.split(","),
-        args.source_langs.split(","),
+        args.binary_langs,
+        args.source_langs,
     )
     scores = trainer.predict(dataset.test)
     labels = np.asarray([p.label for p in dataset.test])
@@ -471,7 +479,7 @@ def cmd_index_build(args) -> int:
 
     trainer = MatchTrainer.load(args.checkpoint)
     cfg = DataConfig(num_tasks=args.num_tasks, variants=args.variants, seed=args.seed)
-    samples = CorpusBuilder(cfg).build(args.languages.split(","))
+    samples = CorpusBuilder(cfg).build(args.languages)
     index = EmbeddingIndex(trainer)
     t0 = time.time()
     index.add(
@@ -537,7 +545,7 @@ def cmd_corpus_build(args) -> int:
     from repro.config import DataConfig
     from repro.data.corpus import CorpusBuilder, corpus_statistics
 
-    languages = args.languages.split(",")
+    languages = args.languages
     cfg = DataConfig(
         num_tasks=args.num_tasks,
         variants=args.variants,
@@ -705,8 +713,8 @@ def cmd_experiment_run(args) -> int:
 
     dataset, _ = build_crosslang_dataset(
         _data_config(args),
-        args.binary_langs.split(","),
-        args.source_langs.split(","),
+        args.binary_langs,
+        args.source_langs,
     )
     tr, va, te = dataset.sizes()
     print(f"dataset: train={tr} valid={va} test={te}")

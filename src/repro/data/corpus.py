@@ -38,7 +38,7 @@ from repro.artifacts import ArtifactKey, ArtifactStore
 from repro.config import DataConfig
 from repro.graphs.programl import ProgramGraph
 from repro.ir.module import Module
-from repro.lang.generator import SolutionGenerator
+from repro.lang.generator import SolutionGenerator, frontend
 from repro.lang.tasks import TASK_REGISTRY
 from repro.pipeline import (
     STAGE_CODEGEN,
@@ -191,7 +191,12 @@ class CorpusBuilder:
         )
 
     def _items(self, languages: Sequence[str]) -> List[Tuple[str, int, str]]:
-        """Deterministic build order: task-major, then variant, then language."""
+        """Deterministic build order: task-major, then variant, then language.
+
+        An unknown language raises ValueError here, before anything is built.
+        """
+        for lang in languages:
+            frontend(lang)
         return [
             (task, variant, lang)
             for task in self.tasks()
@@ -209,12 +214,13 @@ class CorpusBuilder:
         """Generate, compile, decompile and graph every solution."""
         opt_level = opt_level or self.config.opt_level
         compiler = compiler or self.config.compiler
+        items = self._items(languages)
         samples: List[CodeSample] = []
         self.stats = {
             lang: {"sources": 0, "llvm_ir": 0, "binaries": 0, "decompiled": 0}
             for lang in languages
         }
-        for task, variant, lang in self._items(languages):
+        for task, variant, lang in items:
             self.stats[lang]["sources"] += 1
             identifier = f"{task}/v{variant}.{lang}"
             if not _compiles(
@@ -328,6 +334,7 @@ class CorpusBuilder:
         workers = workers if workers is not None else multiprocessing.cpu_count()
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
+        items = self._items(languages)
         scratch: Optional[str] = None
         original_store, original_pipeline = self.store, self.pipeline
         if self.store is None:
@@ -341,7 +348,7 @@ class CorpusBuilder:
         try:
             todo = [
                 item
-                for item in self._items(languages)
+                for item in items
                 if _compiles(
                     self.config.seed,
                     f"{item[0]}/v{item[1]}.{item[2]}",

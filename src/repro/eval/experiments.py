@@ -8,7 +8,7 @@ corresponding table in the paper reports.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -17,7 +17,7 @@ from repro.baselines.xlir import XLIRConfig
 from repro.config import DataConfig, ModelConfig
 from repro.core.trainer import MatchTrainer
 from repro.data.corpus import CorpusBuilder
-from repro.data.pairs import PairDataset, build_pairs
+from repro.data.pairs import MatchingPair, PairDataset, build_pairs
 from repro.eval.metrics import ClassificationMetrics, classification_metrics
 from repro.eval.threshold import best_threshold
 
@@ -95,6 +95,25 @@ def build_single_language_dataset(
 
 
 # ---------------------------------------------------------------- systems
+def _score_calibrated(
+    system: str,
+    dataset: PairDataset,
+    score: Callable[[List[MatchingPair]], np.ndarray],
+    threshold: float,
+    calibrate: bool,
+) -> ExperimentResult:
+    """Pick the threshold on the valid split (if ``calibrate``), score test."""
+    if calibrate:
+        valid_scores = score(dataset.valid)
+        valid_labels = np.asarray([p.label for p in dataset.valid])
+        if len(valid_labels):
+            threshold = best_threshold(valid_labels, valid_scores)
+    scores = score(dataset.test)
+    labels = np.asarray([p.label for p in dataset.test])
+    metrics = classification_metrics(labels, scores >= threshold)
+    return ExperimentResult(system, metrics, scores, labels, threshold)
+
+
 def run_graphbinmatch(
     dataset: PairDataset,
     config: ModelConfig,
@@ -115,15 +134,9 @@ def run_graphbinmatch(
     if trainer is None:
         trainer = MatchTrainer(config)
         trainer.train(dataset, early_stopping=early_stopping)
-    if calibrate:
-        valid_scores = trainer.predict(dataset.valid)
-        valid_labels = np.asarray([p.label for p in dataset.valid])
-        if len(valid_labels):
-            threshold = best_threshold(valid_labels, valid_scores)
-    scores = trainer.predict(dataset.test)
-    labels = np.asarray([p.label for p in dataset.test])
-    metrics = classification_metrics(labels, scores >= threshold)
-    return ExperimentResult("GraphBinMatch", metrics, scores, labels, threshold)
+    return _score_calibrated(
+        "GraphBinMatch", dataset, trainer.predict, threshold, calibrate
+    )
 
 
 def run_xlir(
@@ -137,16 +150,7 @@ def run_xlir(
     cfg = XLIRConfig(**{**cfg.__dict__, "encoder": encoder})
     model = XLIRModel(cfg)
     model.fit(dataset.train)
-    th = 0.5
-    if calibrate:
-        valid_scores = model.score(dataset.valid)
-        valid_labels = np.asarray([p.label for p in dataset.valid])
-        if len(valid_labels):
-            th = best_threshold(valid_labels, valid_scores)
-    scores = model.score(dataset.test)
-    labels = np.asarray([p.label for p in dataset.test])
-    metrics = classification_metrics(labels, scores >= th)
-    return ExperimentResult(f"XLIR({encoder})", metrics, scores, labels, th)
+    return _score_calibrated(f"XLIR({encoder})", dataset, model.score, 0.5, calibrate)
 
 
 def run_feature_baseline(
@@ -161,13 +165,4 @@ def run_feature_baseline(
     systems = {"BinPro": BinPro, "B2SFinder": B2SFinder, "LICCA": LICCA}
     model = systems[name]()
     model.fit(dataset.train)
-    th = 0.5
-    if calibrate:
-        valid_scores = model.score(dataset.valid)
-        valid_labels = np.asarray([p.label for p in dataset.valid])
-        if len(valid_labels):
-            th = best_threshold(valid_labels, valid_scores)
-    scores = model.score(dataset.test)
-    labels = np.asarray([p.label for p in dataset.test])
-    metrics = classification_metrics(labels, scores >= th)
-    return ExperimentResult(name, metrics, scores, labels, th)
+    return _score_calibrated(name, dataset, model.score, 0.5, calibrate)

@@ -26,6 +26,7 @@ from repro.ir.builder import IRBuilder
 from repro.ir.module import Constant, Function, Module, Value
 from repro.ir.types import I1, I32, VOID, IRType, PtrType
 from repro.lang import ast
+from repro.lang.generator import frontend
 
 
 class LoweringError(ValueError):
@@ -638,6 +639,5 @@ LOWERERS = {
 def lower_program(program: ast.Program, name: str = "module") -> Module:
     """Lower using the front-end matching ``program.language``."""
     lang = program.language or "c"
-    if lang not in LOWERERS:
-        raise LoweringError(f"no front-end for language {lang!r}")
+    frontend(lang)  # an unknown language fails like everywhere else
     return LOWERERS[lang]().lower(program, name=name)

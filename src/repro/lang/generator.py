@@ -5,30 +5,50 @@ templates into source *text* in each language, then runs the text back
 through the real front-end parser — so everything downstream (IR lowering,
 graph construction) consumes genuinely compiled programs, not in-memory
 shortcuts.
+
+:data:`FRONTENDS` is the one registry of supported languages: the
+generator, the compilation pipeline's ``parse`` stage and the CLI all read
+it, and :func:`frontend` is the one place an unknown language is rejected.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable, Dict, Type
 
 from repro.lang import ast
 from repro.lang.minic import MiniCRenderer, parse_minic
 from repro.lang.minicpp import MiniCppRenderer, parse_minicpp
 from repro.lang.minijava import MiniJavaRenderer, parse_minijava
+from repro.lang.parser_base import RendererBase
 from repro.lang.tasks import TASK_REGISTRY, Spec
 
-LANGUAGES = ("c", "cpp", "java")
 
-_RENDERERS = {
-    "c": MiniCRenderer,
-    "cpp": MiniCppRenderer,
-    "java": MiniJavaRenderer,
+@dataclass(frozen=True)
+class Frontend:
+    """One language's front end: AST → text renderer and text → AST parser."""
+
+    renderer: Type[RendererBase]
+    parse: Callable[[str], ast.Program]
+
+
+FRONTENDS: Dict[str, Frontend] = {
+    "c": Frontend(MiniCRenderer, parse_minic),
+    "cpp": Frontend(MiniCppRenderer, parse_minicpp),
+    "java": Frontend(MiniJavaRenderer, parse_minijava),
 }
-_PARSERS = {
-    "c": parse_minic,
-    "cpp": parse_minicpp,
-    "java": parse_minijava,
-}
+#: Supported languages in registry order (fixes corpus and grid orders).
+LANGUAGES = tuple(FRONTENDS)
+
+
+def frontend(language: str) -> Frontend:
+    """The front end for ``language``; ValueError naming the supported set."""
+    try:
+        return FRONTENDS[language]
+    except KeyError:
+        raise ValueError(
+            f"unknown language {language!r}; supported: {list(LANGUAGES)}"
+        ) from None
 
 
 @dataclass
@@ -73,13 +93,11 @@ class SolutionGenerator:
 
     def generate(self, task: str, variant: int, language: str) -> SourceFile:
         """Instantiate one solution and round-trip it through the parser."""
-        if language not in LANGUAGES:
-            raise ValueError(f"unknown language {language!r}")
+        fe = frontend(language)
         if task not in TASK_REGISTRY:
             raise KeyError(f"unknown task {task!r}")
         spec = Spec(self.seed, task, variant, language, independent=self.independent)
         built = TASK_REGISTRY[task].build(spec)
-        text = _RENDERERS[language]().render(built)
-        program = _PARSERS[language](text)
+        text = fe.renderer().render(built)
+        program = fe.parse(text)
         return SourceFile(task=task, variant=variant, language=language, text=text, program=program)
-

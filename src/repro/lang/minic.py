@@ -13,7 +13,7 @@ from typing import List, Optional, Set
 
 from repro.lang import ast
 from repro.lang.lexer import tokenize
-from repro.lang.parser_base import ParseError, ParserBase
+from repro.lang.parser_base import ParserBase, RendererBase
 
 _HELPER_SOURCES = {
     "max": (
@@ -53,152 +53,50 @@ _HELPER_SOURCES = {
     ),
 }
 
-HELPER_FUNCTION_NAMES = {
-    helper_name: builtin for builtin, (helper_name, _) in _HELPER_SOURCES.items()
-}
-
-
-class MiniCRenderer:
+class MiniCRenderer(RendererBase):
     """Render a language-neutral AST as compilable MiniC source text."""
 
     language = "c"
+    dialect = "MiniC"
+    ARRAY_TYPE = "int*"
+    SCALAR_TYPES = {"int": "int", "long": "long", "bool": "int", "void": "void"}
+    BOOL_LITERALS = ("0", "1")
+    PRINT_FORMAT = 'printf("%d\\n", {});'
 
     def __init__(self) -> None:  # noqa: D107
         self._used_helpers: Set[str] = set()
 
-    # ----------------------------------------------------------- types
-    def type_str(self, t) -> str:
-        """C spelling of a type (``bool`` degrades to ``int``)."""
-        if isinstance(t, ast.ArrayType):
-            return "int*"
-        mapping = {"int": "int", "long": "long", "bool": "int", "void": "void"}
-        return mapping[t.name]
+    def call(self, e: ast.Call) -> str:
+        """Builtins become calls to the ``static`` helpers this unit emits."""
+        if e.name in _HELPER_SOURCES:
+            self._used_helpers.add(e.name)
+            return f"{_HELPER_SOURCES[e.name][0]}({self.expr_list(e.args)})"
+        if e.name == "len":
+            raise ValueError(f"{self.dialect} has no len(); generator must pass lengths")
+        return super().call(e)
 
-    # ------------------------------------------------------ expressions
-    def expr(self, e: ast.Expr) -> str:
-        """Render an expression."""
-        if isinstance(e, ast.IntLit):
-            return str(e.value)
-        if isinstance(e, ast.BoolLit):
-            return "1" if e.value else "0"
-        if isinstance(e, ast.Var):
-            return e.name
-        if isinstance(e, ast.BinOp):
-            return f"({self.expr(e.left)} {e.op} {self.expr(e.right)})"
-        if isinstance(e, ast.UnaryOp):
-            return f"({e.op}{self.expr(e.operand)})"
-        if isinstance(e, ast.Index):
-            return f"{self.expr(e.base)}[{self.expr(e.index)}]"
-        if isinstance(e, ast.Call):
-            if e.name in _HELPER_SOURCES:
-                self._used_helpers.add(e.name)
-                helper = _HELPER_SOURCES[e.name][0]
-                return f"{helper}({', '.join(self.expr(a) for a in e.args)})"
-            if e.name == "len":
-                raise ValueError("MiniC has no len(); generator must pass lengths")
-            return f"{e.name}({', '.join(self.expr(a) for a in e.args)})"
-        if isinstance(e, ast.ArrayLit):
-            return "{" + ", ".join(self.expr(x) for x in e.elements) + "}"
-        raise TypeError(f"cannot render {type(e).__name__} in MiniC")
-
-    # ------------------------------------------------------- statements
-    def stmt(self, s: ast.Stmt, indent: int) -> List[str]:
-        """Render a statement as source lines."""
-        pad = "    " * indent
-        if isinstance(s, ast.VarDecl):
-            return [pad + self._decl_str(s) + ";"]
-        if isinstance(s, ast.Assign):
-            return [pad + f"{self.expr(s.target)} = {self.expr(s.value)};"]
-        if isinstance(s, ast.If):
-            lines = [pad + f"if ({self.expr(s.cond)}) {{"]
-            lines += self.block_lines(s.then, indent + 1)
-            if s.otherwise is not None:
-                lines.append(pad + "} else {")
-                lines += self.block_lines(s.otherwise, indent + 1)
-            lines.append(pad + "}")
-            return lines
-        if isinstance(s, ast.While):
-            lines = [pad + f"while ({self.expr(s.cond)}) {{"]
-            lines += self.block_lines(s.body, indent + 1)
-            lines.append(pad + "}")
-            return lines
-        if isinstance(s, ast.For):
-            init = self._inline_stmt(s.init)
-            cond = self.expr(s.cond) if s.cond is not None else ""
-            step = self._inline_stmt(s.step)
-            lines = [pad + f"for ({init}; {cond}; {step}) {{"]
-            lines += self.block_lines(s.body, indent + 1)
-            lines.append(pad + "}")
-            return lines
-        if isinstance(s, ast.Return):
-            if s.value is None:
-                return [pad + "return;"]
-            return [pad + f"return {self.expr(s.value)};"]
-        if isinstance(s, ast.Break):
-            return [pad + "break;"]
-        if isinstance(s, ast.Continue):
-            return [pad + "continue;"]
-        if isinstance(s, ast.Print):
-            return [pad + f'printf("%d\\n", {self.expr(s.value)});']
-        if isinstance(s, ast.ExprStmt):
-            return [pad + self.expr(s.expr) + ";"]
-        if isinstance(s, ast.Block):
-            return [pad + "{"] + self.block_lines(s, indent + 1) + [pad + "}"]
-        raise TypeError(f"cannot render {type(s).__name__} in MiniC")
-
-    def _inline_stmt(self, s: Optional[ast.Stmt]) -> str:
-        if s is None:
-            return ""
-        if isinstance(s, ast.VarDecl):
-            return self._decl_str(s)
-        if isinstance(s, ast.Assign):
-            return f"{self.expr(s.target)} = {self.expr(s.value)}"
-        if isinstance(s, ast.ExprStmt):
-            return self.expr(s.expr)
-        raise TypeError(f"cannot inline {type(s).__name__}")
-
-    def _decl_str(self, s: ast.VarDecl) -> str:
+    def decl_str(self, s: ast.VarDecl) -> str:
+        """Arrays are declared ``int a[n]`` or ``int a[] = {..}``."""
         if isinstance(s.type, ast.ArrayType):
             if isinstance(s.init, ast.NewArray):
                 return f"int {s.name}[{self.expr(s.init.size)}]"
             if isinstance(s.init, ast.ArrayLit):
                 return f"int {s.name}[] = {self.expr(s.init)}"
-            if s.init is not None:  # aliasing another array
-                return f"int* {s.name} = {self.expr(s.init)}"
-            raise ValueError("array declaration needs an initializer")
-        base = self.type_str(s.type)
-        if s.init is None:
-            return f"{base} {s.name}"
-        return f"{base} {s.name} = {self.expr(s.init)}"
+            if s.init is None:
+                raise ValueError("array declaration needs an initializer")
+        return super().decl_str(s)  # scalars, and ``int* p = q`` aliases
 
-    def block_lines(self, block: ast.Block, indent: int) -> List[str]:
-        """Render a block's statements."""
-        lines: List[str] = []
-        for s in block.statements:
-            lines += self.stmt(s, indent)
-        return lines
-
-    # --------------------------------------------------------- program
     def render(self, program: ast.Program) -> str:
         """Render the full translation unit, including any needed helpers."""
         self._used_helpers = set()
-        func_chunks: List[str] = []
-        for f in program.functions:
-            params = ", ".join(
-                (
-                    f"int* {p.name}"
-                    if isinstance(p.type, ast.ArrayType)
-                    else f"{self.type_str(p.type)} {p.name}"
-                )
-                for p in f.params
-            )
-            header = f"{self.type_str(f.return_type)} {f.name}({params}) {{"
-            body = self.block_lines(f.body, 1)
-            func_chunks.append("\n".join([header] + body + ["}"]))
+        return super().render(program)
+
+    def translation_unit(self, functions: str) -> str:
+        """``stdio.h``, then the helpers the functions called."""
         helper_text = "".join(
             _HELPER_SOURCES[h][1] for h in sorted(self._used_helpers)
         )
-        return "#include <stdio.h>\n\n" + helper_text + "\n" + "\n\n".join(func_chunks) + "\n"
+        return "#include <stdio.h>\n\n" + helper_text + "\n" + functions + "\n"
 
 
 class MiniCParser(ParserBase):
@@ -206,20 +104,17 @@ class MiniCParser(ParserBase):
 
     language = "c"
     TYPE_KEYWORDS = ("int", "long", "bool", "void")
+    DECL_KEYWORDS = ("int", "long", "bool")
 
     def parse_type(self):
         """Parse ``int`` / ``long`` / ``void`` with optional ``*``."""
         tok = self.advance()
         if tok.value not in self.TYPE_KEYWORDS:
-            raise ParseError(f"[{self.language}] line {tok.line}: expected type, got {tok.value!r}")
+            raise self.error(tok.line, f"expected type, got {tok.value!r}")
         scalar = ast.ScalarType("int" if tok.value == "bool" else tok.value)
         if self.accept("*"):
             return ast.ArrayType(scalar)
         return scalar
-
-    def looks_like_decl(self) -> bool:
-        """Declarations start with a type keyword."""
-        return self.peek().kind == "kw" and self.peek().value in ("int", "long", "bool")
 
     def parse_decl(self) -> ast.Stmt:
         """``int x = e`` | ``int a[e]`` | ``int a[] = {..}`` | ``int* p = e``."""
@@ -228,8 +123,7 @@ class MiniCParser(ParserBase):
         if isinstance(t, ast.ScalarType) and self.accept("["):
             if self.accept("]"):
                 self.expect("=")
-                lit = self._parse_brace_list()
-                return ast.VarDecl(name, ast.ArrayType(t), lit)
+                return ast.VarDecl(name, ast.ArrayType(t), self.parse_brace_list())
             size = self.parse_expr()
             self.expect("]")
             return ast.VarDecl(name, ast.ArrayType(t), ast.NewArray(t, size))
@@ -237,16 +131,6 @@ class MiniCParser(ParserBase):
         if self.accept("="):
             init = self.parse_expr()
         return ast.VarDecl(name, t, init)
-
-    def _parse_brace_list(self) -> ast.ArrayLit:
-        self.expect("{")
-        elems: List[ast.Expr] = []
-        if not self.check("}"):
-            elems.append(self.parse_expr())
-            while self.accept(","):
-                elems.append(self.parse_expr())
-        self.expect("}")
-        return ast.ArrayLit(elems)
 
     def parse_print_hook(self) -> Optional[ast.Stmt]:
         """``printf("%d\\n", expr);`` → Print."""
@@ -262,22 +146,8 @@ class MiniCParser(ParserBase):
         return None
 
     # ----------------------------------------------------------- program
-    def parse_function(self) -> ast.Function:
-        """``[static] type name(params) { body }``."""
-        self.accept("static")
-        ret = self.parse_type()
-        name = self.expect_kind("id").value
-        self.expect("(")
-        params: List[ast.Param] = []
-        if not self.check(")"):
-            params.append(self._parse_param())
-            while self.accept(","):
-                params.append(self._parse_param())
-        self.expect(")")
-        body = self.parse_block()
-        return ast.Function(name, params, ret, body)
-
-    def _parse_param(self) -> ast.Param:
+    def parse_param(self) -> ast.Param:
+        """``type name``, also in the ``int a[]`` spelling."""
         t = self.parse_type()
         name = self.expect_kind("id").value
         if self.accept("["):  # `int a[]` spelling
@@ -287,9 +157,10 @@ class MiniCParser(ParserBase):
         return ast.Param(name, t)
 
     def parse_program(self) -> ast.Program:
-        """Parse a full translation unit."""
+        """Parse a full translation unit of ``[static]`` functions."""
         functions: List[ast.Function] = []
         while self.peek().kind != "eof":
+            self.accept("static")
             functions.append(self.parse_function())
         # Helper bodies keep the user's name when re-parsed; the Program is
         # the real compilation unit.

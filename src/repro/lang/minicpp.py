@@ -15,7 +15,6 @@ from typing import List, Optional
 from repro.lang import ast
 from repro.lang.lexer import strip_using_namespace, tokenize
 from repro.lang.minic import MiniCParser, MiniCRenderer
-from repro.lang.parser_base import ParseError
 
 STD_BUILTINS = {"sort", "max", "min", "abs", "swap"}
 
@@ -24,55 +23,24 @@ class MiniCppRenderer(MiniCRenderer):
     """Render an AST as C++ source using standard-library idioms."""
 
     language = "cpp"
+    dialect = "MiniCpp"
+    PRINT_FORMAT = "std::cout << {} << std::endl;"
 
-    def expr(self, e: ast.Expr) -> str:
-        """Render an expression; builtins become ``std::`` calls."""
-        if isinstance(e, ast.Call):
-            if e.name == "sort":
-                if len(e.args) != 2:
-                    raise ValueError("sort(array, n) expected")
-                a, n = self.expr(e.args[0]), self.expr(e.args[1])
-                return f"std::sort({a}, {a} + {n})"
-            if e.name in ("max", "min"):
-                args = ", ".join(self.expr(a) for a in e.args)
-                return f"std::{e.name}({args})"
-            if e.name == "abs":
-                return f"std::abs({self.expr(e.args[0])})"
-            if e.name == "len":
-                raise ValueError("MiniCpp has no len(); generator must pass lengths")
-            args = ", ".join(self.expr(a) for a in e.args)
-            return f"{e.name}({args})"
-        return super().expr(e)
+    def call(self, e: ast.Call) -> str:
+        """Builtins become ``std::`` calls."""
+        if e.name == "sort":
+            if len(e.args) != 2:
+                raise ValueError("sort(array, n) expected")
+            a, n = self.expr(e.args[0]), self.expr(e.args[1])
+            return f"std::sort({a}, {a} + {n})"
+        if e.name in ("max", "min", "abs"):
+            return f"std::{e.name}({self.expr_list(e.args)})"
+        return super().call(e)
 
-    def stmt(self, s: ast.Stmt, indent: int) -> List[str]:
-        """Render a statement; printing uses iostream."""
-        pad = "    " * indent
-        if isinstance(s, ast.Print):
-            return [pad + f"std::cout << {self.expr(s.value)} << std::endl;"]
-        return super().stmt(s, indent)
-
-    def render(self, program: ast.Program) -> str:
-        """Render the translation unit with C++ headers."""
-        self._used_helpers = set()
-        chunks: List[str] = []
-        for f in program.functions:
-            params = ", ".join(
-                (
-                    f"int* {p.name}"
-                    if isinstance(p.type, ast.ArrayType)
-                    else f"{self.type_str(p.type)} {p.name}"
-                )
-                for p in f.params
-            )
-            header = f"{self.type_str(f.return_type)} {f.name}({params}) {{"
-            body = self.block_lines(f.body, 1)
-            chunks.append("\n".join([header] + body + ["}"]))
-        if self._used_helpers:
-            raise RuntimeError(
-                "MiniCpp should use std:: builtins, not emitted helpers"
-            )
+    def translation_unit(self, functions: str) -> str:
+        """The C++ headers, then the functions."""
         headers = "#include <iostream>\n#include <algorithm>\n#include <cstdlib>\n"
-        return headers + "\n" + "\n\n".join(chunks) + "\n"
+        return headers + "\n" + functions + "\n"
 
 
 class MiniCppParser(MiniCParser):
@@ -99,7 +67,7 @@ class MiniCppParser(MiniCParser):
     def _canonical_std_call(self, name: str, args: List[ast.Expr], line: int) -> ast.Expr:
         if name == "sort":
             if len(args) != 2:
-                raise ParseError(f"[cpp] line {line}: std::sort expects 2 iterators")
+                raise self.error(line, "std::sort expects 2 iterators")
             first, last = args
             if (
                 isinstance(last, ast.BinOp)
@@ -109,12 +77,10 @@ class MiniCppParser(MiniCParser):
                 and last.left.name == first.name
             ):
                 return ast.Call("sort", [first, last.right])
-            raise ParseError(
-                f"[cpp] line {line}: std::sort must be called as sort(a, a + n)"
-            )
+            raise self.error(line, "std::sort must be called as sort(a, a + n)")
         if name in ("max", "min", "abs", "swap"):
             return ast.Call(name, args)
-        raise ParseError(f"[cpp] line {line}: unknown std:: function {name!r}")
+        raise self.error(line, f"unknown std:: function {name!r}")
 
     def parse_print_hook(self) -> Optional[ast.Stmt]:
         """``cout << expr << endl;`` (optionally ``std::`` qualified)."""

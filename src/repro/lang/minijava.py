@@ -13,163 +13,64 @@ from typing import List, Optional
 
 from repro.lang import ast
 from repro.lang.lexer import tokenize
-from repro.lang.parser_base import ParseError, ParserBase
+from repro.lang.parser_base import ParserBase, RendererBase
 
 
-class MiniJavaRenderer:
+class MiniJavaRenderer(RendererBase):
     """Render a language-neutral AST as Java source (a ``Main`` class)."""
 
     language = "java"
+    dialect = "MiniJava"
+    ARRAY_TYPE = "int[]"
+    SCALAR_TYPES = {"int": "int", "long": "long", "bool": "boolean", "void": "void"}
+    BOOL_LITERALS = ("false", "true")
+    PRINT_FORMAT = "System.out.println({});"
+    FUNCTION_INDENT = 1
 
-    def type_str(self, t) -> str:
-        """Java spelling of a type."""
-        if isinstance(t, ast.ArrayType):
-            return "int[]"
-        mapping = {"int": "int", "long": "long", "bool": "boolean", "void": "void"}
-        return mapping[t.name]
+    def call(self, e: ast.Call) -> str:
+        """Builtins become ``.length``, ``Math.`` and ``Arrays.sort``."""
+        if e.name == "len":
+            return f"{self.expr(e.args[0])}.length"
+        if e.name in ("max", "min", "abs"):
+            return f"Math.{e.name}({self.expr_list(e.args)})"
+        if e.name == "sort":
+            if len(e.args) == 2:
+                return f"Arrays.sort({self.expr(e.args[0])}, 0, {self.expr(e.args[1])})"
+            return f"Arrays.sort({self.expr(e.args[0])})"
+        return super().call(e)
 
-    def expr(self, e: ast.Expr) -> str:
-        """Render an expression with Java idioms."""
-        if isinstance(e, ast.IntLit):
-            return str(e.value)
-        if isinstance(e, ast.BoolLit):
-            return "true" if e.value else "false"
-        if isinstance(e, ast.Var):
-            return e.name
-        if isinstance(e, ast.BinOp):
-            return f"({self.expr(e.left)} {e.op} {self.expr(e.right)})"
-        if isinstance(e, ast.UnaryOp):
-            return f"({e.op}{self.expr(e.operand)})"
-        if isinstance(e, ast.Index):
-            return f"{self.expr(e.base)}[{self.expr(e.index)}]"
-        if isinstance(e, ast.NewArray):
-            return f"new int[{self.expr(e.size)}]"
-        if isinstance(e, ast.ArrayLit):
-            return "{" + ", ".join(self.expr(x) for x in e.elements) + "}"
-        if isinstance(e, ast.Call):
-            if e.name == "len":
-                return f"{self.expr(e.args[0])}.length"
-            if e.name in ("max", "min", "abs"):
-                args = ", ".join(self.expr(a) for a in e.args)
-                return f"Math.{e.name}({args})"
-            if e.name == "sort":
-                if len(e.args) == 2:
-                    return f"Arrays.sort({self.expr(e.args[0])}, 0, {self.expr(e.args[1])})"
-                return f"Arrays.sort({self.expr(e.args[0])})"
-            args = ", ".join(self.expr(a) for a in e.args)
-            return f"{e.name}({args})"
-        raise TypeError(f"cannot render {type(e).__name__} in MiniJava")
+    def new_array(self, e: ast.NewArray) -> str:
+        """``new int[n]``."""
+        return f"new int[{self.expr(e.size)}]"
 
-    def stmt(self, s: ast.Stmt, indent: int) -> List[str]:
-        """Render a statement as source lines."""
-        pad = "    " * indent
-        if isinstance(s, ast.VarDecl):
-            return [pad + self._decl_str(s) + ";"]
-        if isinstance(s, ast.Assign):
-            return [pad + f"{self.expr(s.target)} = {self.expr(s.value)};"]
-        if isinstance(s, ast.If):
-            lines = [pad + f"if ({self.expr(s.cond)}) {{"]
-            lines += self.block_lines(s.then, indent + 1)
-            if s.otherwise is not None:
-                lines.append(pad + "} else {")
-                lines += self.block_lines(s.otherwise, indent + 1)
-            lines.append(pad + "}")
-            return lines
-        if isinstance(s, ast.While):
-            lines = [pad + f"while ({self.expr(s.cond)}) {{"]
-            lines += self.block_lines(s.body, indent + 1)
-            lines.append(pad + "}")
-            return lines
-        if isinstance(s, ast.For):
-            init = self._inline_stmt(s.init)
-            cond = self.expr(s.cond) if s.cond is not None else ""
-            step = self._inline_stmt(s.step)
-            lines = [pad + f"for ({init}; {cond}; {step}) {{"]
-            lines += self.block_lines(s.body, indent + 1)
-            lines.append(pad + "}")
-            return lines
-        if isinstance(s, ast.Return):
-            if s.value is None:
-                return [pad + "return;"]
-            return [pad + f"return {self.expr(s.value)};"]
-        if isinstance(s, ast.Break):
-            return [pad + "break;"]
-        if isinstance(s, ast.Continue):
-            return [pad + "continue;"]
-        if isinstance(s, ast.Print):
-            return [pad + f"System.out.println({self.expr(s.value)});"]
-        if isinstance(s, ast.ExprStmt):
-            return [pad + self.expr(s.expr) + ";"]
-        if isinstance(s, ast.Block):
-            return [pad + "{"] + self.block_lines(s, indent + 1) + [pad + "}"]
-        raise TypeError(f"cannot render {type(s).__name__} in MiniJava")
+    def signature(self, f: ast.Function) -> str:
+        """``static`` methods; ``main`` takes ``String[] args``."""
+        if f.name == "main":
+            return "public static void main(String[] args)"
+        return "static " + super().signature(f)
 
-    def _inline_stmt(self, s: Optional[ast.Stmt]) -> str:
-        if s is None:
-            return ""
-        if isinstance(s, ast.VarDecl):
-            return self._decl_str(s)
-        if isinstance(s, ast.Assign):
-            return f"{self.expr(s.target)} = {self.expr(s.value)}"
-        if isinstance(s, ast.ExprStmt):
-            return self.expr(s.expr)
-        raise TypeError(f"cannot inline {type(s).__name__}")
-
-    def _decl_str(self, s: ast.VarDecl) -> str:
-        type_s = self.type_str(s.type)
-        if s.init is None:
-            return f"{type_s} {s.name}"
-        return f"{type_s} {s.name} = {self.expr(s.init)}"
-
-    def block_lines(self, block: ast.Block, indent: int) -> List[str]:
-        """Render a block's statements."""
-        lines: List[str] = []
-        for s in block.statements:
-            lines += self.stmt(s, indent)
-        return lines
-
-    def render(self, program: ast.Program) -> str:
-        """Render the full ``Main`` class."""
-        chunks: List[str] = []
-        for f in program.functions:
-            if f.name == "main":
-                header = "    public static void main(String[] args) {"
-            else:
-                params = ", ".join(f"{self.type_str(p.type)} {p.name}" for p in f.params)
-                header = f"    static {self.type_str(f.return_type)} {f.name}({params}) {{"
-            body = self.block_lines(f.body, 2)
-            chunks.append("\n".join([header] + body + ["    }"]))
-        return (
-            "import java.util.Arrays;\n\npublic class Main {\n"
-            + "\n\n".join(chunks)
-            + "\n}\n"
-        )
+    def translation_unit(self, functions: str) -> str:
+        """The ``Main`` class holding every method."""
+        return "import java.util.Arrays;\n\npublic class Main {\n" + functions + "\n}\n"
 
 
 class MiniJavaParser(ParserBase):
     """Parser for the MiniJava subset."""
 
     language = "java"
+    DECL_KEYWORDS = ("int", "long", "boolean")
 
     def parse_type(self):
         """``int`` / ``long`` / ``boolean`` / ``void`` with optional ``[]``."""
         tok = self.advance()
         name = {"boolean": "bool"}.get(tok.value, tok.value)
         if name not in ("int", "long", "bool", "void"):
-            raise ParseError(f"[java] line {tok.line}: expected type, got {tok.value!r}")
+            raise self.error(tok.line, f"expected type, got {tok.value!r}")
         scalar = ast.ScalarType(name)
         if self.accept("["):
             self.expect("]")
             return ast.ArrayType(scalar)
         return scalar
-
-    def looks_like_decl(self) -> bool:
-        """Declarations start with a Java type keyword."""
-        return self.peek().kind == "kw" and self.peek().value in (
-            "int",
-            "long",
-            "boolean",
-        )
 
     def parse_decl(self) -> ast.Stmt:
         """``int x = e`` | ``int[] a = new int[n]`` | ``int[] a = {..}``."""
@@ -177,21 +78,8 @@ class MiniJavaParser(ParserBase):
         name = self.expect_kind("id").value
         init = None
         if self.accept("="):
-            if self.check("{"):
-                init = self._parse_brace_list()
-            else:
-                init = self.parse_expr()
+            init = self.parse_brace_list() if self.check("{") else self.parse_expr()
         return ast.VarDecl(name, t, init)
-
-    def _parse_brace_list(self) -> ast.ArrayLit:
-        self.expect("{")
-        elems: List[ast.Expr] = []
-        if not self.check("}"):
-            elems.append(self.parse_expr())
-            while self.accept(","):
-                elems.append(self.parse_expr())
-        self.expect("}")
-        return ast.ArrayLit(elems)
 
     def parse_primary_hook(self) -> Optional[ast.Expr]:
         """``new int[n]``, ``Math.fn(args)``, ``Arrays.sort(...)``."""
@@ -200,7 +88,7 @@ class MiniJavaParser(ParserBase):
             self.advance()
             elem_tok = self.advance()
             if elem_tok.value not in ("int", "long"):
-                raise ParseError(f"[java] line {tok.line}: new {elem_tok.value}[] unsupported")
+                raise self.error(tok.line, f"new {elem_tok.value}[] unsupported")
             self.expect("[")
             size = self.parse_expr()
             self.expect("]")
@@ -225,8 +113,8 @@ class MiniJavaParser(ParserBase):
             if len(args) == 3:
                 # Arrays.sort(a, 0, n) — from-index must be 0 in our subset
                 return ast.Call("sort", [args[0], args[2]])
-            raise ParseError(f"[java] line {line}: unsupported Arrays.sort arity")
-        raise ParseError(f"[java] line {line}: unknown library call {namespace}.{method}")
+            raise self.error(line, "unsupported Arrays.sort arity")
+        raise self.error(line, f"unknown library call {namespace}.{method}")
 
     def parse_postfix_hook(self, expr: ast.Expr) -> Optional[ast.Expr]:
         """``expr.length`` → len(expr)."""
@@ -258,23 +146,8 @@ class MiniJavaParser(ParserBase):
         return None
 
     # ----------------------------------------------------------- program
-    def parse_method(self) -> ast.Function:
-        """``[public] static type name(params) { body }``."""
-        self.accept("public")
-        self.expect("static")
-        ret = self.parse_type()
-        name = self.expect_kind("id").value
-        self.expect("(")
-        params: List[ast.Param] = []
-        if not self.check(")"):
-            params.append(self._parse_param())
-            while self.accept(","):
-                params.append(self._parse_param())
-        self.expect(")")
-        body = self.parse_block()
-        return ast.Function(name, params, ret, body)
-
-    def _parse_param(self) -> ast.Param:
+    def parse_param(self) -> ast.Param:
+        """``type name``; ``main``'s ``String[] args`` becomes a placeholder."""
         if self.peek().kind == "id" and self.peek().value == "String":
             # `String[] args` on main — consumed and ignored
             self.advance()
@@ -287,7 +160,7 @@ class MiniJavaParser(ParserBase):
         return ast.Param(name, t)
 
     def parse_program(self) -> ast.Program:
-        """Parse ``[import ...;]* public class Main { methods }``."""
+        """Parse ``[import ...;]* public class Main { [public] static methods }``."""
         while self.peek().kind == "id" and self.peek().value == "import":
             while not self.accept(";"):
                 self.advance()
@@ -297,7 +170,9 @@ class MiniJavaParser(ParserBase):
         self.expect("{")
         functions: List[ast.Function] = []
         while not self.check("}"):
-            f = self.parse_method()
+            self.accept("public")
+            self.expect("static")
+            f = self.parse_function()
             f.params = [p for p in f.params if p.name != "__args"]
             functions.append(f)
         self.expect("}")

@@ -1,16 +1,19 @@
-"""Recursive-descent parser core shared by the three mini-language parsers.
+"""Front-end core shared by the three mini languages: renderer and parser.
 
-Expression parsing is precedence-climbing over the shared operator table;
-statement parsing covers the common structured subset (declarations,
-assignment with ``+=``-style sugar and ``++``/``--``, if/else, while, for,
-break/continue, return, calls).  Language-specific syntax — type spellings,
-array syntax, builtin namespaces (``std::``, ``Math.``, ``System.out``) —
-is supplied by subclass hooks.
+:class:`RendererBase` spells the statement and expression forms the
+languages write alike; :class:`ParserBase` reads them back.  Expression
+parsing is precedence-climbing over the shared operator table; statement
+parsing covers the common structured subset (declarations, assignment with
+``+=``-style sugar and ``++``/``--``, if/else, while, for, break/continue,
+return, calls), brace-list initializers and ``type name(params) { body }``
+functions.  Language-specific syntax — type spellings, array syntax,
+builtin namespaces (``std::``, ``Math.``, ``System.out``), the print
+statement and the translation-unit wrapper — is supplied by subclass hooks.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Callable, Dict, List, Optional, Tuple, TypeVar
 
 from repro.lang import ast
 from repro.lang.lexer import Token
@@ -44,11 +47,169 @@ BINARY_PRECEDENCE = {
 
 AUG_ASSIGN = {"+=": "+", "-=": "-", "*=": "*", "/=": "/", "%=": "%"}
 
+T = TypeVar("T")
+
+
+class RendererBase:
+    """Render a language-neutral AST as source text.
+
+    A language sets the spelling attributes below and overrides the hooks
+    it spells differently: :meth:`call` for builtins, :meth:`new_array`,
+    :meth:`decl_str`, :meth:`signature` and :meth:`translation_unit`.
+    """
+
+    language = "?"
+    #: Language name used in error messages.
+    dialect = "?"
+    ARRAY_TYPE: str
+    SCALAR_TYPES: Dict[str, str]
+    #: Spellings of ``false`` and ``true``.
+    BOOL_LITERALS: Tuple[str, str]
+    #: The output statement, formatted with the rendered value.
+    PRINT_FORMAT: str
+    #: Indent level of function definitions in the translation unit.
+    FUNCTION_INDENT = 0
+
+    # ----------------------------------------------------- language hooks
+    def type_str(self, t) -> str:
+        """The language's spelling of a type."""
+        if isinstance(t, ast.ArrayType):
+            return self.ARRAY_TYPE
+        return self.SCALAR_TYPES[t.name]
+
+    def call(self, e: ast.Call) -> str:
+        """A user call; languages spell their builtins, then defer here."""
+        return f"{e.name}({self.expr_list(e.args)})"
+
+    def new_array(self, e: ast.NewArray) -> str:
+        """A ``new``-style array expression (only Java spells one)."""
+        raise TypeError(f"cannot render NewArray in {self.dialect}")
+
+    def decl_str(self, s: ast.VarDecl) -> str:
+        """``type name [= init]`` without the trailing ``;``."""
+        type_s = self.type_str(s.type)
+        if s.init is None:
+            return f"{type_s} {s.name}"
+        return f"{type_s} {s.name} = {self.expr(s.init)}"
+
+    def signature(self, f: ast.Function) -> str:
+        """A function head ``type name(params)``."""
+        params = ", ".join(f"{self.type_str(p.type)} {p.name}" for p in f.params)
+        return f"{self.type_str(f.return_type)} {f.name}({params})"
+
+    def translation_unit(self, functions: str) -> str:
+        """Wrap the rendered functions in the file's headers/class."""
+        raise NotImplementedError
+
+    # -------------------------------------------------------- expressions
+    def expr_list(self, exprs: List[ast.Expr]) -> str:
+        """Comma-separated rendered expressions."""
+        return ", ".join(self.expr(x) for x in exprs)
+
+    def expr(self, e: ast.Expr) -> str:
+        """Render an expression."""
+        if isinstance(e, ast.IntLit):
+            return str(e.value)
+        if isinstance(e, ast.BoolLit):
+            return self.BOOL_LITERALS[bool(e.value)]
+        if isinstance(e, ast.Var):
+            return e.name
+        if isinstance(e, ast.BinOp):
+            return f"({self.expr(e.left)} {e.op} {self.expr(e.right)})"
+        if isinstance(e, ast.UnaryOp):
+            return f"({e.op}{self.expr(e.operand)})"
+        if isinstance(e, ast.Index):
+            return f"{self.expr(e.base)}[{self.expr(e.index)}]"
+        if isinstance(e, ast.Call):
+            return self.call(e)
+        if isinstance(e, ast.ArrayLit):
+            return "{" + self.expr_list(e.elements) + "}"
+        if isinstance(e, ast.NewArray):
+            return self.new_array(e)
+        raise TypeError(f"cannot render {type(e).__name__} in {self.dialect}")
+
+    # --------------------------------------------------------- statements
+    def stmt(self, s: ast.Stmt, indent: int) -> List[str]:
+        """Render a statement as source lines."""
+        pad = "    " * indent
+        if isinstance(s, ast.VarDecl):
+            return [pad + self.decl_str(s) + ";"]
+        if isinstance(s, ast.Assign):
+            return [pad + f"{self.expr(s.target)} = {self.expr(s.value)};"]
+        if isinstance(s, ast.If):
+            lines = [pad + f"if ({self.expr(s.cond)}) {{"]
+            lines += self.block_lines(s.then, indent + 1)
+            if s.otherwise is not None:
+                lines.append(pad + "} else {")
+                lines += self.block_lines(s.otherwise, indent + 1)
+            lines.append(pad + "}")
+            return lines
+        if isinstance(s, ast.While):
+            lines = [pad + f"while ({self.expr(s.cond)}) {{"]
+            lines += self.block_lines(s.body, indent + 1)
+            lines.append(pad + "}")
+            return lines
+        if isinstance(s, ast.For):
+            init = self._inline_stmt(s.init)
+            cond = self.expr(s.cond) if s.cond is not None else ""
+            step = self._inline_stmt(s.step)
+            lines = [pad + f"for ({init}; {cond}; {step}) {{"]
+            lines += self.block_lines(s.body, indent + 1)
+            lines.append(pad + "}")
+            return lines
+        if isinstance(s, ast.Return):
+            if s.value is None:
+                return [pad + "return;"]
+            return [pad + f"return {self.expr(s.value)};"]
+        if isinstance(s, ast.Break):
+            return [pad + "break;"]
+        if isinstance(s, ast.Continue):
+            return [pad + "continue;"]
+        if isinstance(s, ast.Print):
+            return [pad + self.PRINT_FORMAT.format(self.expr(s.value))]
+        if isinstance(s, ast.ExprStmt):
+            return [pad + self.expr(s.expr) + ";"]
+        if isinstance(s, ast.Block):
+            return [pad + "{"] + self.block_lines(s, indent + 1) + [pad + "}"]
+        raise TypeError(f"cannot render {type(s).__name__} in {self.dialect}")
+
+    def _inline_stmt(self, s: Optional[ast.Stmt]) -> str:
+        if s is None:
+            return ""
+        if isinstance(s, ast.VarDecl):
+            return self.decl_str(s)
+        if isinstance(s, ast.Assign):
+            return f"{self.expr(s.target)} = {self.expr(s.value)}"
+        if isinstance(s, ast.ExprStmt):
+            return self.expr(s.expr)
+        raise TypeError(f"cannot inline {type(s).__name__}")
+
+    def block_lines(self, block: ast.Block, indent: int) -> List[str]:
+        """Render a block's statements."""
+        lines: List[str] = []
+        for s in block.statements:
+            lines += self.stmt(s, indent)
+        return lines
+
+    # ------------------------------------------------------------ program
+    def render(self, program: ast.Program) -> str:
+        """Render the full translation unit."""
+        pad = "    " * self.FUNCTION_INDENT
+        chunks: List[str] = []
+        for f in program.functions:
+            lines = [f"{pad}{self.signature(f)} {{"]
+            lines += self.block_lines(f.body, self.FUNCTION_INDENT + 1)
+            lines.append(pad + "}")
+            chunks.append("\n".join(lines))
+        return self.translation_unit("\n\n".join(chunks))
+
 
 class ParserBase:
     """Token-stream cursor with the shared grammar productions."""
 
     language = "?"
+    #: Type keywords that start a variable declaration.
+    DECL_KEYWORDS: Tuple[str, ...] = ()
 
     def __init__(self, tokens: List[Token]):  # noqa: D107
         self.tokens = tokens
@@ -85,19 +246,30 @@ class ParserBase:
         """Consume a token equal to ``value`` or raise :class:`ParseError`."""
         tok = self.peek()
         if tok.value != value or tok.kind == "eof":
-            raise ParseError(
-                f"[{self.language}] line {tok.line}: expected {value!r}, got {tok.value!r}"
-            )
+            raise self.error(tok.line, f"expected {value!r}, got {tok.value!r}")
         return self.advance()
 
     def expect_kind(self, kind: str) -> Token:
         """Consume a token of ``kind`` or raise."""
         tok = self.peek()
         if tok.kind != kind:
-            raise ParseError(
-                f"[{self.language}] line {tok.line}: expected {kind}, got {tok.kind} {tok.value!r}"
-            )
+            raise self.error(tok.line, f"expected {kind}, got {tok.kind} {tok.value!r}")
         return self.advance()
+
+    def error(self, line: int, message: str) -> ParseError:
+        """A :class:`ParseError` tagged with the language and line."""
+        return ParseError(f"[{self.language}] line {line}: {message}")
+
+    def parse_list(self, open_: str, close: str, item: Callable[[], T]) -> List[T]:
+        """``open [item (, item)*] close``."""
+        self.expect(open_)
+        items: List[T] = []
+        if not self.check(close):
+            items.append(item())
+            while self.accept(","):
+                items.append(item())
+        self.expect(close)
+        return items
 
     # ----------------------------------------------------- subclass hooks
     def parse_type(self) -> object:
@@ -120,10 +292,17 @@ class ParserBase:
         """Try the language's output statement; return None if absent."""
         return None
 
+    def parse_param(self) -> ast.Param:
+        """Parse one function parameter; subclasses override."""
+        raise NotImplementedError
+
     # -------------------------------------------------------- expressions
     def parse_expr(self, min_prec: int = 1) -> ast.Expr:
         """Precedence-climbing binary expression parser."""
-        left = self.parse_unary()
+        return self.parse_expr_continue(self.parse_unary(), min_prec)
+
+    def parse_expr_continue(self, left: ast.Expr, min_prec: int = 1) -> ast.Expr:
+        """Continue a binary expression whose left side is already parsed."""
         while True:
             tok = self.peek()
             prec = BINARY_PRECEDENCE.get(tok.value) if tok.kind == "op" else None
@@ -136,12 +315,9 @@ class ParserBase:
     def parse_unary(self) -> ast.Expr:
         """Unary minus / logical not / parenthesized / primary."""
         tok = self.peek()
-        if tok.kind == "op" and tok.value == "-":
+        if tok.kind == "op" and tok.value in ("-", "!"):
             self.advance()
-            return ast.UnaryOp("-", self.parse_unary())
-        if tok.kind == "op" and tok.value == "!":
-            self.advance()
-            return ast.UnaryOp("!", self.parse_unary())
+            return ast.UnaryOp(tok.value, self.parse_unary())
         return self.parse_postfix()
 
     def parse_postfix(self) -> ast.Expr:
@@ -161,14 +337,11 @@ class ParserBase:
 
     def parse_call_args(self) -> List[ast.Expr]:
         """Parse ``( expr, ... )`` after a callee name."""
-        self.expect("(")
-        args: List[ast.Expr] = []
-        if not self.check(")"):
-            args.append(self.parse_expr())
-            while self.accept(","):
-                args.append(self.parse_expr())
-        self.expect(")")
-        return args
+        return self.parse_list("(", ")", self.parse_expr)
+
+    def parse_brace_list(self) -> ast.ArrayLit:
+        """Parse a ``{ expr, ... }`` array initializer."""
+        return ast.ArrayLit(self.parse_list("{", "}", self.parse_expr))
 
     def parse_primary(self) -> ast.Expr:
         """Literals, identifiers, calls, parens, plus the language hook."""
@@ -194,9 +367,7 @@ class ParserBase:
                 args = self.parse_call_args()
                 return self.canonical_call(tok.value, args)
             return ast.Var(tok.value)
-        raise ParseError(
-            f"[{self.language}] line {tok.line}: unexpected token {tok.value!r}"
-        )
+        raise self.error(tok.line, f"unexpected token {tok.value!r}")
 
     # --------------------------------------------------------- statements
     def parse_block(self) -> ast.Block:
@@ -215,8 +386,9 @@ class ParserBase:
         return ast.Block([self.parse_stmt()])
 
     def looks_like_decl(self) -> bool:
-        """True if the current tokens start a variable declaration."""
-        raise NotImplementedError
+        """True if the current token is a keyword that opens a declaration."""
+        tok = self.peek()
+        return tok.kind == "kw" and tok.value in self.DECL_KEYWORDS
 
     def parse_decl(self) -> ast.Stmt:
         """Parse a variable declaration; subclasses override."""
@@ -280,17 +452,6 @@ class ParserBase:
             return ast.ExprStmt(full)
         return ast.ExprStmt(expr)
 
-    def parse_expr_continue(self, left: ast.Expr) -> ast.Expr:
-        """Continue a binary expression whose left side is already parsed."""
-        while True:
-            tok = self.peek()
-            prec = BINARY_PRECEDENCE.get(tok.value) if tok.kind == "op" else None
-            if prec is None:
-                return left
-            self.advance()
-            right = self.parse_expr(prec + 1)
-            left = ast.BinOp(tok.value, left, right)
-
     def parse_if(self) -> ast.If:
         """``if (cond) block [else block]``."""
         self.expect("if")
@@ -329,3 +490,10 @@ class ParserBase:
             step = self.parse_simple_stmt()
         self.expect(")")
         return ast.For(init, cond, step, self.parse_block_or_single())
+
+    def parse_function(self) -> ast.Function:
+        """``type name(params) { body }``, after any modifiers."""
+        ret = self.parse_type()
+        name = self.expect_kind("id").value
+        params = self.parse_list("(", ")", self.parse_param)
+        return ast.Function(name, params, ret, self.parse_block())

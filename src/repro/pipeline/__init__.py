@@ -2,7 +2,6 @@
 for the source → IR → binary → decompiled-IR → graph chain)."""
 
 from repro.pipeline.staged import (
-    FRONTENDS,
     PIPELINE_VERSION,
     STAGE_CODEGEN,
     STAGE_DECOMPILE,
@@ -33,7 +32,6 @@ __all__ = [
     "STAGE_CODEGEN",
     "STAGE_DECOMPILE",
     "STAGE_GRAPH",
-    "FRONTENDS",
     "collector_paused",
     "lazy_views",
     "normalize_transforms",

@@ -38,9 +38,7 @@ from repro.ir.lowering import lower_program
 from repro.ir.module import Function, Module
 from repro.ir.passes import optimize
 from repro.ir.verifier import verify_all
-from repro.lang.minic import parse_minic
-from repro.lang.minicpp import parse_minicpp
-from repro.lang.minijava import parse_minijava
+from repro.lang.generator import frontend
 from repro.transform import TransformSpec, chain_id, parse_transform_chain, split_by_level
 from repro.utils.timing import Stats
 
@@ -86,14 +84,10 @@ def normalize_transforms(transforms: TransformChain) -> Tuple[TransformSpec, ...
         for s in transforms
     )
 
-FRONTENDS = {"c": parse_minic, "cpp": parse_minicpp, "java": parse_minijava}
-
 
 def parse_source(source_text: str, language: str):
     """The ``parse`` stage: front-end AST tagged with its language."""
-    if language not in FRONTENDS:
-        raise ValueError(f"unsupported language {language!r}")
-    program = FRONTENDS[language](source_text)
+    program = frontend(language).parse(source_text)
     program.language = language
     return program
 
@@ -274,8 +268,8 @@ class CompilationPipeline:
         # Raised before any stage runs: a caller naming a language we have
         # no front-end for is an API misuse (ValueError), not a pipeline
         # stage failing on valid input.
-        if program is None and language not in FRONTENDS:
-            raise ValueError(f"unsupported language {language!r}")
+        if program is None:
+            frontend(language)
 
     # ------------------------------------------------------------- stages
     def _run_stage(self, stage: str, result: CompilationResult, fn: Callable[[], T]) -> T:

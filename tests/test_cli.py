@@ -30,6 +30,27 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["generate", "gcd", "--language", "rust"])
 
+    @pytest.mark.parametrize("argv", [
+        ["train", "--source-langs", "jav", "--epochs", "1"],
+        ["train", "--binary-langs", "c,jav", "--epochs", "1"],
+        ["evaluate", "m.npz", "--binary-langs", "cc"],
+        ["index", "build", "m.npz", "--languages", "jav"],
+        ["corpus", "build", "--languages", "jav"],
+        ["experiment", "run", "--source-langs", "jav", "--epochs", "1"],
+    ])
+    def test_unknown_language_exits_2_naming_supported(self, argv, tmp_path,
+                                                       monkeypatch, capsys):
+        # Every language-list flag is checked against the registry before
+        # any corpus is built or any file is written.
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--num-tasks", "2", "--variants", "1"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "unknown language" in err
+        assert "supported: ['c', 'cpp', 'java']" in err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestTasksCommand:
     def test_lists_registry(self, capsys):
@@ -129,7 +150,7 @@ class TestIndexParser:
         assert args.index_command == "build"
         assert args.output == "index"
         assert args.shard_size == 0
-        assert args.languages == "java"
+        assert args.languages == ["java"]
 
     def test_query_defaults(self):
         args = build_parser().parse_args(["index", "query", "model.npz", "index"])
@@ -171,7 +192,7 @@ class TestCorpusParser:
     def test_build_defaults(self):
         args = build_parser().parse_args(["corpus", "build"])
         assert args.corpus_command == "build"
-        assert args.languages == "c,java"
+        assert args.languages == ["c", "java"]
         assert args.store is None
         assert args.parallel == 0
 

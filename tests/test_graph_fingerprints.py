@@ -55,6 +55,29 @@ class TestGoldenFingerprints:
         assert "source" in line and golden.key(coord) in line
 
 
+#: sha256 over the golden grid's (task, variant, language) programs, each
+#: generated with ``independent`` False then True: every rendered source
+#: text followed by the ``repr`` of the AST its front end parsed back.
+RENDERED_SOURCES = "03936436184d04cb8b0c8481415c2e996dbc9f8eeaaaa143b627cb7d13a7d70c"
+
+
+class TestRenderedSources:
+    def test_text_and_parse_match_recording(self, golden):
+        # The text keys ``compile_to_views``'s source_text_id and the serve
+        # payload digests; the graph pins above never read the text itself.
+        h = hashlib.sha256()
+        count = 0
+        for independent in (False, True):
+            generator = SolutionGenerator(seed=golden.SEED, independent=independent)
+            for task, variant, lang, _, _ in golden.grid():
+                sf = generator.generate(task, variant, lang)
+                h.update(sf.text.encode())
+                h.update(repr(sf.program).encode())
+                count += 1
+        assert count == 2 * len(golden.grid()) == 3936
+        assert h.hexdigest() == RENDERED_SOURCES
+
+
 #: sha256 of ``print_module(...)`` for two decompiled modules: the type
 #: spelling the printer caches must never change the printed IR.
 PRINTED = {

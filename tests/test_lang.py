@@ -346,3 +346,42 @@ class TestGeneratorSemantics:
         outs = [interpret(gen.generate(task, variant, lang).program) for lang in LANGUAGES]
         assert outs[0] == outs[1] == outs[2]
         assert len(outs[0]) >= 1  # every program prints something
+
+
+class TestLanguageRegistry:
+    """One language registry: every layer reads it and rejects alike."""
+
+    SUPPORTED = "supported: ['c', 'cpp', 'java']"
+
+    def test_order_and_lowerers_match_registry(self):
+        from repro.ir.lowering import LOWERERS
+
+        assert LANGUAGES == ("c", "cpp", "java")
+        assert set(LOWERERS) == set(LANGUAGES)
+
+    def test_every_layer_rejects_unknown_language_alike(self):
+        from repro.ir.lowering import lower_program
+        from repro.pipeline import CompilationPipeline
+
+        rejections = [
+            lambda: SolutionGenerator().generate("gcd", 0, "rust"),
+            lambda: CompilationPipeline().compile("fn main() {}", "rust"),
+            lambda: CompilationPipeline().source_graph("fn main() {}", "rust"),
+            lambda: lower_program(ast.Program([], language="rust")),
+        ]
+        for reject in rejections:
+            with pytest.raises(ValueError) as exc:
+                reject()
+            assert str(exc.value) == f"unknown language 'rust'; {self.SUPPORTED}"
+
+    @pytest.mark.parametrize("method", ["build", "build_parallel"])
+    def test_corpus_builder_rejects_before_building(self, method, tmp_path):
+        from repro.artifacts import ArtifactStore
+        from repro.config import DataConfig
+        from repro.data.corpus import CorpusBuilder
+
+        store = ArtifactStore(tmp_path / "art")
+        builder = CorpusBuilder(DataConfig(num_tasks=2, variants=1), store=store)
+        with pytest.raises(ValueError, match=r"unknown language 'jav'; supported"):
+            getattr(builder, method)(["c", "jav"])
+        assert len(store) == 0

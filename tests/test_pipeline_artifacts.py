@@ -58,9 +58,9 @@ class TestStagedPipeline:
         assert pipeline.timer.counts["codegen"] == 2
 
     def test_unsupported_language_rejected_eagerly(self):
-        with pytest.raises(ValueError, match="unsupported language"):
+        with pytest.raises(ValueError, match="unknown language .rust.; supported"):
             CompilationPipeline().compile("fn main() {}", "rust")
-        with pytest.raises(ValueError, match="unsupported language"):
+        with pytest.raises(ValueError, match="unknown language .rust.; supported"):
             CompilationPipeline().source_graph("fn main() {}", "rust")
 
     def test_stage_failure_reports_partial_progress(self, solution):
